@@ -11,7 +11,6 @@ from .active import (
     CandidatePool,
     ConstructionResult,
     OracleError,
-    information_gain,
     read_audit,
     select_next,
     sequential_construct,
@@ -71,7 +70,6 @@ from .kernel import (
     kernel_lipschitz,
 )
 from .model import (
-    ExtractionIndex,
     MultiFidelityData,
     NestingError,
     Posterior,
@@ -81,78 +79,8 @@ from .model import (
     nesting_check,
     predict,
     predict_fidelity,
-    predict_noisy,
     save_model,
     train,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BENCHMARKS",
-    "BenchmarkSpec",
-    "BoundConfig",
-    "CandidatePool",
-    "ConstructionResult",
-    "DEFAULT_BUDGETS",
-    "DEFAULT_JITTER_REL",
-    "DatasetFormatError",
-    "DomainBox",
-    "ExtractionIndex",
-    "IllConditionedError",
-    "KernelHyperparams",
-    "MAX_JITTER_REL",
-    "Metrics",
-    "MultiFidelityData",
-    "NestingError",
-    "OptimizerConfig",
-    "OracleError",
-    "Posterior",
-    "ResGPModel",
-    "ResidualDataset",
-    "ResourceLimitError",
-    "TrainedLevel",
-    "UniformBound",
-    "UnsupportedModelError",
-    "ard_eval",
-    "build_level",
-    "compute_residuals",
-    "covering_number_bound",
-    "cross_vec",
-    "design_uniform",
-    "empirical_coverage",
-    "evaluate",
-    "fill_distance",
-    "fit_level",
-    "get_benchmark",
-    "gram",
-    "information_gain",
-    "kernel_lipschitz",
-    "level_predict",
-    "load_model",
-    "mean_lipschitz_bound",
-    "metrics",
-    "neg_log_likelihood",
-    "nested_random_data",
-    "nested_subsample",
-    "nesting_check",
-    "nll_gradient",
-    "pendulum_energy",
-    "pendulum_solve",
-    "pendulum_trajectory",
-    "predict",
-    "predict_fidelity",
-    "predict_noisy",
-    "read_audit",
-    "read_dataset_csv",
-    "run_benchmark_case",
-    "save_model",
-    "select_next",
-    "sequential_construct",
-    "sigma_modulus",
-    "standardization_scale",
-    "train",
-    "uniform_bound",
-    "write_audit",
-    "write_dataset_csv",
-]

@@ -11,7 +11,7 @@ selections without refitting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .gp_level import (
     level_predict,
 )
 from .kernel import DEFAULT_JITTER_REL, DomainBox
-from .model import ResGPModel, _atomic_write_text, _infer_domain
+from .model import MultiFidelityData, ResGPModel, _atomic_write_text, _infer_domain
 
 
 class OracleError(RuntimeError):
@@ -36,10 +36,9 @@ class OracleError(RuntimeError):
 
 @dataclass
 class CandidatePool:
-    """Finite set of admissible inputs plus the per-fidelity picks made so far."""
+    """Finite set of admissible inputs."""
 
     points: np.ndarray
-    consumed: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -55,35 +54,27 @@ class CandidatePool:
 
 @dataclass
 class ConstructionResult:
-    """Output of sequential_construct: final model, audit log, chosen indices."""
+    """Output of sequential_construct: final model, audit log, chosen pool
+    indices per fidelity, and the nested design with its simulator outputs."""
 
     model: ResGPModel
     audit: list
     selected: dict
-    pool: CandidatePool
-
-
-def information_gain(level: TrainedLevel, query):
-    """Noise-free posterior variance of the level at query point(s).
-
-    This is the per-point entropy-reduction score the acquisition maximizes;
-    it equals the level_predict variance.
-    """
-    _, var = level_predict(level, query)
-    return var
+    data: MultiFidelityData
 
 
 def select_next(level: TrainedLevel, candidates) -> tuple[int, float]:
     """Index of the highest-variance candidate and its gain.
 
-    Gains indistinguishable from the jitter floor are snapped to zero so a
-    degenerate pool (every candidate already interpolated) resolves to index 0;
-    exact ties break to the lowest index.
+    A candidate's gain is its level_predict variance, the entropy-reduction
+    score the acquisition maximizes. Gains indistinguishable from the jitter
+    floor are snapped to zero so a degenerate pool (every candidate already
+    interpolated) resolves to index 0; exact ties break to the lowest index.
     """
     cands = np.asarray(candidates, dtype=float)
     if cands.ndim != 2 or cands.shape[0] == 0:
         raise ValueError("candidates must be a non-empty (M, l) array")
-    gains = np.asarray(information_gain(level, cands), dtype=float)
+    _, gains = level_predict(level, cands)
     snapped = np.where(gains < 10.0 * level.jitter, 0.0, gains)
     idx = int(np.argmax(snapped))
     return idx, float(gains[idx])
@@ -199,8 +190,7 @@ def sequential_construct(
         audit.append(pending)
 
         warm = None
-        level = None
-        while len(chosen) < budgets[f - 1]:
+        while True:
             ds = ResidualDataset(inputs=unit[chosen], residuals=np.array(rows))
             level = fit_level(
                 ds,
@@ -209,6 +199,8 @@ def sequential_construct(
                 init=warm,
             )
             pending["nll"] = level.fit_nll
+            if len(chosen) == budgets[f - 1]:
+                break
             warm = _log_params(level)
             chosen_set = set(chosen)
             remaining = [i for i in source if i not in chosen_set]
@@ -238,27 +230,20 @@ def sequential_construct(
                 "nll": None,
             }
             audit.append(pending)
-
-        ds = ResidualDataset(inputs=unit[chosen], residuals=np.array(rows))
-        level = fit_level(
-            ds,
-            warm_opt if warm is not None else opt,
-            jitter_rel=jitter_rel,
-            init=warm,
-        )
-        pending["nll"] = level.fit_nll
         levels.append(level)
         selected[f] = chosen
-        pool.consumed[f] = list(chosen)
 
-    d = len(next(iter(cache.values())))
+    data = MultiFidelityData(
+        inputs=[raw[selected[f]] for f in selected],
+        outputs=[np.array([cache[(f, i)] for i in selected[f]]) for f in selected],
+    )
     model = ResGPModel(
         levels=levels,
         domain=domain,
-        input_dim=raw.shape[1],
-        output_dim=d,
+        input_dim=data.input_dim,
+        output_dim=data.output_dim,
     )
-    return ConstructionResult(model=model, audit=audit, selected=selected, pool=pool)
+    return ConstructionResult(model=model, audit=audit, selected=selected, data=data)
 
 
 def write_audit(audit: list, path: str) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gp_level import OptimizerConfig
 from .kernel import DEFAULT_JITTER_REL, DomainBox
-from .model import MultiFidelityData, predict, train
+from .model import MultiFidelityData, Posterior, _atomic_write_text, predict, train
 
 # seed offsets keeping test designs and pools disjoint from training designs
 TEST_SEED_OFFSET = 104729
@@ -436,19 +436,24 @@ def _dataset_header(l: int, d: int) -> list:
     return [f"x{i + 1}" for i in range(l)] + [f"y{j + 1}" for j in range(d)] + ["fidelity"]
 
 
-def write_dataset_csv(path: str, data: MultiFidelityData) -> None:
-    """One CSV across all fidelities: columns x1..xl, y1..yd, fidelity."""
-    from .model import _atomic_write_text
-
+def write_csv(path: str, header: list, rows) -> None:
+    """Write a CSV atomically; float cells are written with repr, so they read back exactly."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_dataset_header(data.input_dim, data.output_dim))
-    for f in range(1, data.n_fidelities + 1):
-        X = data.inputs[f - 1]
-        Y = data.outputs[f - 1]
-        for xi, yi in zip(X, Y):
-            writer.writerow([repr(float(v)) for v in xi] + [repr(float(v)) for v in yi] + [f])
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
     _atomic_write_text(path, buf.getvalue())
+
+
+def write_dataset_csv(path: str, data: MultiFidelityData) -> None:
+    """One CSV across all fidelities: columns x1..xl, y1..yd, fidelity."""
+    rows = [
+        xi + yi + [f]
+        for f, (X, Y) in enumerate(zip(data.inputs, data.outputs), start=1)
+        for xi, yi in zip(X.tolist(), Y.tolist())
+    ]
+    write_csv(path, _dataset_header(data.input_dim, data.output_dim), rows)
 
 
 def read_dataset_csv(path: str) -> MultiFidelityData:
@@ -515,6 +520,24 @@ def standardization_scale(data: MultiFidelityData) -> tuple[float, float]:
     return m, s
 
 
+def score(
+    post: Posterior, truth, data: MultiFidelityData, standardize: bool
+) -> tuple[Metrics, Metrics, tuple[float, float] | None]:
+    """Metrics of a posterior against the truth: (scored, raw, scale).
+
+    With standardize, scored is computed after shifting and scaling predictions
+    and truth by scale = standardization_scale(data), so scores are comparable
+    across benchmarks with different output scales. Otherwise scored is raw and
+    scale is None.
+    """
+    raw = metrics(post.mean, post.var, truth)
+    if not standardize:
+        return raw, raw, None
+    m, s = standardization_scale(data)
+    scored = metrics((post.mean - m) / s, post.var / s**2, (truth - m) / s)
+    return scored, raw, (m, s)
+
+
 def run_benchmark_case(
     bench,
     budgets=None,
@@ -526,10 +549,8 @@ def run_benchmark_case(
 ) -> dict:
     """Train on a random nested design and score on fresh test points.
 
-    With standardize=True the metrics are computed after shifting and scaling
-    predictions and truth by the lowest-fidelity training output statistics,
-    so scores are comparable across benchmarks with different output scales;
-    raw metrics are always included alongside.
+    metrics, raw_metrics and scale come from score, which standardizes by the
+    lowest-fidelity training outputs when standardize is set.
     """
     spec = get_benchmark(bench)
     if budgets is None:
@@ -543,14 +564,7 @@ def run_benchmark_case(
     test_x = design_uniform(spec.domain, test_points, seed + TEST_SEED_OFFSET)
     truth = evaluate(spec, spec.n_fidelities, test_x)
     post = predict(model, test_x)
-    raw = metrics(post.mean, post.var, truth)
-    if standardize:
-        m, s = standardization_scale(data)
-        scored = metrics((post.mean - m) / s, post.var / s**2, (truth - m) / s)
-        scale = (m, s)
-    else:
-        scored = raw
-        scale = None
+    scored, raw, scale = score(post, truth, data, standardize)
     return {
         "name": spec.name,
         "budgets": list(budgets),

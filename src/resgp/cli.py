@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -29,11 +28,10 @@ from .benchmarks import (
     design_uniform,
     evaluate,
     get_benchmark,
-    metrics,
-    nested_random_data,
     read_dataset_csv,
     run_benchmark_case,
-    standardization_scale,
+    score,
+    write_csv,
     write_dataset_csv,
 )
 from .bounds import (
@@ -46,17 +44,7 @@ from .bounds import (
 )
 from .gp_level import IllConditionedError, OptimizerConfig
 from .kernel import DEFAULT_JITTER_REL, DomainBox
-from .model import (
-    MultiFidelityData,
-    NestingError,
-    _atomic_write_text,
-    compute_residuals,
-    load_model,
-    nesting_check,
-    predict,
-    save_model,
-    train,
-)
+from .model import NestingError, _atomic_write_text, load_model, predict, save_model, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,6 +138,17 @@ def _domain_from(entry) -> DomainBox:
         raise UsageError(f"invalid domain entry: {exc}") from exc
 
 
+def _count(config: dict, key: str, default: int) -> int:
+    """A config field counting something; it must be an integer of at least 1."""
+    try:
+        n = int(config.get(key, default))
+    except (TypeError, ValueError):
+        raise UsageError(f"{key} must be an integer") from None
+    if n < 1:
+        raise UsageError(f"{key} must be at least 1")
+    return n
+
+
 def _resolve_seed(config: dict, override) -> int:
     if override is not None:
         return int(override)
@@ -184,7 +183,7 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
             budgets=budgets,
             seed=run_seed,
             opt=opt,
-            test_points=int(config.get("test_points", 1000)),
+            test_points=_count(config, "test_points", 1000),
             standardize=standardize,
             jitter_rel=jitter_rel,
         )
@@ -204,7 +203,6 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
                 "test_seed": run_seed + TEST_SEED_OFFSET,
             },
         )
-        domain = spec.domain
     else:
         data = read_dataset_csv(config["dataset"])
         domain = _domain_from(config["domain"]) if "domain" in config else None
@@ -217,26 +215,16 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
             noise=float(config.get("noise", 0.0)),
             learn_noise=bool(config.get("learn_noise", False)),
         )
-        domain = model.domain
         scored = raw = None
         if "test_dataset" in config:
             test = read_dataset_csv(config["test_dataset"])
-            test_x = test.inputs[-1]
-            test_y = test.outputs[-1]
-            post = predict(model, test_x)
-            raw = metrics(post.mean, post.var, test_y)
-            if standardize:
-                m, s = standardization_scale(data)
-                scored = metrics((post.mean - m) / s, post.var / s**2, (test_y - m) / s)
-                scale = (m, s)
-            else:
-                scored = raw
+            post = predict(model, test.inputs[-1])
+            scored, raw, scale = score(post, test.outputs[-1], data, standardize)
 
-    norm = MultiFidelityData(
-        inputs=[domain.normalize(x) for x in data.inputs], outputs=data.outputs
-    )
-    residuals = compute_residuals(norm, nesting_check(norm))
-    residual_rms = [float(np.sqrt(np.mean(ds.residuals**2))) for ds in residuals]
+    residual_rms = [
+        float(np.sqrt(np.mean((lvl.residuals + lvl.column_means) ** 2)))
+        for lvl in model.levels
+    ]
 
     save_model(model, model_path)
     record = {
@@ -317,12 +305,11 @@ def cmd_predict(
         )
         return out_path
     out_path = os.path.join(out_dir, "predictions.csv")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"y{j + 1}" for j in range(model.output_dim)] + ["variance"])
-    for m, v in zip(means, variances):
-        writer.writerow([repr(float(x)) for x in m] + [repr(float(v))])
-    _atomic_write_text(out_path, buf.getvalue())
+    write_csv(
+        out_path,
+        [f"y{j + 1}" for j in range(model.output_dim)] + ["variance"],
+        np.column_stack([means, variances]).tolist(),
+    )
     return out_path
 
 
@@ -337,7 +324,7 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
         raise UsageError("active config must name a 'benchmark'")
     spec = get_benchmark(config["benchmark"])
     budgets = config.get("budgets", DEFAULT_BUDGETS[spec.name])
-    pool_size = int(config.get("pool_size", 200))
+    pool_size = _count(config, "pool_size", 200)
     strategy = config.get("strategy", "variance")
     opt = _optimizer(config, run_seed)
     jitter_rel = float(config.get("jitter_rel", DEFAULT_JITTER_REL))
@@ -345,16 +332,15 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
     audit_path = os.path.join(out_dir, "audit.jsonl")
     t0 = time.perf_counter()
 
+    test_points = _count(config, "test_points", 1000)
+    standardize = bool(config.get("standardize", True))
     pool = design_uniform(spec.domain, pool_size, run_seed + POOL_SEED_OFFSET)
-
-    def oracle(f, x):
-        return evaluate(spec, f, x)
 
     try:
         result = sequential_construct(
             pool,
             budgets,
-            oracle,
+            lambda f, x: evaluate(spec, f, x),
             opt,
             run_seed,
             domain=spec.domain,
@@ -370,23 +356,10 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
     model_path = os.path.join(out_dir, "model.json")
     save_model(model, model_path)
 
-    test_points = int(config.get("test_points", 1000))
     test_x = design_uniform(spec.domain, test_points, run_seed + TEST_SEED_OFFSET)
     truth = evaluate(spec, spec.n_fidelities, test_x)
     post = predict(model, test_x)
-    raw = metrics(post.mean, post.var, truth)
-    standardize = bool(config.get("standardize", True))
-    scale = None
-    if standardize:
-        # scale from the acquired lowest-fidelity outputs
-        low_y = np.array([oracle(1, pool[i]) for i in result.selected[1]])
-        flat = low_y.ravel()
-        s = float(flat.std()) or 1.0
-        m = float(flat.mean())
-        scored = metrics((post.mean - m) / s, post.var / s**2, (truth - m) / s)
-        scale = (m, s)
-    else:
-        scored = raw
+    scored, raw, scale = score(post, truth, result.data, standardize)
 
     record = {
         "command": "active",
@@ -431,7 +404,7 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
     bound, bound_fn = uniform_bound(model, cfg)
     os.makedirs(out_dir, exist_ok=True)
 
-    grid_points = int(config.get("grid_points", 512))
+    grid_points = _count(config, "grid_points", 512)
     if model.input_dim == 1:
         grid = np.linspace(domain.lower[0], domain.upper[0], grid_points)[:, None]
     else:
@@ -440,19 +413,12 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
     sigma = np.sqrt(np.asarray(post.var))
     g = bound_fn(grid)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [f"x{i + 1}" for i in range(model.input_dim)] + ["mean", "sigma", "bound"]
-    )
-    means = np.atleast_2d(post.mean)
-    for i in range(grid.shape[0]):
-        writer.writerow(
-            [repr(float(v)) for v in grid[i]]
-            + [repr(float(means[i, 0])), repr(float(sigma[i])), repr(float(g[i]))]
-        )
     curve_path = os.path.join(out_dir, "curve.csv")
-    _atomic_write_text(curve_path, buf.getvalue())
+    write_csv(
+        curve_path,
+        [f"x{i + 1}" for i in range(model.input_dim)] + ["mean", "sigma", "bound"],
+        np.column_stack([grid, np.atleast_2d(post.mean)[:, 0], sigma, g]).tolist(),
+    )
 
     coverage = None
     if "truth" in config:
@@ -488,10 +454,8 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
     """Run the benchmark suite and write a results table plus summary."""
     run_seed = _resolve_seed(config, seed)
     names = config.get("benchmarks", sorted(DEFAULT_BUDGETS))
-    repeats = int(config.get("repeats", 1))
-    if repeats < 1:
-        raise UsageError("repeats must be at least 1")
-    test_points = int(config.get("test_points", 1000))
+    repeats = _count(config, "repeats", 1)
+    test_points = _count(config, "test_points", 1000)
     standardize = bool(config.get("standardize", True))
     budgets_override = config.get("budgets", {})
     os.makedirs(out_dir, exist_ok=True)
@@ -534,36 +498,22 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
     else:
         rows = [run_one(t) for t in tasks]
 
-    metric_cols = ["rmse", "r2", "mnll", "nrmse", "raw_rmse", "raw_r2", "joint_nll"]
+    header = ["benchmark", "budgets", "repeat", "seed", "rmse", "r2", "mnll", "nrmse"]
+    header += ["raw_rmse", "raw_r2", "joint_nll"]
     if fmt == "structured":
         results_path = os.path.join(out_dir, "results.json")
-        _write_json(
-            results_path,
-            {
-                "rows": [
-                    {k: row[k] for k in ["benchmark", "budgets", "repeat", "seed"] + metric_cols}
-                    for row in rows
-                ]
-            },
-        )
+        _write_json(results_path, {"rows": [{k: row[k] for k in header} for row in rows]})
     else:
         results_path = os.path.join(out_dir, "results.csv")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = ["benchmark", "budgets", "repeat", "seed"] + metric_cols
-        writer.writerow(header)
-        for row in rows:
-            formatted = []
-            for k in header:
-                v = row[k]
-                if isinstance(v, float):
-                    formatted.append(repr(v))
-                elif isinstance(v, list):
-                    formatted.append("-".join(str(b) for b in v))
-                else:
-                    formatted.append(str(v))
-            writer.writerow(formatted)
-        _atomic_write_text(results_path, buf.getvalue())
+        write_csv(
+            results_path,
+            header,
+            [
+                [row["benchmark"], "-".join(str(b) for b in row["budgets"])]
+                + [row[k] for k in header[2:]]
+                for row in rows
+            ],
+        )
 
     summary = {}
     for name in names:

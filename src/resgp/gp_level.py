@@ -167,51 +167,59 @@ def _sq_diff_tensor(points: np.ndarray) -> np.ndarray:
 
 
 def _nll_core(
+    *,
     amplitude: float,
     weights: np.ndarray,
-    tau: float,
+    shift: float,
     sq_diffs: np.ndarray,
     outer: np.ndarray,
     n_outputs: int,
-    jitter: float,
-    jitter_scales_with_amplitude: bool,
-    want_grad: bool,
-    learn_noise: bool,
-):
-    """NLL and optional log-space gradient from precomputed structures.
+    chol: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """NLL and its gradient for K = amplitude * exp(-sq_diffs @ weights) + shift I.
 
-    outer is R R^T for the (centered) residual matrix R, so the cost per call
-    does not depend on the number of output columns. jitter is absolute; when
-    jitter_scales_with_amplitude it is amplitude-proportional and its
-    derivative folds into the amplitude component.
+    shift is the absolute diagonal (noise plus jitter). outer is R R^T for the
+    centered residual matrix R, so the cost per call does not depend on the
+    number of output columns. chol, when given, is a lower Cholesky factor of
+    K that the caller already computed. The gradient is taken with respect to
+    [log amplitude, log w_1 .. log w_l, shift]: the amplitude component holds
+    the kernel term only, and callers map the last component onto their noise
+    and jitter. A K that is not positive definite gives (inf, zeros).
     """
     n = sq_diffs.shape[0]
     d = n_outputs
-    unit = np.exp(-sq_diffs @ weights)
-    C = amplitude * unit
-    K = C + (jitter + tau) * np.eye(n)
-    try:
-        L = np.linalg.cholesky(K)
-    except np.linalg.LinAlgError:
-        if not want_grad:
-            return np.inf
-        return np.inf, np.zeros(1 + weights.size + (1 if learn_noise else 0))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    kinv_outer = cho_solve((L, True), outer)
+    C = amplitude * np.exp(-sq_diffs @ weights)
+    if chol is None:
+        try:
+            chol = np.linalg.cholesky(C + shift * np.eye(n))
+        except np.linalg.LinAlgError:
+            return np.inf, np.zeros(weights.size + 2)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    kinv_outer = cho_solve((chol, True), outer)
     nll = 0.5 * d * logdet + 0.5 * float(np.trace(kinv_outer)) + 0.5 * n * d * LOG2PI
-    if not want_grad:
-        return nll
-    kinv = cho_solve((L, True), np.eye(n))
+    kinv = cho_solve((chol, True), np.eye(n))
     bmat = d * kinv - kinv_outer @ kinv
     bc = bmat * C
     g_amp = 0.5 * float(np.sum(bc))
-    if jitter_scales_with_amplitude and jitter > 0:
-        g_amp += 0.5 * jitter * float(np.trace(bmat))
     g_weights = -0.5 * weights * np.einsum("nm,nml->l", bc, sq_diffs)
-    parts = [np.array([g_amp]), g_weights]
-    if learn_noise:
-        parts.append(np.array([0.5 * tau * float(np.trace(bmat))]))
-    return nll, np.concatenate(parts)
+    g_shift = 0.5 * float(np.trace(bmat))
+    return nll, np.concatenate(([g_amp], g_weights, [g_shift]))
+
+
+def _nll_at(params: KernelHyperparams, data: ResidualDataset, jitter: float):
+    """_nll_core at fixed hyperparameters, on the escalated Cholesky factor."""
+    if data.input_dim != params.dim:
+        raise ValueError("data dimension does not match kernel weights")
+    chol, j = cholesky_with_escalation(params, data.inputs, jitter)
+    return _nll_core(
+        amplitude=params.amplitude,
+        weights=params.weights,
+        shift=j + params.noise,
+        sq_diffs=_sq_diff_tensor(data.inputs),
+        outer=data.residuals @ data.residuals.T,
+        n_outputs=data.output_dim,
+        chol=chol,
+    )
 
 
 def neg_log_likelihood(
@@ -224,25 +232,7 @@ def neg_log_likelihood(
     plus (noise + jitter) diagonal. jitter is absolute; on Cholesky failure it
     escalates like the fitting path before an ill-conditioned error is raised.
     """
-    if data.input_dim != params.dim:
-        raise ValueError("data dimension does not match kernel weights")
-    _, j = cholesky_with_escalation(params, data.inputs, jitter)
-    sq = _sq_diff_tensor(data.inputs)
-    outer = data.residuals @ data.residuals.T
-    return float(
-        _nll_core(
-            params.amplitude,
-            params.weights,
-            params.noise,
-            sq,
-            outer,
-            data.output_dim,
-            j,
-            False,
-            False,
-            False,
-        )
-    )
+    return float(_nll_at(params, data, jitter)[0])
 
 
 def nll_gradient(
@@ -254,25 +244,11 @@ def nll_gradient(
     log-noise component when params.noise > 0. Validated against central
     finite differences in the test suite.
     """
-    if data.input_dim != params.dim:
-        raise ValueError("data dimension does not match kernel weights")
-    _, j = cholesky_with_escalation(params, data.inputs, jitter)
-    sq = _sq_diff_tensor(data.inputs)
-    outer = data.residuals @ data.residuals.T
-    learn_noise = params.noise > 0
-    _, grad = _nll_core(
-        params.amplitude,
-        params.weights,
-        params.noise,
-        sq,
-        outer,
-        data.output_dim,
-        j,
-        False,
-        True,
-        learn_noise,
-    )
-    return grad
+    grad = _nll_at(params, data, jitter)[1]
+    if params.noise > 0:
+        grad[-1] *= params.noise
+        return grad
+    return grad[:-1]
 
 
 def _finalize_level(
@@ -397,13 +373,23 @@ def fit_level(
         amp = math.exp(logvec[0])
         weights = np.exp(logvec[1 : 1 + l])
         tau = math.exp(logvec[tau_index]) if learn_noise else noise
-        out = _nll_core(
-            amp, weights, tau, sq, outer, d, jitter_rel * amp, True, True, learn_noise
+        jitter = jitter_rel * amp
+        nll, grad = _nll_core(
+            amplitude=amp,
+            weights=weights,
+            shift=jitter + tau,
+            sq_diffs=sq,
+            outer=outer,
+            n_outputs=d,
         )
-        nll, grad = out
         if not np.isfinite(nll):
             return 1e25, np.zeros(n_free)
-        return nll, grad
+        # the jitter is amplitude-proportional, so its derivative folds into log amplitude
+        grad[0] += jitter * grad[-1]
+        if learn_noise:
+            grad[-1] *= tau
+            return nll, grad
+        return nll, grad[:-1]
 
     amp0 = float(np.mean(centered**2))
     med = 0.0

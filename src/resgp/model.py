@@ -93,21 +93,6 @@ class MultiFidelityData:
 
 
 @dataclass
-class ExtractionIndex:
-    """Row maps from each fidelity f >= 2 into the level below.
-
-    rows[f - 2][i] is the row of fidelity f-1 matching row i of fidelity f.
-    """
-
-    rows: list
-
-    def for_fidelity(self, f: int) -> np.ndarray:
-        if f < 2 or f - 2 >= len(self.rows):
-            raise ValueError(f"no extraction row map for fidelity {f}")
-        return self.rows[f - 2]
-
-
-@dataclass
 class Posterior:
     """Predictive mean and variance; variance is shared across output columns."""
 
@@ -115,11 +100,13 @@ class Posterior:
     var: np.ndarray | float
 
 
-def nesting_check(data: MultiFidelityData, atol: float = 1e-12) -> ExtractionIndex:
+def nesting_check(data: MultiFidelityData, atol: float = 1e-12) -> list:
     """Verify each fidelity's inputs appear in the fidelity below, within atol.
 
-    Matching is coordinate-wise absolute; the first matching row wins. Raises
-    NestingError naming the offending fidelity and point otherwise.
+    Returns one row map per fidelity f >= 2: rows[f - 2][i] is the row of
+    fidelity f-1 matching row i of fidelity f. Matching is coordinate-wise
+    absolute; the first matching row wins. Raises NestingError naming the
+    offending fidelity and point otherwise.
     """
     rows = []
     for f in range(2, data.n_fidelities + 1):
@@ -137,16 +124,15 @@ def nesting_check(data: MultiFidelityData, atol: float = 1e-12) -> ExtractionInd
                 )
             idx[i] = hits[0]
         rows.append(idx)
-    return ExtractionIndex(rows=rows)
+    return rows
 
 
-def compute_residuals(data: MultiFidelityData, index: ExtractionIndex) -> list:
+def compute_residuals(data: MultiFidelityData, rows: list) -> list:
     """Per-level residual datasets: level 1 is the raw lowest-fidelity output,
-    level f >= 2 the difference to the matched fidelity f-1 rows."""
+    level f >= 2 the difference to the fidelity f-1 rows that rows[f - 2] maps to."""
     out = [ResidualDataset(inputs=data.inputs[0], residuals=data.outputs[0])]
     for f in range(2, data.n_fidelities + 1):
-        idx = index.for_fidelity(f)
-        resid = data.outputs[f - 1] - data.outputs[f - 2][idx]
+        resid = data.outputs[f - 1] - data.outputs[f - 2][rows[f - 2]]
         out.append(ResidualDataset(inputs=data.inputs[f - 1], residuals=resid))
     return out
 
@@ -175,18 +161,8 @@ class ResGPModel:
         return len(self.levels)
 
     @property
-    def column_means(self) -> list:
-        return [lvl.column_means for lvl in self.levels]
-
-    @property
     def joint_nll(self) -> float:
         return float(sum(lvl.fit_nll for lvl in self.levels))
-
-    def predict(self, query) -> Posterior:
-        return predict(self, query)
-
-    def save(self, path: str) -> None:
-        save_model(self, path)
 
 
 def train(
@@ -216,8 +192,7 @@ def train(
         inputs=[domain.normalize(x) for x in data.inputs],
         outputs=data.outputs,
     )
-    index = nesting_check(norm)
-    residuals = compute_residuals(norm, index)
+    residuals = compute_residuals(norm, nesting_check(norm))
 
     def fit_one(ds: ResidualDataset) -> TrainedLevel:
         return fit_level(
@@ -268,16 +243,6 @@ def predict_fidelity(model: ResGPModel, query, fidelity: int) -> Posterior:
             f"fidelity must be in [1, {model.n_fidelities}], got {fidelity}"
         )
     return _accumulate(model, query, fidelity)
-
-
-def predict_noisy(model: ResGPModel, query) -> Posterior:
-    """Posterior under the noise-regularized Grams the levels were built with.
-
-    Each level's cached factor already carries its noise variance on the
-    diagonal, so this coincides with predict exactly when all levels are
-    noise-free.
-    """
-    return _accumulate(model, query, model.n_fidelities)
 
 
 def _atomic_write_text(path: str, text: str) -> None:

@@ -12,7 +12,6 @@ from resgp import (
     ResidualDataset,
     build_level,
     design_uniform,
-    information_gain,
     level_predict,
     predict,
     read_audit,
@@ -34,27 +33,29 @@ def currin_oracle(f, x):
     return BENCHMARKS["currin"].funcs[f - 1](np.atleast_2d(x))[0]
 
 
-# --- information_gain -------------------------------------------------------
+# --- gain: the level_predict variance ---------------------------------------
 
 
 def test_gain_is_posterior_variance():
     level = toy_level()
     rng = np.random.default_rng(1)
     q = rng.uniform(size=(30, 2))
-    _, var = level_predict(level, q)
-    np.testing.assert_allclose(information_gain(level, q), var, atol=1e-12)
+    idx, gain = select_next(level, q)
+    _, var = level_predict(level, q[idx])
+    assert gain == pytest.approx(var, abs=1e-12)
 
 
 def test_gain_vanishes_at_training_points():
     level = toy_level()
-    gains = information_gain(level, level.inputs)
+    _, gains = level_predict(level, level.inputs)
     assert np.all(gains <= 10.0 * level.jitter)
 
 
 def test_gain_approaches_amplitude_far_away():
     level = toy_level(amplitude=2.3)
-    gain = information_gain(level, np.array([[50.0, -50.0]]))
-    assert gain[0] == pytest.approx(2.3, abs=1e-10)
+    idx, gain = select_next(level, np.vstack([level.inputs[:1], [[50.0, -50.0]]]))
+    assert idx == 1
+    assert gain == pytest.approx(2.3, abs=1e-10)
 
 
 # --- select_next ------------------------------------------------------------
@@ -66,7 +67,7 @@ def test_select_matches_brute_force():
         level = toy_level(seed=trial)
         cands = rng.uniform(size=(50, 2))
         idx, gain = select_next(level, cands)
-        gains = np.asarray(information_gain(level, cands))
+        _, gains = level_predict(level, cands)
         assert idx == int(np.argmax(gains))
         assert gain == gains[idx]
 

@@ -363,8 +363,7 @@ def test_nested_subsample_validation():
 def test_nested_random_data_produces_nested_designs():
     data = nested_random_data("branin3", [9, 5, 2], seed=8)
     assert [x.shape[0] for x in data.inputs] == [9, 5, 2]
-    index = nesting_check(data)
-    for f, rows in enumerate(index.rows, start=2):
+    for f, rows in enumerate(nesting_check(data), start=2):
         np.testing.assert_array_equal(data.inputs[f - 1], data.inputs[f - 2][rows])
     for f in (1, 2, 3):
         np.testing.assert_array_equal(data.outputs[f - 1], evaluate("branin3", f, data.inputs[f - 1]))

@@ -126,6 +126,23 @@ def test_zero_repeats_is_usage_error(tmp_path, capsys):
     assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, key, payload",
+    [
+        ("train", "test_points", {"benchmark": "currin", "budgets": [6, 2]}),
+        ("active", "test_points", {"benchmark": "currin", "budgets": [6, 2], "pool_size": 20}),
+        ("active", "pool_size", {"benchmark": "currin", "budgets": [6, 2]}),
+        ("bench", "test_points", {"benchmarks": ["currin"], "budgets": {"currin": [6, 2]}}),
+    ],
+    ids=["train-test_points", "active-test_points", "active-pool_size", "bench-test_points"],
+)
+@pytest.mark.parametrize("value", [0, -2, "ten"])
+def test_bad_count_is_usage_error(tmp_path, capsys, command, key, payload, value):
+    cfg = write_config(tmp_path, f"{command}.json", {**payload, key: value})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert key in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -320,6 +337,28 @@ def test_active_reruns_are_reproducible(tmp_path):
     assert ra["metrics"] == rb["metrics"]
 
 
+def test_active_simulates_each_design_point_once(tmp_path, monkeypatch):
+    import resgp.cli as cli_mod
+
+    fidelities = []
+    real = cli_mod.evaluate
+
+    def counting(bench, fidelity, query):
+        if np.ndim(query) == 1:
+            fidelities.append(fidelity)
+        return real(bench, fidelity, query)
+
+    monkeypatch.setattr(cli_mod, "evaluate", counting)
+    cfg = write_config(
+        tmp_path,
+        "active.json",
+        {"benchmark": "currin", "budgets": [12, 4], "pool_size": 40, "test_points": 20, "seed": 0},
+    )
+    assert main(["active", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert fidelities.count(1) == 12
+    assert fidelities.count(2) == 4
+
+
 def test_active_requires_benchmark(tmp_path):
     cfg = write_config(tmp_path, "active.json", {"budgets": [5, 2]})
     assert main(["active", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -375,6 +414,15 @@ def test_bounds_coverage_against_truth_file(univariate_model, tmp_path):
     assert main(["bounds", "--model", str(univariate_model), "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "bounds.json").read_text())
     assert report["coverage"] == 1.0
+
+
+@pytest.mark.parametrize("value", [0, -2, "ten"])
+def test_bounds_bad_grid_points_is_usage_error(univariate_model, tmp_path, capsys, value):
+    cfg = write_config(
+        tmp_path, "bounds.json", {"delta": 0.05, "tau": 1e-3, "l_y": 10.0, "grid_points": value}
+    )
+    assert main(["bounds", "--model", str(univariate_model), "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert "grid_points" in capsys.readouterr().err
 
 
 def test_bounds_requires_config_keys(univariate_model, tmp_path, capsys):

@@ -12,6 +12,7 @@ from resgp import (
     gram,
     kernel_lipschitz,
 )
+from resgp.kernel import _grad_norm_sup
 
 
 def params_1d(amplitude=1.0, weight=1.0, noise=0.0):
@@ -148,6 +149,28 @@ def test_lipschitz_dominates_sampled_differences():
         c = rng.uniform(lo, hi)
         lhs = abs(ard_eval(p, a, c) - ard_eval(p, b, c))
         assert lhs <= L * np.linalg.norm(a - b) + 1e-12
+
+
+def _grid_sup(params, domain, grid_points=10_000):
+    """Largest kernel gradient norm over a dense grid of the offset box."""
+    per_dim = max(2, int(round(grid_points ** (1.0 / domain.dim))))
+    axes = [np.linspace(0.0, w, per_dim) for w in domain.width]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dim)
+    v = mesh**2 * params.weights
+    norms = 2.0 * params.amplitude * np.exp(-v.sum(axis=1)) * np.sqrt((v * params.weights).sum(axis=1))
+    return float(norms.max())
+
+
+def test_lipschitz_is_analytic_sup_and_dominates_grid():
+    rng = np.random.default_rng(11)
+    for trial in range(400):
+        dim = 1 + trial % 4
+        p = KernelHyperparams(10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-3, 3, size=dim))
+        lower = rng.uniform(-5.0, 5.0, size=dim)
+        dom = DomainBox(lower, lower + 10.0 ** rng.uniform(-1, 1, size=dim))
+        analytic = _grad_norm_sup(p, dom.width)
+        assert _grid_sup(p, dom) <= analytic * (1.0 + 1e-12)
+        assert kernel_lipschitz(p, dom) == 1.01 * analytic
 
 
 # --- DomainBox --------------------------------------------------------------

@@ -22,7 +22,6 @@ from resgp import (
     nesting_check,
     predict,
     predict_fidelity,
-    predict_noisy,
     save_model,
     train,
 )
@@ -51,15 +50,15 @@ def test_extraction_index_of_simple_subset():
         [column(0.0, 0.5, 1.0), column(0.5)],
         [column(1.0, 2.0, 3.0), column(2.5)],
     )
-    index = nesting_check(data)
-    np.testing.assert_array_equal(index.for_fidelity(2), [1])
+    rows = nesting_check(data)
+    assert len(rows) == 1
+    np.testing.assert_array_equal(rows[0], [1])
 
 
 def test_extraction_index_identity_when_equal():
     x = column(0.0, 0.5, 1.0)
     data = MultiFidelityData([x, x.copy()], [column(1, 2, 3), column(4, 5, 6)])
-    index = nesting_check(data)
-    np.testing.assert_array_equal(index.for_fidelity(2), [0, 1, 2])
+    np.testing.assert_array_equal(nesting_check(data)[0], [0, 1, 2])
 
 
 def test_nesting_violation_raises():
@@ -69,13 +68,6 @@ def test_nesting_violation_raises():
     )
     with pytest.raises(NestingError, match="fidelity 2"):
         nesting_check(data)
-
-
-def test_extraction_index_rejects_fidelity_one():
-    data = MultiFidelityData([column(0.0), column(0.0)], [column(1.0), column(2.0)])
-    index = nesting_check(data)
-    with pytest.raises(ValueError):
-        index.for_fidelity(1)
 
 
 # --- compute_residuals ------------------------------------------------------
@@ -107,10 +99,8 @@ def test_residual_chain_telescopes():
     y2 = rng.normal(size=(5, 2))
     y3 = rng.normal(size=(3, 2))
     data = MultiFidelityData([x1, x2, x3], [y1, y2, y3])
-    index = nesting_check(data)
-    levels = compute_residuals(data, index)
-    e2 = index.for_fidelity(2)
-    e3 = index.for_fidelity(3)
+    e2, e3 = nesting_check(data)
+    levels = compute_residuals(data, [e2, e3])
     rebuilt = levels[0].residuals[e2][e3] + levels[1].residuals[e3] + levels[2].residuals
     np.testing.assert_allclose(rebuilt, y3, atol=1e-12)
 
@@ -285,15 +275,6 @@ def test_two_fidelity_closed_form_oracle():
     assert post.var == pytest.approx(var1 + var2, abs=1e-10)
 
 
-def test_predict_noisy_reduces_to_predict_without_noise():
-    model = fixed_model()
-    rng = np.random.default_rng(49)
-    q = rng.uniform(size=(10, 2))
-    clean, noisy = predict(model, q), predict_noisy(model, q)
-    np.testing.assert_allclose(clean.mean, noisy.mean, atol=1e-12)
-    np.testing.assert_allclose(clean.var, noisy.var, atol=1e-12)
-
-
 def test_huge_noise_washes_out_a_level():
     rng = np.random.default_rng(50)
     x = rng.uniform(size=(6, 1))
@@ -302,7 +283,7 @@ def test_huge_noise_washes_out_a_level():
     p = KernelHyperparams(1.4, np.array([2.0]), noise=1e12)
     level = build_level(p, ResidualDataset(x, r), jitter_rel=0.0)
     model = ResGPModel([level], DomainBox.unit(1), 1, 1)
-    post = predict_noisy(model, x[:1])
+    post = predict(model, x[:1])
     assert abs(post.mean[0, 0]) < 1e-9
     assert post.var[0] == pytest.approx(1.4, abs=1e-9)
 
