@@ -149,10 +149,31 @@ def _count(config: dict, key: str, default: int) -> int:
     return n
 
 
+def _budgets(raw, spec) -> list:
+    """Per-fidelity design sizes: one integer of at least 1 per fidelity, none above the one below."""
+    not_list = UsageError(f"budgets for {spec.name} must be a list of integers")
+    if not isinstance(raw, list):
+        raise not_list
+    try:
+        budgets = [int(b) for b in raw]
+    except (TypeError, ValueError):
+        raise not_list from None
+    if len(budgets) != spec.n_fidelities:
+        raise UsageError(f"{spec.name} needs {spec.n_fidelities} budgets, got {len(budgets)}")
+    if min(budgets) < 1:
+        raise UsageError(f"every budget must be at least 1, got {budgets}")
+    if any(hi > lo for lo, hi in zip(budgets, budgets[1:])):
+        raise UsageError(f"budgets must not increase with fidelity, got {budgets}")
+    return budgets
+
+
 def _resolve_seed(config: dict, override) -> int:
     if override is not None:
         return int(override)
-    return int(config.get("seed", 0))
+    try:
+        return int(config.get("seed", 0))
+    except (TypeError, ValueError):
+        raise UsageError("seed must be an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +197,7 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
     scale = None
     if has_bench:
         spec = get_benchmark(config["benchmark"])
-        budgets = config.get("budgets", DEFAULT_BUDGETS[spec.name])
+        budgets = _budgets(config.get("budgets", DEFAULT_BUDGETS[spec.name]), spec)
         standardize = bool(config.get("standardize", True))
         case = run_benchmark_case(
             spec,
@@ -197,7 +218,7 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
             os.path.join(out_dir, "dataset_meta.json"),
             {
                 "benchmark": spec.name,
-                "budgets": list(budgets),
+                "budgets": budgets,
                 "design_seed": run_seed,
                 "subsample_seeds": [run_seed + f for f in range(2, spec.n_fidelities + 1)],
                 "test_seed": run_seed + TEST_SEED_OFFSET,
@@ -323,8 +344,10 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
     if "benchmark" not in config:
         raise UsageError("active config must name a 'benchmark'")
     spec = get_benchmark(config["benchmark"])
-    budgets = config.get("budgets", DEFAULT_BUDGETS[spec.name])
+    budgets = _budgets(config.get("budgets", DEFAULT_BUDGETS[spec.name]), spec)
     pool_size = _count(config, "pool_size", 200)
+    if budgets[0] > pool_size:
+        raise UsageError(f"lowest-fidelity budget {budgets[0]} exceeds pool_size {pool_size}")
     strategy = config.get("strategy", "variance")
     opt = _optimizer(config, run_seed)
     jitter_rel = float(config.get("jitter_rel", DEFAULT_JITTER_REL))
@@ -366,7 +389,7 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
         "config_hash": _config_hash(config),
         "seed": run_seed,
         "strategy": strategy,
-        "budgets": [int(b) for b in budgets],
+        "budgets": budgets,
         "pool_size": pool_size,
         "metrics": _metrics_dict(scored),
         "raw_metrics": _metrics_dict(raw),
@@ -458,15 +481,17 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
     test_points = _count(config, "test_points", 1000)
     standardize = bool(config.get("standardize", True))
     budgets_override = config.get("budgets", {})
+    if not isinstance(budgets_override, dict):
+        raise UsageError("bench budgets must map benchmark names to budget lists")
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
 
     tasks = []
     for name in names:
         spec = get_benchmark(name)
-        budgets = budgets_override.get(spec.name, DEFAULT_BUDGETS[spec.name])
+        budgets = _budgets(budgets_override.get(spec.name, DEFAULT_BUDGETS[spec.name]), spec)
         for rep in range(repeats):
-            tasks.append((spec.name, list(budgets), rep, run_seed + rep))
+            tasks.append((spec.name, budgets, rep, run_seed + rep))
 
     def run_one(task):
         name, budgets, rep, s = task

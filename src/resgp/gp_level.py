@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.optimize import minimize
 
 from .kernel import (
@@ -135,6 +136,16 @@ class TrainedLevel:
         return self.residuals.shape[1]
 
 
+def _cholesky(K: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of the symmetric K with a zero upper triangle, or None.
+
+    K may be overwritten. None means K is not positive definite.
+    """
+    # K is symmetric, so its transpose is the Fortran-ordered array LAPACK factors in place
+    chol, info = dpotrf(K.T, lower=1, clean=1, overwrite_a=1)
+    return chol if info == 0 else None
+
+
 def cholesky_with_escalation(
     params: KernelHyperparams, points: np.ndarray, jitter: float
 ) -> tuple[np.ndarray, float]:
@@ -146,18 +157,17 @@ def cholesky_with_escalation(
     amp = params.amplitude
     j = float(jitter)
     while True:
-        K = gram(params, points, j)
-        try:
-            return np.linalg.cholesky(K), j
-        except np.linalg.LinAlgError:
-            if j >= MAX_JITTER_REL * amp:
-                raise IllConditionedError(
-                    f"Gram matrix not positive definite at jitter {j:.3e} "
-                    f"(amplitude {amp:.3e})",
-                    params=params,
-                ) from None
-            j = max(DEFAULT_JITTER_REL * amp, j * JITTER_GROWTH)
-            j = min(j, MAX_JITTER_REL * amp)
+        chol = _cholesky(gram(params, points, j))
+        if chol is not None:
+            return chol, j
+        if j >= MAX_JITTER_REL * amp:
+            raise IllConditionedError(
+                f"Gram matrix not positive definite at jitter {j:.3e} "
+                f"(amplitude {amp:.3e})",
+                params=params,
+            )
+        j = max(DEFAULT_JITTER_REL * amp, j * JITTER_GROWTH)
+        j = min(j, MAX_JITTER_REL * amp)
 
 
 def _sq_diff_tensor(points: np.ndarray) -> np.ndarray:
@@ -181,28 +191,36 @@ def _nll_core(
     shift is the absolute diagonal (noise plus jitter). outer is R R^T for the
     centered residual matrix R, so the cost per call does not depend on the
     number of output columns. chol, when given, is a lower Cholesky factor of
-    K that the caller already computed. The gradient is taken with respect to
-    [log amplitude, log w_1 .. log w_l, shift]: the amplitude component holds
-    the kernel term only, and callers map the last component onto their noise
-    and jitter. A K that is not positive definite gives (inf, zeros).
+    K that the caller already computed; its strict upper triangle is ignored.
+    The gradient is taken with respect to [log amplitude, log w_1 .. log w_l,
+    shift]: the amplitude component holds the kernel term only, and callers
+    map the last component onto their noise and jitter. A K that is not
+    positive definite gives (inf, zeros).
     """
     n = sq_diffs.shape[0]
     d = n_outputs
     C = amplitude * np.exp(-sq_diffs @ weights)
     if chol is None:
-        try:
-            chol = np.linalg.cholesky(C + shift * np.eye(n))
-        except np.linalg.LinAlgError:
+        K = C.copy()
+        K.flat[:: n + 1] += shift
+        chol = _cholesky(K)
+        if chol is None:
             return np.inf, np.zeros(weights.size + 2)
+    else:
+        # dpotri reads the lower triangle but leaves the upper one as it finds it
+        chol = np.tril(chol)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    kinv_outer = cho_solve((chol, True), outer)
+    # lower triangle of K^-1, written over chol; mirror it into the zero upper triangle
+    kinv, _ = dpotri(chol, lower=1, overwrite_c=1)
+    kinv += kinv.T
+    kinv.flat[:: n + 1] *= 0.5
+    kinv_outer = kinv @ outer
     nll = 0.5 * d * logdet + 0.5 * float(np.trace(kinv_outer)) + 0.5 * n * d * LOG2PI
-    kinv = cho_solve((chol, True), np.eye(n))
     bmat = d * kinv - kinv_outer @ kinv
-    bc = bmat * C
-    g_amp = 0.5 * float(np.sum(bc))
-    g_weights = -0.5 * weights * np.einsum("nm,nml->l", bc, sq_diffs)
     g_shift = 0.5 * float(np.trace(bmat))
+    bmat *= C
+    g_amp = 0.5 * float(np.sum(bmat))
+    g_weights = -0.5 * weights * (bmat.reshape(-1) @ sq_diffs.reshape(n * n, -1))
     return nll, np.concatenate(([g_amp], g_weights, [g_shift]))
 
 
@@ -259,10 +277,10 @@ def _finalize_level(
     jitter_rel: float,
 ) -> TrainedLevel:
     chol, j = cholesky_with_escalation(params, inputs, jitter_rel * params.amplitude)
-    alpha = cho_solve((chol, True), centered)
     n, d = centered.shape
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     white = solve_triangular(chol, centered, lower=True)
+    alpha = solve_triangular(chol, white, lower=True, trans="T")
     nll = 0.5 * d * logdet + 0.5 * float(np.sum(white * white)) + 0.5 * n * d * LOG2PI
     return TrainedLevel(
         params=params,

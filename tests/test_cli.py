@@ -143,6 +143,44 @@ def test_bad_count_is_usage_error(tmp_path, capsys, command, key, payload, value
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "active", "bench"])
+@pytest.mark.parametrize("value", ["x", None, [1]])
+def test_bad_seed_is_usage_error(tmp_path, capsys, command, value):
+    payload = {"benchmark": "currin", "budgets": [6, 2], "pool_size": 20, "test_points": 20}
+    if command == "bench":
+        payload = {"benchmarks": ["currin"], "budgets": {"currin": [6, 2]}, "test_points": 20}
+    cfg = write_config(tmp_path, f"{command}.json", {**payload, "seed": value})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "seed must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, budgets",
+    [
+        ("train", [12, 0]),
+        ("train", [12]),
+        ("train", [4, 12]),
+        ("train", "12"),
+        ("active", [0, 0]),
+        ("active", [6, "two"]),
+        ("active", [30, 5]),
+        ("bench", [8, 0]),
+        ("bench", None),
+    ],
+    ids=["train-zero", "train-short", "train-increasing", "train-string",
+         "active-zeros", "active-not-integer", "active-above-pool", "bench-zero",
+         "bench-not-a-map"],
+)
+def test_bad_budgets_is_usage_error(tmp_path, capsys, command, budgets):
+    payload = {"benchmark": "currin", "budgets": budgets, "pool_size": 20, "test_points": 20}
+    if command == "bench":
+        by_name = [8, 3] if budgets is None else {"currin": budgets}
+        payload = {"benchmarks": ["currin"], "budgets": by_name, "test_points": 20}
+    cfg = write_config(tmp_path, f"{command}.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "budget" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train
 

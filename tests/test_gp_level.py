@@ -169,6 +169,104 @@ def test_gradient_matches_finite_differences_with_noise():
     np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-7)
 
 
+# --- _nll_core against a dense reference --------------------------------------
+
+
+def core_gram(amplitude, weights, shift, sq_diffs, **_):
+    """The dense K that _nll_core factors for these keyword arguments."""
+    return amplitude * np.exp(-sq_diffs @ weights) + shift * np.eye(len(sq_diffs))
+
+
+def dense_nll_reference(amplitude, weights, shift, sq_diffs, outer, n_outputs):
+    """NLL and gradient from slogdet, an explicit inverse and one dK per parameter.
+
+    Gradient order is [log amplitude, log w_1 .. log w_l, shift], each component
+    0.5 tr((d K^-1 - K^-1 R R^T K^-1) dK) (Rasmussen & Williams 2006, 5.4.1).
+    """
+    n, d, sq = len(sq_diffs), n_outputs, sq_diffs
+    C = amplitude * np.exp(-sq @ weights)
+    K = C + shift * np.eye(n)
+    sign, logdet = np.linalg.slogdet(K)
+    assert sign > 0
+    kinv = np.linalg.inv(K)
+    nll = 0.5 * d * logdet + 0.5 * np.trace(kinv @ outer) + d * n * HALF_LOG_2PI
+    B = d * kinv - kinv @ outer @ kinv
+    dKs = [C] + [-w * sq[:, :, i] * C for i, w in enumerate(weights)] + [np.eye(n)]
+    return nll, np.array([0.5 * np.trace(B @ dK) for dK in dKs])
+
+
+def core_case(n, d, seed=0):
+    from resgp.gp_level import _sq_diff_tensor
+
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, 2))
+    r = rng.normal(size=(n, d))
+    r -= r.mean(axis=0)
+    # a diagonal shift of 5% of the amplitude keeps K well conditioned, so the
+    # dense inverse is accurate to far better than the test tolerance
+    return dict(
+        amplitude=1.7,
+        weights=np.array([3.0, 0.8]),
+        shift=0.085,
+        sq_diffs=_sq_diff_tensor(x),
+        outer=r @ r.T,
+        n_outputs=d,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 80])
+@pytest.mark.parametrize("d_of_n", [lambda n: 1, lambda n: 3, lambda n: n + 5], ids=["d1", "d3", "dN+5"])
+@pytest.mark.parametrize("given_chol", [False, True], ids=["own-chol", "given-chol"])
+def test_nll_core_matches_dense_reference(n, d_of_n, given_chol):
+    from resgp.gp_level import _nll_core
+
+    kw = core_case(n, d_of_n(n))
+    ref_nll, ref_grad = dense_nll_reference(**kw)
+    if given_chol:
+        kw["chol"] = np.linalg.cholesky(core_gram(**kw))
+    nll, grad = _nll_core(**kw)
+    assert nll == pytest.approx(ref_nll, rel=1e-9)
+    # components can cancel to near zero, so they are compared on the gradient's scale
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref_grad)))
+
+
+@pytest.mark.parametrize(
+    "points, shift",
+    [([[0.2, 0.4], [0.2, 0.4]], 0.0), ([[0.1, 0.1], [0.5, 0.9], [0.7, 0.3]], -2.0)],
+    ids=["duplicate-rows", "negative-shift"],
+)
+def test_nll_core_not_positive_definite_is_inf(points, shift):
+    from resgp.gp_level import _nll_core, _sq_diff_tensor
+
+    x = np.array(points)
+    nll, grad = _nll_core(
+        amplitude=1.0,
+        weights=np.array([1.0, 2.0]),
+        shift=shift,
+        sq_diffs=_sq_diff_tensor(x),
+        outer=np.ones((len(x), len(x))),
+        n_outputs=1,
+    )
+    assert nll == np.inf
+    np.testing.assert_array_equal(grad, np.zeros(4))
+
+
+def test_nll_core_ignores_upper_triangle_of_given_chol():
+    from resgp.gp_level import _nll_core, cholesky_with_escalation
+
+    kw = core_case(10, 3, seed=5)
+    clean = np.linalg.cholesky(core_gram(**kw))
+    junk = clean + np.triu(np.random.default_rng(6).normal(size=(10, 10)), 1)
+    nll, grad = _nll_core(**kw, chol=clean)
+    nll_junk, grad_junk = _nll_core(**kw, chol=junk)
+    assert nll_junk == nll
+    np.testing.assert_array_equal(grad_junk, grad)
+    # the factor the fit and finalize paths share comes with a zero upper triangle
+    p = KernelHyperparams(kw["amplitude"], kw["weights"])
+    chol, _ = cholesky_with_escalation(p, np.random.default_rng(7).uniform(size=(10, 2)), 1e-6)
+    assert not np.triu(chol, 1).any()
+
+
 # --- fit_level --------------------------------------------------------------
 
 
