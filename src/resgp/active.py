@@ -25,6 +25,9 @@ from .gp_level import (
 from .kernel import DEFAULT_JITTER_REL, DomainBox
 from .model import MultiFidelityData, ResGPModel, _atomic_write_text, _infer_domain
 
+# "variance" picks the argmax-variance candidate, "random" a uniform one (the baseline)
+STRATEGIES = ("variance", "random")
+
 
 class OracleError(RuntimeError):
     """The simulator failed mid-construction; audit holds the partial log."""
@@ -120,7 +123,7 @@ def sequential_construct(
     at the previous optimum; a final refit follows the last acquisition of each
     fidelity. Identical inputs and seed reproduce the construction exactly.
     """
-    if strategy not in ("variance", "random"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
     if opt is None:
         opt = OptimizerConfig()

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .active import OracleError, read_audit, sequential_construct, write_audit
+from .active import STRATEGIES, OracleError, read_audit, sequential_construct, write_audit
 from .benchmarks import (
     DEFAULT_BUDGETS,
     POOL_SEED_OFFSET,
@@ -167,6 +167,17 @@ def _budgets(raw, spec) -> list:
     return budgets
 
 
+def _jitter_rel(config: dict) -> float:
+    """The relative diagonal jitter: a finite number of at least 0."""
+    try:
+        jitter_rel = float(config.get("jitter_rel", DEFAULT_JITTER_REL))
+    except (TypeError, ValueError):
+        raise UsageError("jitter_rel must be a number") from None
+    if not (math.isfinite(jitter_rel) and jitter_rel >= 0):
+        raise UsageError(f"jitter_rel must be finite and at least 0, got {jitter_rel}")
+    return jitter_rel
+
+
 def _resolve_seed(config: dict, override) -> int:
     if override is not None:
         return int(override)
@@ -184,7 +195,7 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
     """Train a model from a benchmark protocol or a dataset CSV."""
     run_seed = _resolve_seed(config, seed)
     opt = _optimizer(config, run_seed)
-    jitter_rel = float(config.get("jitter_rel", DEFAULT_JITTER_REL))
+    jitter_rel = _jitter_rel(config)
     os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, "model.json")
     t0 = time.perf_counter()
@@ -349,8 +360,10 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
     if budgets[0] > pool_size:
         raise UsageError(f"lowest-fidelity budget {budgets[0]} exceeds pool_size {pool_size}")
     strategy = config.get("strategy", "variance")
+    if strategy not in STRATEGIES:
+        raise UsageError(f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}")
     opt = _optimizer(config, run_seed)
-    jitter_rel = float(config.get("jitter_rel", DEFAULT_JITTER_REL))
+    jitter_rel = _jitter_rel(config)
     os.makedirs(out_dir, exist_ok=True)
     audit_path = os.path.join(out_dir, "audit.jsonl")
     t0 = time.perf_counter()

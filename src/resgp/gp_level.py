@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dsymm, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.optimize import minimize
 
@@ -24,6 +25,7 @@ from .kernel import (
     KernelHyperparams,
     cross_vec,
     gram,
+    kernel_values,
 )
 
 # optimization runs in log-parameter space, clipped to this symmetric box
@@ -176,30 +178,41 @@ def _sq_diff_tensor(points: np.ndarray) -> np.ndarray:
     return diff * diff
 
 
+def _residual_factor(residuals: np.ndarray) -> np.ndarray:
+    """(N, min(N, d)) factor F of the residual matrix R with F F^T = R R^T.
+
+    F is the transposed triangular factor of a QR decomposition of R^T; for
+    d = 1 that is R itself.
+    """
+    return np.linalg.qr(residuals.T, mode="r").T
+
+
 def _nll_core(
     *,
     amplitude: float,
     weights: np.ndarray,
     shift: float,
     sq_diffs: np.ndarray,
-    outer: np.ndarray,
+    factor: np.ndarray,
     n_outputs: int,
     chol: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """NLL and its gradient for K = amplitude * exp(-sq_diffs @ weights) + shift I.
+    """NLL and its gradient for K = kernel_values(amplitude, sq_diffs @ weights) + shift I.
 
-    shift is the absolute diagonal (noise plus jitter). outer is R R^T for the
-    centered residual matrix R, so the cost per call does not depend on the
-    number of output columns. chol, when given, is a lower Cholesky factor of
-    K that the caller already computed; its strict upper triangle is ignored.
-    The gradient is taken with respect to [log amplitude, log w_1 .. log w_l,
-    shift]: the amplitude component holds the kernel term only, and callers
-    map the last component onto their noise and jitter. A K that is not
-    positive definite gives (inf, zeros).
+    sq_diffs is the tensor of _sq_diff_tensor, symmetric with a zero diagonal,
+    which the gradient sums rely on. shift is the absolute diagonal (noise plus
+    jitter). factor is an (N, r) matrix F with F F^T = R R^T for the centered
+    residual matrix R (see _residual_factor), so r = min(N, d) bounds the cost
+    per call whatever the number of output columns. chol, when given, is a
+    lower Cholesky factor of K that the caller already computed; its strict
+    upper triangle is ignored. The gradient is taken with respect to
+    [log amplitude, log w_1 .. log w_l, shift]: the amplitude component holds
+    the kernel term only, and callers map the last component onto their noise
+    and jitter. A K that is not positive definite gives (inf, zeros).
     """
     n = sq_diffs.shape[0]
     d = n_outputs
-    C = amplitude * np.exp(-sq_diffs @ weights)
+    C = kernel_values(amplitude, sq_diffs @ weights)
     if chol is None:
         K = C.copy()
         K.flat[:: n + 1] += shift
@@ -207,20 +220,22 @@ def _nll_core(
         if chol is None:
             return np.inf, np.zeros(weights.size + 2)
     else:
-        # dpotri reads the lower triangle but leaves the upper one as it finds it
+        # dpotri, dsymm and dsyrk read the lower triangle and leave the upper one as it is
         chol = np.tril(chol)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    # lower triangle of K^-1, written over chol; mirror it into the zero upper triangle
+    # lower triangle of K^-1, written over chol, whose strict upper triangle stays zero
     kinv, _ = dpotri(chol, lower=1, overwrite_c=1)
-    kinv += kinv.T
-    kinv.flat[:: n + 1] *= 0.5
-    kinv_outer = kinv @ outer
-    nll = 0.5 * d * logdet + 0.5 * float(np.trace(kinv_outer)) + 0.5 * n * d * LOG2PI
-    bmat = d * kinv - kinv_outer @ kinv
-    g_shift = 0.5 * float(np.trace(bmat))
-    bmat *= C
-    g_amp = 0.5 * float(np.sum(bmat))
-    g_weights = -0.5 * weights * (bmat.reshape(-1) @ sq_diffs.reshape(n * n, -1))
+    alpha = dsymm(1.0, kinv, factor, lower=1)  # K^-1 F
+    nll = 0.5 * d * logdet + 0.5 * float(np.vdot(factor, alpha)) + 0.5 * n * d * LOG2PI
+    # lower triangle of B = d K^-1 - alpha alpha^T = d K^-1 - K^-1 R R^T K^-1, over kinv
+    b_low = dsyrk(-1.0, alpha, beta=float(d), c=kinv, lower=1, overwrite_c=1)
+    trace_b = float(np.trace(b_low))
+    b_low *= C
+    # B, C and sq_diffs are symmetric, so a sum over all entries is twice the sum over
+    # the lower triangle less the diagonal, where C is the amplitude and sq_diffs zero
+    g_amp = float(np.sum(b_low)) - 0.5 * amplitude * trace_b
+    g_weights = -weights * (b_low.ravel(order="K") @ sq_diffs.reshape(n * n, -1))
+    g_shift = 0.5 * trace_b
     return nll, np.concatenate(([g_amp], g_weights, [g_shift]))
 
 
@@ -234,7 +249,7 @@ def _nll_at(params: KernelHyperparams, data: ResidualDataset, jitter: float):
         weights=params.weights,
         shift=j + params.noise,
         sq_diffs=_sq_diff_tensor(data.inputs),
-        outer=data.residuals @ data.residuals.T,
+        factor=_residual_factor(data.residuals),
         n_outputs=data.output_dim,
         chol=chol,
     )
@@ -376,7 +391,7 @@ def fit_level(
     d = data.output_dim
     means = data.residuals.mean(axis=0)
     centered = data.residuals - means
-    outer = centered @ centered.T
+    factor = _residual_factor(centered)
     sq = _sq_diff_tensor(data.inputs)
 
     n_free = 1 + l + (1 if learn_noise else 0)
@@ -397,7 +412,7 @@ def fit_level(
             weights=weights,
             shift=jitter + tau,
             sq_diffs=sq,
-            outer=outer,
+            factor=factor,
             n_outputs=d,
         )
         if not np.isfinite(nll):

@@ -5,6 +5,9 @@ dimension, the weights acting as inverse squared length scales:
 
     k(a, b) = amplitude * exp(-sum_i w_i * (a_i - b_i)^2)
 
+with the weighted squared distance capped at DIST_CUT, so that no kernel value
+falls below amplitude * e^-230.
+
 All Gram-matrix construction, normalization boxes, and the analytic gradient
 supremum used by the error-bound module live here.
 """
@@ -20,6 +23,11 @@ import numpy as np
 DEFAULT_JITTER_REL = 1e-8
 MAX_JITTER_REL = 1e-2
 JITTER_GROWTH = 10.0
+# Weighted squared distances are capped here before exponentiation, so every
+# kernel value is at least amplitude * e^-230 (about 1e-100 * amplitude). The
+# cap keeps subnormal numbers, which slow floating-point arithmetic many times
+# over, out of every Gram, cross-covariance and likelihood evaluation.
+DIST_CUT = 230.0
 
 
 def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
@@ -113,14 +121,21 @@ def _weighted_sq_dists(params: KernelHyperparams, a: np.ndarray, b: np.ndarray) 
     return np.einsum("mnl,l->mn", diff * diff, params.weights)
 
 
+def kernel_values(amplitude: float, sq_dists: np.ndarray) -> np.ndarray:
+    """amplitude * exp(-min(sq_dists, DIST_CUT)), elementwise, in one new array."""
+    k = np.minimum(sq_dists, DIST_CUT)
+    np.exp(np.negative(k, out=k), out=k)
+    k *= amplitude
+    return k
+
+
 def ard_eval(params: KernelHyperparams, a, b) -> float:
     """Kernel value amplitude * exp(-sum_i w_i (a_i - b_i)^2) for two points."""
     a = _as_float_array(a, "a", 1)
     b = _as_float_array(b, "b", 1)
     if a.size != params.dim or b.size != params.dim:
         raise ValueError("point dimension does not match kernel weights")
-    d2 = float(np.dot(params.weights, (a - b) ** 2))
-    return params.amplitude * float(np.exp(-d2))
+    return float(cross_vec(params, a, b[None, :])[0])
 
 
 def gram(params: KernelHyperparams, points, jitter: float = 0.0) -> np.ndarray:
@@ -136,7 +151,7 @@ def gram(params: KernelHyperparams, points, jitter: float = 0.0) -> np.ndarray:
         raise ValueError("point dimension does not match kernel weights")
     if jitter < 0:
         raise ValueError("jitter must be non-negative")
-    K = params.amplitude * np.exp(-_weighted_sq_dists(params, pts, pts))
+    K = kernel_values(params.amplitude, _weighted_sq_dists(params, pts, pts))
     # symmetrize away roundoff so Cholesky sees an exactly symmetric matrix
     K = 0.5 * (K + K.T)
     diag = jitter + params.noise
@@ -158,7 +173,7 @@ def cross_vec(params: KernelHyperparams, query, points) -> np.ndarray:
         q = q[None, :]
     if q.shape[1] != params.dim or pts.shape[1] != params.dim:
         raise ValueError("point dimension does not match kernel weights")
-    out = params.amplitude * np.exp(-_weighted_sq_dists(params, q, pts))
+    out = kernel_values(params.amplitude, _weighted_sq_dists(params, q, pts))
     return out[0] if single else out
 
 

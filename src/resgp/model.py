@@ -115,15 +115,13 @@ def nesting_check(data: MultiFidelityData, atol: float = 1e-12) -> list:
         close = np.all(
             np.abs(child[:, None, :] - parent[None, :, :]) <= atol, axis=2
         )
-        idx = np.zeros(child.shape[0], dtype=int)
-        for i in range(child.shape[0]):
-            hits = np.flatnonzero(close[i])
-            if hits.size == 0:
-                raise NestingError(
-                    f"fidelity {f} point {child[i].tolist()} not found in fidelity {f - 1}"
-                )
-            idx[i] = hits[0]
-        rows.append(idx)
+        found = close.any(axis=1)
+        if not found.all():
+            missing = child[np.argmin(found)]
+            raise NestingError(
+                f"fidelity {f} point {missing.tolist()} not found in fidelity {f - 1}"
+            )
+        rows.append(close.argmax(axis=1))
     return rows
 
 

@@ -181,6 +181,24 @@ def test_bad_budgets_is_usage_error(tmp_path, capsys, command, budgets):
     assert "budget" in capsys.readouterr().err
 
 
+def test_unknown_strategy_is_usage_error(tmp_path, capsys):
+    payload = {"benchmark": "currin", "budgets": [6, 2], "pool_size": 20, "test_points": 20,
+               "strategy": "nope"}
+    cfg = write_config(tmp_path, "active.json", payload)
+    assert main(["active", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "strategy must be one of variance, random" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "active"])
+@pytest.mark.parametrize("value", ["x", -1, None], ids=["string", "negative", "null"])
+def test_bad_jitter_rel_is_usage_error(tmp_path, capsys, command, value):
+    payload = {"benchmark": "currin", "budgets": [6, 2], "pool_size": 20, "test_points": 20,
+               "jitter_rel": value}
+    cfg = write_config(tmp_path, f"{command}.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "jitter_rel must be" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train
 

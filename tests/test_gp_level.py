@@ -14,6 +14,7 @@ from resgp import (
     ResidualDataset,
     build_level,
     compute_residuals,
+    cross_vec,
     fit_level,
     get_benchmark,
     gram,
@@ -177,13 +178,15 @@ def core_gram(amplitude, weights, shift, sq_diffs, **_):
     return amplitude * np.exp(-sq_diffs @ weights) + shift * np.eye(len(sq_diffs))
 
 
-def dense_nll_reference(amplitude, weights, shift, sq_diffs, outer, n_outputs):
+def dense_nll_reference(amplitude, weights, shift, sq_diffs, factor, n_outputs):
     """NLL and gradient from slogdet, an explicit inverse and one dK per parameter.
 
-    Gradient order is [log amplitude, log w_1 .. log w_l, shift], each component
+    The residual factor F enters through R R^T = F F^T. Gradient order is
+    [log amplitude, log w_1 .. log w_l, shift], each component
     0.5 tr((d K^-1 - K^-1 R R^T K^-1) dK) (Rasmussen & Williams 2006, 5.4.1).
     """
     n, d, sq = len(sq_diffs), n_outputs, sq_diffs
+    outer = factor @ factor.T
     C = amplitude * np.exp(-sq @ weights)
     K = C + shift * np.eye(n)
     sign, logdet = np.linalg.slogdet(K)
@@ -209,7 +212,7 @@ def core_case(n, d, seed=0):
         weights=np.array([3.0, 0.8]),
         shift=0.085,
         sq_diffs=_sq_diff_tensor(x),
-        outer=r @ r.T,
+        factor=r,
         n_outputs=d,
     )
 
@@ -230,6 +233,49 @@ def test_nll_core_matches_dense_reference(n, d_of_n, given_chol):
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref_grad)))
 
 
+@pytest.mark.parametrize("n", [10, 80])
+@pytest.mark.parametrize("d_of_n", [lambda n: 1, lambda n: 3, lambda n: n + 5], ids=["d1", "d3", "dN+5"])
+def test_residual_factor_gives_same_nll_as_full_residuals(n, d_of_n):
+    from resgp.gp_level import _nll_core, _residual_factor
+
+    kw = core_case(n, d_of_n(n), seed=3)
+    factor = _residual_factor(kw["factor"])
+    assert factor.shape == (n, min(n, kw["n_outputs"]))
+    nll, grad = _nll_core(**kw)
+    nll_f, grad_f = _nll_core(**{**kw, "factor": factor})
+    assert nll_f == pytest.approx(nll, rel=1e-10)
+    np.testing.assert_allclose(grad_f, grad, rtol=1e-10)
+
+
+def test_no_subnormal_kernel_values_at_short_length_scales():
+    # log w = 8 puts most pairwise kernel values of 80 points in [0, 1]^3 far
+    # below the smallest normal double
+    from resgp.gp_level import _nll_core, _sq_diff_tensor
+
+    rng = np.random.default_rng(8)
+    x = rng.uniform(size=(80, 3))
+    p = KernelHyperparams(1.7, np.full(3, math.exp(8.0)))
+
+    def subnormal(a):
+        return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(float).tiny)))
+
+    assert subnormal(gram(p, x)) == 0
+    assert subnormal(cross_vec(p, rng.uniform(size=(1000, 3)), x)) == 0
+    r = rng.normal(size=(80, 1))
+    kw = dict(
+        amplitude=p.amplitude,
+        weights=p.weights,
+        shift=0.085,
+        sq_diffs=_sq_diff_tensor(x),
+        factor=r - r.mean(axis=0),
+        n_outputs=1,
+    )
+    ref_nll, ref_grad = dense_nll_reference(**kw)
+    nll, grad = _nll_core(**kw)
+    assert nll == pytest.approx(ref_nll, rel=1e-9)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref_grad)))
+
+
 @pytest.mark.parametrize(
     "points, shift",
     [([[0.2, 0.4], [0.2, 0.4]], 0.0), ([[0.1, 0.1], [0.5, 0.9], [0.7, 0.3]], -2.0)],
@@ -244,7 +290,7 @@ def test_nll_core_not_positive_definite_is_inf(points, shift):
         weights=np.array([1.0, 2.0]),
         shift=shift,
         sq_diffs=_sq_diff_tensor(x),
-        outer=np.ones((len(x), len(x))),
+        factor=np.ones((len(x), 1)),
         n_outputs=1,
     )
     assert nll == np.inf
@@ -303,7 +349,7 @@ def test_fit_gradient_small_at_interior_optimum():
         weights=level.params.weights,
         shift=jitter,
         sq_diffs=_sq_diff_tensor(ds.inputs),
-        outer=centered @ centered.T,
+        factor=centered,
         n_outputs=centered.shape[1],
     )
     g[0] += jitter * g[-1]

@@ -62,12 +62,22 @@ def test_extraction_index_identity_when_equal():
 
 
 def test_nesting_violation_raises():
+    # the message names the first child point with no match
     data = MultiFidelityData(
-        [column(0.0, 0.5, 1.0), column(0.25)],
-        [column(1.0, 2.0, 3.0), column(2.0)],
+        [column(0.0, 0.5, 1.0), column(0.5, 0.25, 0.75)],
+        [column(1.0, 2.0, 3.0), column(2.0, 1.0, 0.0)],
     )
-    with pytest.raises(NestingError, match="fidelity 2"):
+    with pytest.raises(NestingError, match=r"fidelity 2 point \[0\.25\] not found in fidelity 1"):
         nesting_check(data)
+
+
+def test_nesting_first_matching_row_wins():
+    # parent rows 1 and 3 both lie within atol of the child's first point
+    data = MultiFidelityData(
+        [column(0.0, 0.5, 1.0, 0.5 + 1e-13), column(0.5, 1.0)],
+        [column(1.0, 2.0, 3.0, 4.0), column(2.5, 3.5)],
+    )
+    np.testing.assert_array_equal(nesting_check(data)[0], [1, 2])
 
 
 # --- compute_residuals ------------------------------------------------------
