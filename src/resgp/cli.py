@@ -24,6 +24,7 @@ from .benchmarks import (
     DEFAULT_BUDGETS,
     POOL_SEED_OFFSET,
     TEST_SEED_OFFSET,
+    BenchmarkSpec,
     DatasetFormatError,
     design_uniform,
     evaluate,
@@ -123,12 +124,24 @@ def _threads() -> int:
 
 
 def _optimizer(config: dict, seed: int) -> OptimizerConfig:
-    sub = dict(config.get("optimizer", {}))
-    sub.setdefault("seed", seed)
+    """The optimizer object of the config, its seed defaulting to the run seed."""
+    sub = config.get("optimizer", {})
+    if not isinstance(sub, dict):
+        raise UsageError(f"optimizer must be a JSON object, got {sub!r}")
     try:
-        return OptimizerConfig(**sub)
+        return OptimizerConfig(**{"seed": seed, **sub})
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid optimizer config: {exc}") from exc
+
+
+def _benchmark(name) -> BenchmarkSpec:
+    """The benchmark a config names; a name that is not known is a config problem."""
+    if not isinstance(name, str):
+        raise UsageError(f"benchmark must be a name, got {name!r}")
+    try:
+        return get_benchmark(name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _domain_from(entry) -> DomainBox:
@@ -179,12 +192,13 @@ def _jitter_rel(config: dict) -> float:
 
 
 def _resolve_seed(config: dict, override) -> int:
-    if override is not None:
-        return int(override)
     try:
-        return int(config.get("seed", 0))
+        seed = int(config.get("seed", 0) if override is None else override)
     except (TypeError, ValueError):
         raise UsageError("seed must be an integer") from None
+    if seed < 0:
+        raise UsageError(f"seed must be at least 0, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +221,7 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
 
     scale = None
     if has_bench:
-        spec = get_benchmark(config["benchmark"])
+        spec = _benchmark(config["benchmark"])
         budgets = _budgets(config.get("budgets", DEFAULT_BUDGETS[spec.name]), spec)
         standardize = bool(config.get("standardize", True))
         case = run_benchmark_case(
@@ -354,7 +368,7 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
     run_seed = _resolve_seed(config, seed)
     if "benchmark" not in config:
         raise UsageError("active config must name a 'benchmark'")
-    spec = get_benchmark(config["benchmark"])
+    spec = _benchmark(config["benchmark"])
     budgets = _budgets(config.get("budgets", DEFAULT_BUDGETS[spec.name]), spec)
     pool_size = _count(config, "pool_size", 200)
     if budgets[0] > pool_size:
@@ -427,16 +441,19 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
     """Uniform-bound constants for a saved univariate model, plus a sampled curve."""
     run_seed = _resolve_seed(config, seed)
     model = load_model(model_path)
+    constants = {}
     for key in ("delta", "tau", "l_y"):
         if key not in config:
             raise UsageError(f"bounds config requires '{key}'")
+        try:
+            constants[key] = float(config[key])
+        except (TypeError, ValueError):
+            raise UsageError(f"{key} must be a number, got {config[key]!r}") from None
     domain = _domain_from(config["domain"]) if "domain" in config else model.domain
-    cfg = BoundConfig(
-        delta=float(config["delta"]),
-        tau=float(config["tau"]),
-        l_y=float(config["l_y"]),
-        domain=domain,
-    )
+    try:
+        cfg = BoundConfig(**constants, domain=domain)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     bound, bound_fn = uniform_bound(model, cfg)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -490,6 +507,8 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
     """Run the benchmark suite and write a results table plus summary."""
     run_seed = _resolve_seed(config, seed)
     names = config.get("benchmarks", sorted(DEFAULT_BUDGETS))
+    if not isinstance(names, list):
+        raise UsageError(f"bench benchmarks must be a list of benchmark names, got {names!r}")
     repeats = _count(config, "repeats", 1)
     test_points = _count(config, "test_points", 1000)
     standardize = bool(config.get("standardize", True))
@@ -501,7 +520,7 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
 
     tasks = []
     for name in names:
-        spec = get_benchmark(name)
+        spec = _benchmark(name)
         budgets = _budgets(budgets_override.get(spec.name, DEFAULT_BUDGETS[spec.name]), spec)
         for rep in range(repeats):
             tasks.append((spec.name, budgets, rep, run_seed + rep))

@@ -10,13 +10,14 @@ are cached for prediction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsymm, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from .kernel import (
     DEFAULT_JITTER_REL,
@@ -38,6 +39,9 @@ START_SPREAD = 100.0
 LOOSE_FTOL = 1e-4
 LOOSE_GTOL = 1e-5
 POLISH_FTOL = 1e-13
+# L-BFGS-B memory pairs and line-search steps per iteration, as in scipy's minimize
+LBFGS_MEMORY = 10
+LBFGS_MAXLS = 20
 
 
 class IllConditionedError(RuntimeError):
@@ -65,12 +69,20 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
+        if isinstance(self.grad_tol, bool) or not isinstance(self.grad_tol, numbers.Real):
+            raise TypeError(f"grad_tol must be a number, got {self.grad_tol!r}")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
 
 
 @dataclass
@@ -326,6 +338,59 @@ def build_level(
     return _finalize_level(params, data.inputs, centered, means, jitter_rel)
 
 
+@dataclass
+class LbfgsResult:
+    """Outcome of one L-BFGS-B run: the final point, its NLL and the work done."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: int) -> LbfgsResult:
+    """L-BFGS-B over the [-LOG_BOUND, LOG_BOUND] box on scipy's setulb.
+
+    objective(x) returns (f, grad). The loop is the one scipy's
+    minimize(method="L-BFGS-B", jac=True) runs, with the same memory, line-search
+    length, factr = ftol / eps and an iteration cap counted on each new
+    iteration; the objective is called once at x0 and then only where setulb
+    asks for a point other than the last one evaluated. So x, fun, nit, nfev
+    and success equal minimize's bit for bit, without its wrapper objects
+    (scipy's 15,000-evaluation cap is left out: below about 375 iterations it
+    cannot bind). setulb is private scipy API with this signature since 1.15.
+    The name is the one bench/layers.py wraps to time each run.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), -LOG_BOUND, LOG_BOUND)
+    n = x.size
+    x_eval = x.copy()
+    f, g = objective(x_eval)
+    nfev, nit = 1, 0
+    m = LBFGS_MEMORY
+    lower, upper = np.full(n, -LOG_BOUND), np.full(n, LOG_BOUND)
+    nbd = np.full(n, 2, dtype=np.int32)  # bounded on both sides
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+    while True:
+        setulb(m, x, lower, upper, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave,
+               dsave, LBFGS_MAXLS, ln_task)
+        if task[0] == 3:  # evaluate f and g at x
+            if not np.array_equal(x, x_eval):
+                x_eval = x.copy()
+                f, g = objective(x_eval)
+                nfev += 1
+        elif task[0] == 1:  # new iteration
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504  # stop: iteration limit
+        else:
+            return LbfgsResult(x=x, fun=f, nit=nit, nfev=nfev, success=bool(task[0] == 4))
+
+
 def _start_points(
     opt: OptimizerConfig,
     n_free: int,
@@ -435,17 +500,8 @@ def fit_level(
         if learn_noise:
             heuristic[tau_index] = tau_init_log
 
-    bounds = [(-LOG_BOUND, LOG_BOUND)] * n_free
-
-    def descend(x0: np.ndarray, ftol: float, gtol: float):
-        return minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": opt.max_iters, "gtol": gtol, "ftol": ftol},
-        )
+    def descend(x0: np.ndarray, ftol: float, gtol: float) -> LbfgsResult:
+        return minimize(objective, x0, ftol=ftol, gtol=gtol, maxiter=opt.max_iters)
 
     starts = _start_points(opt, n_free, init, tau_index, tau_init_log, heuristic)
     best = min((descend(x0, LOOSE_FTOL, LOOSE_GTOL) for x0 in starts), key=lambda r: r.fun)

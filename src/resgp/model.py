@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ import numpy as np
 from .gp_level import (
     OptimizerConfig,
     ResidualDataset,
-    TrainedLevel,
     fit_level,
     level_predict,
     _finalize_level,
@@ -171,14 +169,12 @@ def train(
     jitter_rel: float = DEFAULT_JITTER_REL,
     noise: float = 0.0,
     learn_noise: bool = False,
-    n_jobs: int = 1,
 ) -> ResGPModel:
     """Fit every residual level by maximum likelihood and assemble the model.
 
     Inputs are normalized onto [0, 1]^l using domain (default: the bounding box
     of the lowest-fidelity inputs) before any kernel evaluation; nesting is
-    checked on normalized coordinates. Levels are independent, so n_jobs > 1
-    fits them concurrently with identical results.
+    checked on normalized coordinates.
     """
     if opt is None:
         opt = OptimizerConfig()
@@ -192,16 +188,10 @@ def train(
     )
     residuals = compute_residuals(norm, nesting_check(norm))
 
-    def fit_one(ds: ResidualDataset) -> TrainedLevel:
-        return fit_level(
-            ds, opt, jitter_rel=jitter_rel, noise=noise, learn_noise=learn_noise
-        )
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            levels = list(pool.map(fit_one, residuals))
-    else:
-        levels = [fit_one(ds) for ds in residuals]
+    levels = [
+        fit_level(ds, opt, jitter_rel=jitter_rel, noise=noise, learn_noise=learn_noise)
+        for ds in residuals
+    ]
     return ResGPModel(
         levels=levels,
         domain=domain,

@@ -78,10 +78,20 @@ def test_config_must_pick_one_data_source(tmp_path, capsys):
     assert "exactly one" in err
 
 
-def test_unknown_benchmark_is_data_error(tmp_path, capsys):
-    cfg = currin_config(tmp_path, benchmark="rosenbrock")
-    assert main(["train", "--config", cfg]) == 2
-    assert "unknown benchmark" in capsys.readouterr().err
+def test_unknown_benchmark_is_usage_error(tmp_path, capsys):
+    train_cfg = currin_config(tmp_path, benchmark="nope")
+    assert main(["train", "--config", train_cfg, "--out", str(tmp_path / "t")]) == 1
+    active_cfg = write_config(tmp_path, "active.json", {"benchmark": "nope", "pool_size": 20})
+    assert main(["active", "--config", active_cfg, "--out", str(tmp_path / "a")]) == 1
+    bench_cfg = write_config(tmp_path, "bench.json", {"benchmarks": ["currin", "nope"]})
+    assert main(["bench", "--config", bench_cfg, "--out", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err.count("unknown benchmark 'nope'") == 3
+
+
+def test_bench_benchmarks_not_a_list_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "bench.json", {"benchmarks": "currin"})
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert "list of benchmark names" in capsys.readouterr().err
 
 
 def test_malformed_dataset_is_data_error(tmp_path, capsys):
@@ -154,6 +164,18 @@ def test_bad_seed_is_usage_error(tmp_path, capsys, command, value):
     assert "seed must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "active", "bench"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    payload = {"benchmark": "currin", "budgets": [6, 2], "pool_size": 20, "test_points": 20}
+    if command == "bench":
+        payload = {"benchmarks": ["currin"], "budgets": {"currin": [6, 2]}, "test_points": 20}
+    cfg = write_config(tmp_path, f"{command}.json", {**payload, "seed": -1})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    ok = write_config(tmp_path, "ok.json", payload)
+    assert main([command, "--config", ok, "--seed", "-3", "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.count("seed must be at least 0") == 2
+
+
 @pytest.mark.parametrize(
     "command, budgets",
     [
@@ -197,6 +219,25 @@ def test_bad_jitter_rel_is_usage_error(tmp_path, capsys, command, value):
     cfg = write_config(tmp_path, f"{command}.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
     assert "jitter_rel must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "optimizer, message",
+    [
+        (5, "optimizer must be a JSON object"),
+        ({"seed": "x"}, "seed must be an integer"),
+        ({"seed": -1}, "seed must be at least 0"),
+        ({"restarts": 2.5}, "restarts must be an integer"),
+        ({"max_iters": 2.5}, "max_iters must be an integer"),
+        ({"grad_tol": float("nan")}, "grad_tol must be finite and positive"),
+    ],
+    ids=["not-an-object", "seed-string", "seed-negative", "restarts-fraction",
+         "max-iters-fraction", "grad-tol-nan"],
+)
+def test_bad_optimizer_config_is_usage_error(tmp_path, capsys, optimizer, message):
+    cfg = currin_config(tmp_path, budgets=[6, 2], test_points=20, optimizer=optimizer)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +520,23 @@ def test_bounds_bad_grid_points_is_usage_error(univariate_model, tmp_path, capsy
     )
     assert main(["bounds", "--model", str(univariate_model), "--config", cfg, "--out", str(tmp_path / "b")]) == 1
     assert "grid_points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("delta", "x", "delta must be a number"),
+        ("delta", 2, "delta must lie strictly between 0 and 1"),
+        ("tau", None, "tau must be a number"),
+        ("l_y", -1, "l_y must be non-negative"),
+    ],
+    ids=["delta-string", "delta-above-one", "tau-null", "l_y-negative"],
+)
+def test_bounds_bad_constant_is_usage_error(univariate_model, tmp_path, capsys, key, value, message):
+    payload = {"delta": 0.05, "tau": 1e-3, "l_y": 10.0, key: value}
+    cfg = write_config(tmp_path, "bounds.json", payload)
+    assert main(["bounds", "--model", str(univariate_model), "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_bounds_requires_config_keys(univariate_model, tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from resgp import (
     DEFAULT_BUDGETS,
@@ -17,6 +18,7 @@ from resgp import (
     cross_vec,
     fit_level,
     get_benchmark,
+    gp_level,
     gram,
     level_predict,
     neg_log_likelihood,
@@ -375,6 +377,67 @@ def test_fit_reaches_multistart_optimum_on_benchmark_levels(name, seed, level):
     assert level_fit.fit_nll <= reference.fit_nll + 1e-2
 
 
+def fit_against_scipy(monkeypatch, ds, opt=None, **kwargs):
+    """fit_level with every L-BFGS-B run checked against scipy's minimize on the same problem.
+
+    Returns the fitted level and the driver's results, one per run.
+    """
+    driver = gp_level.minimize
+    runs = []
+
+    def recorder(objective, x0, *, ftol, gtol, maxiter):
+        ours = driver(objective, x0, ftol=ftol, gtol=gtol, maxiter=maxiter)
+        ref = scipy.optimize.minimize(
+            objective,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(-gp_level.LOG_BOUND, gp_level.LOG_BOUND)] * x0.size,
+            options={"maxiter": maxiter, "gtol": gtol, "ftol": ftol},
+        )
+        np.testing.assert_array_equal(ours.x, ref.x)
+        assert ours.fun == ref.fun
+        assert (ours.nfev, ours.nit, ours.success) == (ref.nfev, ref.nit, ref.success)
+        runs.append(ours)
+        return ours
+
+    monkeypatch.setattr(gp_level, "minimize", recorder)
+    return fit_level(ds, opt, **kwargs), runs
+
+
+def test_lbfgsb_driver_matches_scipy_on_currin_level(monkeypatch):
+    level, runs = fit_against_scipy(monkeypatch, benchmark_level("currin", 0, 1))
+    # moment-matched start, unit start, 11 random restarts, then the polish run
+    assert len(runs) == 14
+    assert level.fit_nll == pytest.approx(runs[-1].fun, rel=1e-9)
+
+
+def test_lbfgsb_driver_matches_scipy_with_amplitude_on_the_box(monkeypatch):
+    level, runs = fit_against_scipy(monkeypatch, benchmark_level("borehole", 0, 1))
+    assert len(runs) == 14
+    assert runs[-1].x[0] == gp_level.LOG_BOUND
+    assert math.log(level.params.amplitude) == pytest.approx(gp_level.LOG_BOUND)
+
+
+def test_lbfgsb_driver_matches_scipy_with_learned_noise(monkeypatch):
+    ds, _ = smooth_1d_sample(seed=26, n=25)
+    noisy = ResidualDataset(
+        ds.inputs, ds.residuals + 0.05 * np.random.default_rng(26).normal(size=ds.residuals.shape)
+    )
+    _, runs = fit_against_scipy(monkeypatch, noisy, OptimizerConfig(seed=0), learn_noise=True)
+    assert len(runs) == 14
+    # log amplitude, log weight and log noise
+    assert all(r.x.size == 3 for r in runs)
+
+
+def test_lbfgsb_driver_stops_at_the_iteration_cap_like_scipy(monkeypatch):
+    _, runs = fit_against_scipy(
+        monkeypatch, benchmark_level("currin", 0, 1), OptimizerConfig(max_iters=3)
+    )
+    assert len(runs) == 14
+    assert all(r.nit == 3 and not r.success for r in runs)
+
+
 def ds_centered(ds):
     return ResidualDataset(ds.inputs, ds.residuals - ds.residuals.mean(axis=0))
 
@@ -419,6 +482,14 @@ def test_optimizer_config_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError):
         OptimizerConfig(grad_tol=0.0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(grad_tol=float("nan"))
+    with pytest.raises(ValueError):
+        OptimizerConfig(seed=-1)
+    with pytest.raises(TypeError):
+        OptimizerConfig(restarts=2.5)
+    with pytest.raises(TypeError):
+        OptimizerConfig(seed="x")
 
 
 # --- level_predict ----------------------------------------------------------

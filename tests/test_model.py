@@ -145,15 +145,6 @@ def test_identical_fidelities_collapse_to_single_level_model():
     np.testing.assert_allclose(a.mean, b.mean, atol=1e-4 * (1 + np.abs(b.mean)).max())
 
 
-def test_parallel_training_matches_sequential():
-    data = two_level_data(seed=43)
-    seq = train(data, OptimizerConfig(seed=0))
-    par = train(data, OptimizerConfig(seed=0), n_jobs=2)
-    for a, b in zip(seq.levels, par.levels):
-        assert a.params.amplitude == b.params.amplitude
-        np.testing.assert_array_equal(a.params.weights, b.params.weights)
-
-
 def test_train_rejects_mismatched_domain():
     data = two_level_data()
     with pytest.raises(ValueError):
