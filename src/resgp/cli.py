@@ -12,10 +12,10 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,8 +51,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-THREADS_ENV = "RESGP_THREADS"
 
 
 class UsageError(Exception):
@@ -110,19 +108,6 @@ def _metrics_dict(m) -> dict:
     return {"rmse": m.rmse, "r2": m.r2, "mnll": m.mnll, "nrmse": m.nrmse}
 
 
-def _threads() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise UsageError(f"{THREADS_ENV} must be at least 1")
-    return n
-
-
 def _optimizer(config: dict, seed: int) -> OptimizerConfig:
     """The optimizer object of the config, its seed defaulting to the run seed."""
     sub = config.get("optimizer", {})
@@ -151,12 +136,24 @@ def _domain_from(entry) -> DomainBox:
         raise UsageError(f"invalid domain entry: {exc}") from exc
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; as in OptimizerConfig, a bool, fraction or string is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(config: dict, key: str, default: bool) -> bool:
+    """A config switch; it must be a JSON boolean."""
+    value = config.get(key, default)
+    if not isinstance(value, bool):
+        raise UsageError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _count(config: dict, key: str, default: int) -> int:
     """A config field counting something; it must be an integer of at least 1."""
-    try:
-        n = int(config.get(key, default))
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be an integer") from None
+    n = _integer(config.get(key, default), key)
     if n < 1:
         raise UsageError(f"{key} must be at least 1")
     return n
@@ -164,13 +161,9 @@ def _count(config: dict, key: str, default: int) -> int:
 
 def _budgets(raw, spec) -> list:
     """Per-fidelity design sizes: one integer of at least 1 per fidelity, none above the one below."""
-    not_list = UsageError(f"budgets for {spec.name} must be a list of integers")
     if not isinstance(raw, list):
-        raise not_list
-    try:
-        budgets = [int(b) for b in raw]
-    except (TypeError, ValueError):
-        raise not_list from None
+        raise UsageError(f"budgets for {spec.name} must be a list of integers")
+    budgets = [_integer(b, "every budget") for b in raw]
     if len(budgets) != spec.n_fidelities:
         raise UsageError(f"{spec.name} needs {spec.n_fidelities} budgets, got {len(budgets)}")
     if min(budgets) < 1:
@@ -180,22 +173,20 @@ def _budgets(raw, spec) -> list:
     return budgets
 
 
-def _jitter_rel(config: dict) -> float:
-    """The relative diagonal jitter: a finite number of at least 0."""
-    try:
-        jitter_rel = float(config.get("jitter_rel", DEFAULT_JITTER_REL))
-    except (TypeError, ValueError):
-        raise UsageError("jitter_rel must be a number") from None
-    if not (math.isfinite(jitter_rel) and jitter_rel >= 0):
-        raise UsageError(f"jitter_rel must be finite and at least 0, got {jitter_rel}")
-    return jitter_rel
+def _nonnegative(config: dict, key: str, default: float) -> float:
+    """A config number such as a jitter or a noise variance: finite and at least 0."""
+    value = config.get(key, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (math.isfinite(value) and value >= 0)
+    ):
+        raise UsageError(f"{key} must be a finite number of at least 0, got {value!r}")
+    return float(value)
 
 
 def _resolve_seed(config: dict, override) -> int:
-    try:
-        seed = int(config.get("seed", 0) if override is None else override)
-    except (TypeError, ValueError):
-        raise UsageError("seed must be an integer") from None
+    seed = _integer(config.get("seed", 0) if override is None else override, "seed")
     if seed < 0:
         raise UsageError(f"seed must be at least 0, got {seed}")
     return seed
@@ -209,7 +200,7 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
     """Train a model from a benchmark protocol or a dataset CSV."""
     run_seed = _resolve_seed(config, seed)
     opt = _optimizer(config, run_seed)
-    jitter_rel = _jitter_rel(config)
+    jitter_rel = _nonnegative(config, "jitter_rel", DEFAULT_JITTER_REL)
     os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, "model.json")
     t0 = time.perf_counter()
@@ -223,7 +214,7 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
     if has_bench:
         spec = _benchmark(config["benchmark"])
         budgets = _budgets(config.get("budgets", DEFAULT_BUDGETS[spec.name]), spec)
-        standardize = bool(config.get("standardize", True))
+        standardize = _flag(config, "standardize", True)
         case = run_benchmark_case(
             spec,
             budgets=budgets,
@@ -252,14 +243,14 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
     else:
         data = read_dataset_csv(config["dataset"])
         domain = _domain_from(config["domain"]) if "domain" in config else None
-        standardize = bool(config.get("standardize", False))
+        standardize = _flag(config, "standardize", False)
         model = train(
             data,
             opt,
             domain=domain,
             jitter_rel=jitter_rel,
-            noise=float(config.get("noise", 0.0)),
-            learn_noise=bool(config.get("learn_noise", False)),
+            noise=_nonnegative(config, "noise", 0.0),
+            learn_noise=_flag(config, "learn_noise", False),
         )
         scored = raw = None
         if "test_dataset" in config:
@@ -377,13 +368,13 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
     if strategy not in STRATEGIES:
         raise UsageError(f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}")
     opt = _optimizer(config, run_seed)
-    jitter_rel = _jitter_rel(config)
+    jitter_rel = _nonnegative(config, "jitter_rel", DEFAULT_JITTER_REL)
     os.makedirs(out_dir, exist_ok=True)
     audit_path = os.path.join(out_dir, "audit.jsonl")
     t0 = time.perf_counter()
 
     test_points = _count(config, "test_points", 1000)
-    standardize = bool(config.get("standardize", True))
+    standardize = _flag(config, "standardize", True)
     pool = design_uniform(spec.domain, pool_size, run_seed + POOL_SEED_OFFSET)
 
     try:
@@ -511,7 +502,7 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
         raise UsageError(f"bench benchmarks must be a list of benchmark names, got {names!r}")
     repeats = _count(config, "repeats", 1)
     test_points = _count(config, "test_points", 1000)
-    standardize = bool(config.get("standardize", True))
+    standardize = _flag(config, "standardize", True)
     budgets_override = config.get("budgets", {})
     if not isinstance(budgets_override, dict):
         raise UsageError("bench budgets must map benchmark names to budget lists")
@@ -548,12 +539,7 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
             "fit_seconds": case["fit_seconds"],
         }
 
-    n_threads = _threads()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(run_one, tasks))
-    else:
-        rows = [run_one(t) for t in tasks]
+    rows = [run_one(t) for t in tasks]
 
     header = ["benchmark", "budgets", "repeat", "seed", "rmse", "r2", "mnll", "nrmse"]
     header += ["raw_rmse", "raw_r2", "joint_nll"]
@@ -589,7 +575,6 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
             "benchmarks": summary,
             "results_path": results_path,
             "wall_time_s": time.perf_counter() - t0,
-            "threads": n_threads,
         },
     )
     return rows

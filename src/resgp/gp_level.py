@@ -27,6 +27,7 @@ from .kernel import (
     cross_vec,
     gram,
     kernel_values,
+    sq_diffs,
 )
 
 # optimization runs in log-parameter space, clipped to this symmetric box
@@ -151,11 +152,13 @@ class TrainedLevel:
 
 
 def _cholesky(K: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of the symmetric K with a zero upper triangle, or None.
+    """Lower Cholesky factor of K with a zero upper triangle, or None.
 
-    K may be overwritten. None means K is not positive definite.
+    Only the upper triangle of K is read, and K may be overwritten. None means
+    K is not positive definite.
     """
-    # K is symmetric, so its transpose is the Fortran-ordered array LAPACK factors in place
+    # K's transpose is the Fortran-ordered array LAPACK factors in place; its lower
+    # triangle is K's upper one
     chol, info = dpotrf(K.T, lower=1, clean=1, overwrite_a=1)
     return chol if info == 0 else None
 
@@ -184,12 +187,6 @@ def cholesky_with_escalation(
         j = min(j, MAX_JITTER_REL * amp)
 
 
-def _sq_diff_tensor(points: np.ndarray) -> np.ndarray:
-    """(N, N, l) tensor of squared per-coordinate differences."""
-    diff = points[:, None, :] - points[None, :, :]
-    return diff * diff
-
-
 def _residual_factor(residuals: np.ndarray) -> np.ndarray:
     """(N, min(N, d)) factor F of the residual matrix R with F F^T = R R^T.
 
@@ -207,33 +204,28 @@ def _nll_core(
     sq_diffs: np.ndarray,
     factor: np.ndarray,
     n_outputs: int,
-    chol: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """NLL and its gradient for K = kernel_values(amplitude, sq_diffs @ weights) + shift I.
 
-    sq_diffs is the tensor of _sq_diff_tensor, symmetric with a zero diagonal,
-    which the gradient sums rely on. shift is the absolute diagonal (noise plus
-    jitter). factor is an (N, r) matrix F with F F^T = R R^T for the centered
-    residual matrix R (see _residual_factor), so r = min(N, d) bounds the cost
-    per call whatever the number of output columns. chol, when given, is a
-    lower Cholesky factor of K that the caller already computed; its strict
-    upper triangle is ignored. The gradient is taken with respect to
-    [log amplitude, log w_1 .. log w_l, shift]: the amplitude component holds
-    the kernel term only, and callers map the last component onto their noise
-    and jitter. A K that is not positive definite gives (inf, zeros).
+    sq_diffs is kernel.sq_diffs of the inputs with themselves, symmetric with a
+    zero diagonal, which the gradient sums rely on. shift is the absolute
+    diagonal (noise plus jitter); K's upper triangle, the one factored, is the
+    one gram returns at the same shift. factor is an (N, r) matrix F with
+    F F^T = R R^T for the centered residual matrix R (see _residual_factor), so
+    r = min(N, d) bounds the cost per call whatever the number of output
+    columns. The gradient is taken with respect to [log amplitude,
+    log w_1 .. log w_l, shift]: the amplitude component holds the kernel term
+    only, and callers map the last component onto their noise and jitter. A K
+    that is not positive definite gives (inf, zeros).
     """
     n = sq_diffs.shape[0]
     d = n_outputs
     C = kernel_values(amplitude, sq_diffs @ weights)
+    K = C.copy()
+    K.flat[:: n + 1] += shift
+    chol = _cholesky(K)
     if chol is None:
-        K = C.copy()
-        K.flat[:: n + 1] += shift
-        chol = _cholesky(K)
-        if chol is None:
-            return np.inf, np.zeros(weights.size + 2)
-    else:
-        # dpotri, dsymm and dsyrk read the lower triangle and leave the upper one as it is
-        chol = np.tril(chol)
+        return np.inf, np.zeros(weights.size + 2)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     # lower triangle of K^-1, written over chol, whose strict upper triangle stays zero
     kinv, _ = dpotri(chol, lower=1, overwrite_c=1)
@@ -252,18 +244,17 @@ def _nll_core(
 
 
 def _nll_at(params: KernelHyperparams, data: ResidualDataset, jitter: float):
-    """_nll_core at fixed hyperparameters, on the escalated Cholesky factor."""
+    """_nll_core at fixed hyperparameters and the escalated jitter."""
     if data.input_dim != params.dim:
         raise ValueError("data dimension does not match kernel weights")
-    chol, j = cholesky_with_escalation(params, data.inputs, jitter)
+    _, j = cholesky_with_escalation(params, data.inputs, jitter)
     return _nll_core(
         amplitude=params.amplitude,
         weights=params.weights,
         shift=j + params.noise,
-        sq_diffs=_sq_diff_tensor(data.inputs),
+        sq_diffs=sq_diffs(data.inputs, data.inputs),
         factor=_residual_factor(data.residuals),
         n_outputs=data.output_dim,
-        chol=chol,
     )
 
 
@@ -457,7 +448,7 @@ def fit_level(
     means = data.residuals.mean(axis=0)
     centered = data.residuals - means
     factor = _residual_factor(centered)
-    sq = _sq_diff_tensor(data.inputs)
+    sq = sq_diffs(data.inputs, data.inputs)
 
     n_free = 1 + l + (1 if learn_noise else 0)
     tau_index = n_free - 1 if learn_noise else None

@@ -115,10 +115,14 @@ class KernelHyperparams:
         return self.weights.size
 
 
-def _weighted_sq_dists(params: KernelHyperparams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_i w_i (a_i - b_i)^2 for every row pair, shape (len(a), len(b))."""
+def sq_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b), l) tensor of squared per-coordinate differences of row pairs.
+
+    This is the one pairwise routine: every kernel matrix is
+    kernel_values(amplitude, sq_diffs(a, b) @ weights).
+    """
     diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("mnl,l->mn", diff * diff, params.weights)
+    return np.square(diff, out=diff)
 
 
 def kernel_values(amplitude: float, sq_dists: np.ndarray) -> np.ndarray:
@@ -151,9 +155,11 @@ def gram(params: KernelHyperparams, points, jitter: float = 0.0) -> np.ndarray:
         raise ValueError("point dimension does not match kernel weights")
     if jitter < 0:
         raise ValueError("jitter must be non-negative")
-    K = kernel_values(params.amplitude, _weighted_sq_dists(params, pts, pts))
-    # symmetrize away roundoff so Cholesky sees an exactly symmetric matrix
-    K = 0.5 * (K + K.T)
+    K = kernel_values(params.amplitude, sq_diffs(pts, pts) @ params.weights)
+    # mirror the upper triangle, the one the Cholesky factorization reads, so the
+    # matrix is exactly symmetric and equal to the likelihood core's
+    lower = np.tril_indices_from(K, -1)
+    K[lower] = K.T[lower]
     diag = jitter + params.noise
     if diag > 0:
         K[np.diag_indices_from(K)] += diag
@@ -173,7 +179,7 @@ def cross_vec(params: KernelHyperparams, query, points) -> np.ndarray:
         q = q[None, :]
     if q.shape[1] != params.dim or pts.shape[1] != params.dim:
         raise ValueError("point dimension does not match kernel weights")
-    out = kernel_values(params.amplitude, _weighted_sq_dists(params, q, pts))
+    out = kernel_values(params.amplitude, sq_diffs(q, pts) @ params.weights)
     return out[0] if single else out
 
 

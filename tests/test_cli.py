@@ -122,15 +122,6 @@ def test_numerical_failure_is_numeric_error(tmp_path, capsys, monkeypatch):
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_bad_thread_env_is_usage_error(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, "bench.json", {"benchmarks": ["currin"], "budgets": {"currin": [8, 3]}, "test_points": 20})
-    monkeypatch.setenv("RESGP_THREADS", "zero")
-    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o1")]) == 1
-    monkeypatch.setenv("RESGP_THREADS", "0")
-    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o2")]) == 1
-    assert "RESGP_THREADS" in capsys.readouterr().err
-
-
 def test_zero_repeats_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "bench.json", {"benchmarks": ["currin"], "repeats": 0})
     assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -146,7 +137,7 @@ def test_zero_repeats_is_usage_error(tmp_path, capsys):
     ],
     ids=["train-test_points", "active-test_points", "active-pool_size", "bench-test_points"],
 )
-@pytest.mark.parametrize("value", [0, -2, "ten"])
+@pytest.mark.parametrize("value", [0, -2, "ten", "20", 2.5, True])
 def test_bad_count_is_usage_error(tmp_path, capsys, command, key, payload, value):
     cfg = write_config(tmp_path, f"{command}.json", {**payload, key: value})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
@@ -154,7 +145,7 @@ def test_bad_count_is_usage_error(tmp_path, capsys, command, key, payload, value
 
 
 @pytest.mark.parametrize("command", ["train", "active", "bench"])
-@pytest.mark.parametrize("value", ["x", None, [1]])
+@pytest.mark.parametrize("value", ["x", None, [1], 2.9, False])
 def test_bad_seed_is_usage_error(tmp_path, capsys, command, value):
     payload = {"benchmark": "currin", "budgets": [6, 2], "pool_size": 20, "test_points": 20}
     if command == "bench":
@@ -183,14 +174,16 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
         ("train", [12]),
         ("train", [4, 12]),
         ("train", "12"),
+        ("train", [6.7, 2]),
         ("active", [0, 0]),
         ("active", [6, "two"]),
+        ("active", [6, True]),
         ("active", [30, 5]),
         ("bench", [8, 0]),
         ("bench", None),
     ],
-    ids=["train-zero", "train-short", "train-increasing", "train-string",
-         "active-zeros", "active-not-integer", "active-above-pool", "bench-zero",
+    ids=["train-zero", "train-short", "train-increasing", "train-string", "train-fraction",
+         "active-zeros", "active-not-integer", "active-bool", "active-above-pool", "bench-zero",
          "bench-not-a-map"],
 )
 def test_bad_budgets_is_usage_error(tmp_path, capsys, command, budgets):
@@ -219,6 +212,45 @@ def test_bad_jitter_rel_is_usage_error(tmp_path, capsys, command, value):
     cfg = write_config(tmp_path, f"{command}.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
     assert "jitter_rel must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("train", "standardize"), ("active", "standardize"), ("bench", "standardize"),
+     ("dataset", "standardize"), ("dataset", "learn_noise")],
+)
+@pytest.mark.parametrize("value", ["false", "no", 0, None])
+def test_non_boolean_switch_is_usage_error(tmp_path, capsys, command, key, value):
+    payload = {"benchmark": "currin", "budgets": [6, 2], "pool_size": 20, "test_points": 20}
+    if command == "bench":
+        payload = {"benchmarks": ["currin"], "budgets": {"currin": [6, 2]}, "test_points": 20}
+    if command == "dataset":
+        write_dataset_csv(str(tmp_path / "data.csv"), sine_dataset())
+        payload, command = {"dataset": str(tmp_path / "data.csv")}, "train"
+    cfg = write_config(tmp_path, f"{command}.json", {**payload, key: value})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert f"{key} must be true or false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [-1, "x", None, True, float("inf")],
+                         ids=["negative", "string", "null", "bool", "inf"])
+def test_bad_noise_is_usage_error(tmp_path, capsys, value):
+    write_dataset_csv(str(tmp_path / "data.csv"), sine_dataset())
+    cfg = write_config(tmp_path, "train.json", {"dataset": str(tmp_path / "data.csv"), "noise": value})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "noise must be a finite number of at least 0" in capsys.readouterr().err
+
+
+def test_switches_and_noise_accept_json_values(tmp_path):
+    write_dataset_csv(str(tmp_path / "data.csv"), sine_dataset())
+    cfg = write_config(
+        tmp_path,
+        "train.json",
+        {"dataset": str(tmp_path / "data.csv"), "standardize": True, "learn_noise": True,
+         "noise": 1e-3, "jitter_rel": 0},
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert json.loads((tmp_path / "run" / "record.json").read_text())["standardize"] is True
 
 
 @pytest.mark.parametrize(
@@ -595,22 +627,6 @@ def test_bench_results_are_byte_stable(tmp_path):
     assert main(["bench", "--config", cfg, "--out", str(a)]) == 0
     assert main(["bench", "--config", cfg, "--out", str(b)]) == 0
     assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
-
-
-def test_bench_threaded_run_matches_serial(tmp_path, monkeypatch):
-    cfg = write_config(
-        tmp_path,
-        "bench.json",
-        {"benchmarks": ["currin"], "repeats": 2, "test_points": 20, "budgets": {"currin": [8, 3]}},
-    )
-    serial = tmp_path / "serial"
-    assert main(["bench", "--config", cfg, "--out", str(serial)]) == 0
-    monkeypatch.setenv("RESGP_THREADS", "2")
-    threaded = tmp_path / "threaded"
-    assert main(["bench", "--config", cfg, "--out", str(threaded)]) == 0
-    assert (serial / "results.csv").read_bytes() == (threaded / "results.csv").read_bytes()
-    summary = json.loads((threaded / "summary.json").read_text())
-    assert summary["threads"] == 2
 
 
 def test_bench_structured_format(tmp_path):

@@ -26,6 +26,7 @@ from resgp import (
     nesting_check,
     nll_gradient,
 )
+from resgp.kernel import sq_diffs
 
 HALF_LOG_2PI = 0.9189385332046727
 
@@ -175,11 +176,6 @@ def test_gradient_matches_finite_differences_with_noise():
 # --- _nll_core against a dense reference --------------------------------------
 
 
-def core_gram(amplitude, weights, shift, sq_diffs, **_):
-    """The dense K that _nll_core factors for these keyword arguments."""
-    return amplitude * np.exp(-sq_diffs @ weights) + shift * np.eye(len(sq_diffs))
-
-
 def dense_nll_reference(amplitude, weights, shift, sq_diffs, factor, n_outputs):
     """NLL and gradient from slogdet, an explicit inverse and one dK per parameter.
 
@@ -201,8 +197,6 @@ def dense_nll_reference(amplitude, weights, shift, sq_diffs, factor, n_outputs):
 
 
 def core_case(n, d, seed=0):
-    from resgp.gp_level import _sq_diff_tensor
-
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n, 2))
     r = rng.normal(size=(n, d))
@@ -213,7 +207,7 @@ def core_case(n, d, seed=0):
         amplitude=1.7,
         weights=np.array([3.0, 0.8]),
         shift=0.085,
-        sq_diffs=_sq_diff_tensor(x),
+        sq_diffs=sq_diffs(x, x),
         factor=r,
         n_outputs=d,
     )
@@ -221,14 +215,11 @@ def core_case(n, d, seed=0):
 
 @pytest.mark.parametrize("n", [1, 2, 10, 80])
 @pytest.mark.parametrize("d_of_n", [lambda n: 1, lambda n: 3, lambda n: n + 5], ids=["d1", "d3", "dN+5"])
-@pytest.mark.parametrize("given_chol", [False, True], ids=["own-chol", "given-chol"])
-def test_nll_core_matches_dense_reference(n, d_of_n, given_chol):
+def test_nll_core_matches_dense_reference(n, d_of_n):
     from resgp.gp_level import _nll_core
 
     kw = core_case(n, d_of_n(n))
     ref_nll, ref_grad = dense_nll_reference(**kw)
-    if given_chol:
-        kw["chol"] = np.linalg.cholesky(core_gram(**kw))
     nll, grad = _nll_core(**kw)
     assert nll == pytest.approx(ref_nll, rel=1e-9)
     # components can cancel to near zero, so they are compared on the gradient's scale
@@ -252,7 +243,7 @@ def test_residual_factor_gives_same_nll_as_full_residuals(n, d_of_n):
 def test_no_subnormal_kernel_values_at_short_length_scales():
     # log w = 8 puts most pairwise kernel values of 80 points in [0, 1]^3 far
     # below the smallest normal double
-    from resgp.gp_level import _nll_core, _sq_diff_tensor
+    from resgp.gp_level import _nll_core
 
     rng = np.random.default_rng(8)
     x = rng.uniform(size=(80, 3))
@@ -268,7 +259,7 @@ def test_no_subnormal_kernel_values_at_short_length_scales():
         amplitude=p.amplitude,
         weights=p.weights,
         shift=0.085,
-        sq_diffs=_sq_diff_tensor(x),
+        sq_diffs=sq_diffs(x, x),
         factor=r - r.mean(axis=0),
         n_outputs=1,
     )
@@ -284,35 +275,19 @@ def test_no_subnormal_kernel_values_at_short_length_scales():
     ids=["duplicate-rows", "negative-shift"],
 )
 def test_nll_core_not_positive_definite_is_inf(points, shift):
-    from resgp.gp_level import _nll_core, _sq_diff_tensor
+    from resgp.gp_level import _nll_core
 
     x = np.array(points)
     nll, grad = _nll_core(
         amplitude=1.0,
         weights=np.array([1.0, 2.0]),
         shift=shift,
-        sq_diffs=_sq_diff_tensor(x),
+        sq_diffs=sq_diffs(x, x),
         factor=np.ones((len(x), 1)),
         n_outputs=1,
     )
     assert nll == np.inf
     np.testing.assert_array_equal(grad, np.zeros(4))
-
-
-def test_nll_core_ignores_upper_triangle_of_given_chol():
-    from resgp.gp_level import _nll_core, cholesky_with_escalation
-
-    kw = core_case(10, 3, seed=5)
-    clean = np.linalg.cholesky(core_gram(**kw))
-    junk = clean + np.triu(np.random.default_rng(6).normal(size=(10, 10)), 1)
-    nll, grad = _nll_core(**kw, chol=clean)
-    nll_junk, grad_junk = _nll_core(**kw, chol=junk)
-    assert nll_junk == nll
-    np.testing.assert_array_equal(grad_junk, grad)
-    # the factor the fit and finalize paths share comes with a zero upper triangle
-    p = KernelHyperparams(kw["amplitude"], kw["weights"])
-    chol, _ = cholesky_with_escalation(p, np.random.default_rng(7).uniform(size=(10, 2)), 1e-6)
-    assert not np.triu(chol, 1).any()
 
 
 # --- fit_level --------------------------------------------------------------
@@ -340,7 +315,7 @@ def test_fit_result_not_worse_than_any_start_and_idempotent():
 def test_fit_gradient_small_at_interior_optimum():
     # first-order condition of the objective the optimizer actually minimized,
     # whose diagonal jitter scales with the amplitude parameter
-    from resgp.gp_level import _nll_core, _sq_diff_tensor
+    from resgp.gp_level import _nll_core
 
     ds, _ = smooth_1d_sample(seed=22, n=15, weight=30.0, d=2, regular=True)
     level = fit_level(ds, OptimizerConfig(seed=0))
@@ -350,7 +325,7 @@ def test_fit_gradient_small_at_interior_optimum():
         amplitude=level.params.amplitude,
         weights=level.params.weights,
         shift=jitter,
-        sq_diffs=_sq_diff_tensor(ds.inputs),
+        sq_diffs=sq_diffs(ds.inputs, ds.inputs),
         factor=centered,
         n_outputs=centered.shape[1],
     )

@@ -1,18 +1,27 @@
 """Kernel evaluation, Gram assembly, and the Lipschitz constant estimate."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from resgp import (
     DEFAULT_JITTER_REL,
     DomainBox,
+    IllConditionedError,
     KernelHyperparams,
+    ResidualDataset,
     ard_eval,
     cross_vec,
     gram,
     kernel_lipschitz,
+    neg_log_likelihood,
 )
-from resgp.kernel import _grad_norm_sup
+from resgp.gp_level import cholesky_with_escalation
+from resgp.kernel import DIST_CUT, _grad_norm_sup, kernel_values, sq_diffs
 
 
 def params_1d(amplitude=1.0, weight=1.0, noise=0.0):
@@ -204,3 +213,56 @@ def test_domain_box_hypercube_flag():
 
 def test_default_jitter_value():
     assert DEFAULT_JITTER_REL == 1e-8
+
+
+# --- properties of the one pairwise routine ------------------------------------
+
+
+@st.composite
+def kernel_cases(draw):
+    """Points, a query block, residuals and hyperparameters with log-weights in [-10, 10]."""
+    n = draw(st.integers(1, 60))
+    l = draw(st.integers(1, 8))
+    unit = st.floats(0.0, 1.0)
+    log_w = draw(arrays(np.float64, l, elements=st.floats(-10.0, 10.0)))
+    amplitude = math.exp(draw(st.floats(-5.0, 5.0)))
+    params = KernelHyperparams(amplitude, np.exp(log_w), draw(st.sampled_from([0.0, 1e-3])))
+    return dict(
+        params=params,
+        x=draw(arrays(np.float64, (n, l), elements=unit)),
+        query=draw(arrays(np.float64, (draw(st.integers(1, 10)), l), elements=unit)),
+        residuals=draw(arrays(np.float64, (n, 2), elements=st.floats(-10.0, 10.0))),
+        jitter=draw(st.sampled_from([0.0, DEFAULT_JITTER_REL])) * amplitude,
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kernel_cases())
+def test_kernel_matrices_come_from_one_pairwise_routine(case):
+    p, x, jitter = case["params"], case["x"], case["jitter"]
+    n = len(x)
+    K = gram(p, x, jitter)
+    np.testing.assert_array_equal(K, K.T)
+    # the upper triangle is the one the likelihood core factors at the same shift
+    core = kernel_values(p.amplitude, sq_diffs(x, x) @ p.weights)
+    core.flat[:: n + 1] += jitter + p.noise
+    np.testing.assert_array_equal(np.triu(K), np.triu(core))
+
+    ref = np.array(
+        [
+            [
+                p.amplitude * math.exp(-min(math.fsum(p.weights * (q - b) ** 2), DIST_CUT))
+                for b in x
+            ]
+            for q in case["query"]
+        ]
+    )
+    np.testing.assert_allclose(cross_vec(p, case["query"], x), ref, rtol=1e-12, atol=0)
+
+    try:
+        chol, j = cholesky_with_escalation(p, x, jitter)
+    except IllConditionedError:
+        assume(False)
+    assert j >= jitter
+    assert not np.triu(chol, 1).any()
+    assert math.isfinite(neg_log_likelihood(p, ResidualDataset(x, case["residuals"]), jitter))
