@@ -19,6 +19,7 @@ from .gp_level import (
     OptimizerConfig,
     ResidualDataset,
     TrainedLevel,
+    check_integer,
     fit_level,
     level_predict,
 )
@@ -88,7 +89,7 @@ def _log_params(level: TrainedLevel) -> np.ndarray:
 
 
 def _validate_budgets(budgets, pool_size: int) -> list:
-    budgets = [int(b) for b in budgets]
+    budgets = [check_integer(b, "every budget") for b in budgets]
     if len(budgets) == 0:
         raise ValueError("budgets must name at least one fidelity")
     if any(b < 1 for b in budgets):

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gp_level import OptimizerConfig
+from .gp_level import OptimizerConfig, check_integer
 from .kernel import DEFAULT_JITTER_REL, DomainBox
 from .model import MultiFidelityData, Posterior, _atomic_write_text, predict, train
 
@@ -362,7 +362,7 @@ def nested_subsample(design, n_sub: int, seed: int):
 def nested_random_data(bench, budgets, seed: int) -> MultiFidelityData:
     """Uniform random nested designs evaluated at every fidelity."""
     spec = get_benchmark(bench)
-    budgets = [int(b) for b in budgets]
+    budgets = [check_integer(b, "every budget") for b in budgets]
     if len(budgets) != spec.n_fidelities:
         raise ValueError(
             f"{spec.name} needs {spec.n_fidelities} budgets, got {len(budgets)}"

@@ -43,7 +43,7 @@ from .bounds import (
     empirical_coverage,
     uniform_bound,
 )
-from .gp_level import IllConditionedError, OptimizerConfig
+from .gp_level import IllConditionedError, OptimizerConfig, check_integer
 from .kernel import DEFAULT_JITTER_REL, DomainBox
 from .model import NestingError, _atomic_write_text, load_model, predict, save_model, train
 
@@ -138,9 +138,10 @@ def _domain_from(entry) -> DomainBox:
 
 def _integer(value, name: str) -> int:
     """value as an int; as in OptimizerConfig, a bool, fraction or string is rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        return check_integer(value, name)
+    except TypeError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _flag(config: dict, key: str, default: bool) -> bool:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dsymm, dsyrk
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.blas import dgemm, dgemv
+from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.optimize._lbfgsb import setulb
 
 from .kernel import (
@@ -28,6 +28,7 @@ from .kernel import (
     gram,
     kernel_values,
     sq_diffs,
+    weighted_sq_dists,
 )
 
 # optimization runs in log-parameter space, clipped to this symmetric box
@@ -53,6 +54,13 @@ class IllConditionedError(RuntimeError):
         self.params = params
 
 
+def check_integer(value, name: str) -> int:
+    """value as an int; a bool, a fraction or a string is a TypeError, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class OptimizerConfig:
     """Multi-start quasi-Newton settings for hyperparameter fitting.
@@ -71,9 +79,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("restarts", "max_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            check_integer(getattr(self, name), name)
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iters < 1:
@@ -205,41 +211,43 @@ def _nll_core(
     factor: np.ndarray,
     n_outputs: int,
 ) -> tuple[float, np.ndarray]:
-    """NLL and its gradient for K = kernel_values(amplitude, sq_diffs @ weights) + shift I.
+    """NLL and its gradient for K = C + shift I, C the kernel matrix behind sq_diffs.
 
-    sq_diffs is kernel.sq_diffs of the inputs with themselves, symmetric with a
-    zero diagonal, which the gradient sums rely on. shift is the absolute
-    diagonal (noise plus jitter); K's upper triangle, the one factored, is the
-    one gram returns at the same shift. factor is an (N, r) matrix F with
+    sq_diffs is kernel.sq_diffs of the inputs with themselves, and
+    C = kernel_values(amplitude, weighted_sq_dists(sq_diffs, weights)). shift is the
+    absolute diagonal (noise plus jitter); K's upper triangle, the one factored,
+    is the one gram returns at the same shift. factor is an (N, r) matrix F with
     F F^T = R R^T for the centered residual matrix R (see _residual_factor), so
     r = min(N, d) bounds the cost per call whatever the number of output
     columns. The gradient is taken with respect to [log amplitude,
     log w_1 .. log w_l, shift]: the amplitude component holds the kernel term
     only, and callers map the last component onto their noise and jitter. A K
-    that is not positive definite gives (inf, zeros).
+    that is not positive definite gives (inf, zeros). Every product runs in
+    scipy's BLAS, none of them in numpy's.
     """
     n = sq_diffs.shape[0]
     d = n_outputs
-    C = kernel_values(amplitude, sq_diffs @ weights)
+    C = kernel_values(amplitude, weighted_sq_dists(sq_diffs, weights))
     K = C.copy()
     K.flat[:: n + 1] += shift
     chol = _cholesky(K)
     if chol is None:
         return np.inf, np.zeros(weights.size + 2)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    # lower triangle of K^-1, written over chol, whose strict upper triangle stays zero
-    kinv, _ = dpotri(chol, lower=1, overwrite_c=1)
-    alpha = dsymm(1.0, kinv, factor, lower=1)  # K^-1 F
-    nll = 0.5 * d * logdet + 0.5 * float(np.vdot(factor, alpha)) + 0.5 * n * d * LOG2PI
-    # lower triangle of B = d K^-1 - alpha alpha^T = d K^-1 - K^-1 R R^T K^-1, over kinv
-    b_low = dsyrk(-1.0, alpha, beta=float(d), c=kinv, lower=1, overwrite_c=1)
-    trace_b = float(np.trace(b_low))
-    b_low *= C
-    # B, C and sq_diffs are symmetric, so a sum over all entries is twice the sum over
-    # the lower triangle less the diagonal, where C is the amplitude and sq_diffs zero
-    g_amp = float(np.sum(b_low)) - 0.5 * amplitude * trace_b
-    g_weights = -weights * (b_low.ravel(order="K") @ sq_diffs.reshape(n * n, -1))
-    g_shift = 0.5 * trace_b
+    linv, _ = dtrtri(chol, lower=1, overwrite_c=1)  # L^-1, written over chol
+    kinv = dgemm(1.0, linv, linv, trans_a=1)  # K^-1 = L^-T L^-1
+    alpha = dgemm(1.0, kinv, factor)  # K^-1 F
+    nll = 0.5 * d * logdet + 0.5 * float(np.sum(factor * alpha)) + 0.5 * n * d * LOG2PI
+    # B = d K^-1 - alpha alpha^T = d K^-1 - K^-1 R R^T K^-1, written over kinv
+    B = dgemm(-1.0, alpha, alpha, beta=float(d), c=kinv, trans_b=1, overwrite_c=1)
+    # each component is 0.5 tr(B dK) = 0.5 sum(B^T * dK), with dK = C for the
+    # amplitude, -w_i sq_diffs[..., i] * C for weight i and I for the shift;
+    # B^T is the C-ordered view of the Fortran-ordered B
+    bc = B.T
+    g_shift = 0.5 * float(np.trace(bc))
+    bc *= C
+    g_amp = 0.5 * float(np.sum(bc))
+    g_weights = -0.5 * weights * dgemv(1.0, sq_diffs.reshape(n * n, -1).T, bc.ravel())
     return nll, np.concatenate(([g_amp], g_weights, [g_shift]))
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 # Relative jitter policy: fits add DEFAULT_JITTER_REL * amplitude to the Gram
 # diagonal, escalating by x10 on Cholesky failure up to MAX_JITTER_REL * amplitude.
@@ -119,10 +120,23 @@ def sq_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b), l) tensor of squared per-coordinate differences of row pairs.
 
     This is the one pairwise routine: every kernel matrix is
-    kernel_values(amplitude, sq_diffs(a, b) @ weights).
+    kernel_values(amplitude, weighted_sq_dists(sq_diffs(a, b), weights)).
     """
     diff = a[:, None, :] - b[None, :, :]
     return np.square(diff, out=diff)
+
+
+def weighted_sq_dists(sq: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(M, N) weighted squared distances sum_i w_i sq[..., i] of a sq_diffs tensor.
+
+    The product runs in scipy's BLAS (dgemv) on the Fortran-ordered (l, M N)
+    view of the C-ordered tensor, so nothing is copied, and the Gram, the
+    cross-covariances and the likelihood core round it the same way.
+    """
+    m, n, l = sq.shape
+    if m * n == 0:
+        return np.zeros((m, n))
+    return dgemv(1.0, sq.reshape(m * n, l).T, weights, trans=1).reshape(m, n)
 
 
 def kernel_values(amplitude: float, sq_dists: np.ndarray) -> np.ndarray:
@@ -155,7 +169,7 @@ def gram(params: KernelHyperparams, points, jitter: float = 0.0) -> np.ndarray:
         raise ValueError("point dimension does not match kernel weights")
     if jitter < 0:
         raise ValueError("jitter must be non-negative")
-    K = kernel_values(params.amplitude, sq_diffs(pts, pts) @ params.weights)
+    K = kernel_values(params.amplitude, weighted_sq_dists(sq_diffs(pts, pts), params.weights))
     # mirror the upper triangle, the one the Cholesky factorization reads, so the
     # matrix is exactly symmetric and equal to the likelihood core's
     lower = np.tril_indices_from(K, -1)
@@ -179,7 +193,7 @@ def cross_vec(params: KernelHyperparams, query, points) -> np.ndarray:
         q = q[None, :]
     if q.shape[1] != params.dim or pts.shape[1] != params.dim:
         raise ValueError("point dimension does not match kernel weights")
-    out = kernel_values(params.amplitude, sq_diffs(q, pts) @ params.weights)
+    out = kernel_values(params.amplitude, weighted_sq_dists(sq_diffs(q, pts), params.weights))
     return out[0] if single else out
 
 

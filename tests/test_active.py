@@ -166,6 +166,15 @@ def test_budget_validation():
         sequential_construct(pool, [4, 2], currin_oracle, strategy="greedy")
 
 
+@pytest.mark.parametrize(
+    "budgets", [[True, True], [6.7, 2.2], [4, 2.0], ["4", 2]], ids=["bool", "fraction", "float", "str"]
+)
+def test_budgets_must_be_integers(budgets):
+    # int() would truncate 6.7 to 6 and read True as 1
+    with pytest.raises(TypeError, match="every budget must be an integer"):
+        sequential_construct(small_pool(), budgets, currin_oracle)
+
+
 def test_exhaustive_low_budget_consumes_pool():
     pts = small_pool(seed=7, size=3)
     res = sequential_construct(pts, [3, 1], currin_oracle, OptimizerConfig(seed=0))

@@ -381,6 +381,20 @@ def test_nested_random_data_budget_length_checked():
         nested_random_data("currin", [10, 5, 2], seed=0)
 
 
+@pytest.mark.parametrize(
+    "budgets", [[6.7, 2.2], [True, True], [6, 2.0]], ids=["fraction", "bool", "float"]
+)
+def test_nested_random_data_rejects_non_integer_budgets(budgets):
+    # int() would build a [6, 2] design from [6.7, 2.2] and a [1, 1] one from booleans
+    with pytest.raises(TypeError, match="every budget must be an integer"):
+        nested_random_data("currin", budgets, seed=0)
+
+
+def test_nested_random_data_takes_numpy_integer_budgets():
+    data = nested_random_data("currin", np.array([6, 2]), seed=0)
+    assert [len(x) for x in data.inputs] == [6, 2]
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

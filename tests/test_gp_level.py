@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from resgp import (
     DEFAULT_BUDGETS,
@@ -267,6 +270,47 @@ def test_no_subnormal_kernel_values_at_short_length_scales():
     nll, grad = _nll_core(**kw)
     assert nll == pytest.approx(ref_nll, rel=1e-9)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref_grad)))
+
+
+@st.composite
+def permuted_core_cases(draw):
+    """A core problem whose diagonal shift of at least 1% of the amplitude keeps K
+    well conditioned (duplicate rows included), and a permutation of its rows."""
+    n = draw(st.integers(1, 40))
+    l = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    amplitude = math.exp(draw(st.floats(-3.0, 3.0)))
+    r = draw(arrays(np.float64, (n, d), elements=st.floats(-10.0, 10.0)))
+    return dict(
+        amplitude=amplitude,
+        weights=np.exp(draw(arrays(np.float64, l, elements=st.floats(-5.0, 5.0)))),
+        shift=amplitude * draw(st.floats(1e-2, 1.0)),
+        x=draw(arrays(np.float64, (n, l), elements=st.floats(0.0, 1.0))),
+        residuals=r - r.mean(axis=0),
+        perm=np.array(draw(st.permutations(range(n)))),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(permuted_core_cases())
+def test_nll_core_is_invariant_under_row_permutation(case):
+    from resgp.gp_level import _nll_core
+
+    def core(x, r):
+        return _nll_core(
+            amplitude=case["amplitude"],
+            weights=case["weights"],
+            shift=case["shift"],
+            sq_diffs=sq_diffs(x, x),
+            factor=r,
+            n_outputs=r.shape[1],
+        )
+
+    perm = case["perm"]
+    nll, grad = core(case["x"], case["residuals"])
+    nll_p, grad_p = core(case["x"][perm], case["residuals"][perm])
+    assert nll_p == pytest.approx(nll, rel=1e-10)
+    np.testing.assert_allclose(grad_p, grad, rtol=1e-10, atol=1e-10 * np.max(np.abs(grad)))
 
 
 @pytest.mark.parametrize(
