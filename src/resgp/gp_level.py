@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemm, dgemv
+from scipy.linalg.blas import dgemm, dgemv, dtrmm
 from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.optimize._lbfgsb import setulb
 
@@ -235,7 +235,9 @@ def _nll_core(
         return np.inf, np.zeros(weights.size + 2)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     linv, _ = dtrtri(chol, lower=1, overwrite_c=1)  # L^-1, written over chol
-    kinv = dgemm(1.0, linv, linv, trans_a=1)  # K^-1 = L^-T L^-1
+    # K^-1 = L^-T L^-1 as a triangular product; linv's upper triangle is zero, so
+    # the full K^-1 comes out
+    kinv = dtrmm(1.0, linv, linv, lower=1, trans_a=1)
     alpha = dgemm(1.0, kinv, factor)  # K^-1 F
     nll = 0.5 * d * logdet + 0.5 * float(np.sum(factor * alpha)) + 0.5 * n * d * LOG2PI
     # B = d K^-1 - alpha alpha^T = d K^-1 - K^-1 R R^T K^-1, written over kinv
