@@ -19,12 +19,11 @@ from .gp_level import (
     OptimizerConfig,
     ResidualDataset,
     TrainedLevel,
-    check_integer,
     fit_level,
     level_predict,
 )
 from .kernel import DEFAULT_JITTER_REL, DomainBox
-from .model import MultiFidelityData, ResGPModel, _atomic_write_text, _infer_domain
+from .model import MultiFidelityData, ResGPModel, _atomic_write_text, _infer_domain, check_budgets
 
 # "variance" picks the argmax-variance candidate, "random" a uniform one (the baseline)
 STRATEGIES = ("variance", "random")
@@ -88,22 +87,6 @@ def _log_params(level: TrainedLevel) -> np.ndarray:
     return np.log(np.concatenate(([level.params.amplitude], level.params.weights)))
 
 
-def _validate_budgets(budgets, pool_size: int) -> list:
-    budgets = [check_integer(b, "every budget") for b in budgets]
-    if len(budgets) == 0:
-        raise ValueError("budgets must name at least one fidelity")
-    if any(b < 1 for b in budgets):
-        raise ValueError("every fidelity budget must be at least 1")
-    for f in range(1, len(budgets)):
-        if budgets[f] > budgets[f - 1]:
-            raise ValueError(
-                f"budget {budgets[f]} at fidelity {f + 1} exceeds the level below"
-            )
-    if budgets[0] > pool_size:
-        raise ValueError("lowest-fidelity budget exceeds the pool size")
-    return budgets
-
-
 def sequential_construct(
     pool,
     budgets,
@@ -135,7 +118,9 @@ def sequential_construct(
         domain = _infer_domain(raw)
     if domain.dim != raw.shape[1]:
         raise ValueError("domain dimension does not match pool")
-    budgets = _validate_budgets(budgets, pool.size)
+    budgets = check_budgets(budgets)
+    if budgets[0] > pool.size:
+        raise ValueError("lowest-fidelity budget exceeds the pool size")
     unit = domain.normalize(raw)
     rng = np.random.default_rng(seed)
     warm_opt = OptimizerConfig(

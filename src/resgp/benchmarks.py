@@ -17,9 +17,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gp_level import OptimizerConfig, check_integer
+from .gp_level import OptimizerConfig
 from .kernel import DEFAULT_JITTER_REL, DomainBox
-from .model import MultiFidelityData, Posterior, _atomic_write_text, predict, train
+from .model import MultiFidelityData, Posterior, _atomic_write_text, check_budgets, predict, train
 
 # seed offsets keeping test designs and pools disjoint from training designs
 TEST_SEED_OFFSET = 104729
@@ -362,11 +362,7 @@ def nested_subsample(design, n_sub: int, seed: int):
 def nested_random_data(bench, budgets, seed: int) -> MultiFidelityData:
     """Uniform random nested designs evaluated at every fidelity."""
     spec = get_benchmark(bench)
-    budgets = [check_integer(b, "every budget") for b in budgets]
-    if len(budgets) != spec.n_fidelities:
-        raise ValueError(
-            f"{spec.name} needs {spec.n_fidelities} budgets, got {len(budgets)}"
-        )
+    budgets = check_budgets(budgets, spec.n_fidelities)
     designs = [design_uniform(spec.domain, budgets[0], seed)]
     for f in range(2, spec.n_fidelities + 1):
         sub, _ = nested_subsample(designs[-1], budgets[f - 1], seed + f)
@@ -456,53 +452,74 @@ def write_dataset_csv(path: str, data: MultiFidelityData) -> None:
     write_csv(path, _dataset_header(data.input_dim, data.output_dim), rows)
 
 
+def read_csv_rows(path: str, check_header) -> tuple[list, np.ndarray, list]:
+    """Header, (rows, fields) values and 1-based row lines of a CSV of finite numbers.
+
+    check_header gets the stripped header fields and raises DatasetFormatError
+    if it rejects them. Blank lines are skipped; every other line must hold one
+    finite number per header field. Faults, an unreadable file included, raise
+    DatasetFormatError naming the line where there is one.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DatasetFormatError("line 1: empty file")
+            header = [h.strip() for h in header]
+            check_header(header)
+            n = len(header)
+            rows, lines = [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != n:
+                    raise DatasetFormatError(f"line {lineno}: expected {n} fields, got {len(row)}")
+                try:
+                    rows.append(list(map(float, row)))
+                except ValueError as exc:
+                    raise DatasetFormatError(f"line {lineno}: {exc}") from None
+                lines.append(lineno)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:  # such as a field above csv.field_size_limit()
+        raise DatasetFormatError(f"line {reader.line_num}: {exc}") from None
+    values = np.array(rows).reshape(len(rows), n)
+    # one finiteness check over the whole array is cheaper than one per row
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise DatasetFormatError(f"line {lines[np.argmin(finite)]}: values must be finite")
+    return header, values, lines
+
+
+def _check_dataset_header(header: list) -> None:
+    if not header or header[-1] != "fidelity":
+        raise DatasetFormatError("line 1: last column must be 'fidelity'")
+    l = sum(1 for h in header if h.startswith("x"))
+    d = sum(1 for h in header if h.startswith("y"))
+    if l == 0 or d == 0 or header != _dataset_header(l, d):
+        raise DatasetFormatError("line 1: header must be x1..xl, y1..yd, fidelity")
+
+
 def read_dataset_csv(path: str) -> MultiFidelityData:
     """Parse a dataset CSV back into per-fidelity arrays.
 
     Malformed content raises DatasetFormatError naming the 1-based line.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError("line 1: empty file") from None
-        header = [h.strip() for h in header]
-        if not header or header[-1] != "fidelity":
-            raise DatasetFormatError("line 1: last column must be 'fidelity'")
-        l = sum(1 for h in header if h.startswith("x"))
-        d = sum(1 for h in header if h.startswith("y"))
-        if l == 0 or d == 0 or header != _dataset_header(l, d):
-            raise DatasetFormatError(
-                "line 1: header must be x1..xl, y1..yd, fidelity"
-            )
-        groups: dict = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != l + d + 1:
-                raise DatasetFormatError(
-                    f"line {lineno}: expected {l + d + 1} fields, got {len(row)}"
-                )
-            try:
-                xs = [float(v) for v in row[:l]]
-                ys = [float(v) for v in row[l : l + d]]
-                f = int(row[-1])
-            except ValueError as exc:
-                raise DatasetFormatError(f"line {lineno}: {exc}") from None
-            if f < 1:
-                raise DatasetFormatError(f"line {lineno}: fidelity must be >= 1")
-            groups.setdefault(f, ([], []))
-            groups[f][0].append(xs)
-            groups[f][1].append(ys)
-    if not groups:
+    header, values, lines = read_csv_rows(path, _check_dataset_header)
+    if not lines:
         raise DatasetFormatError("line 2: no data rows")
-    fids = sorted(groups)
+    l = sum(1 for h in header if h.startswith("x"))
+    labels = values[:, -1]
+    bad = (labels < 1) | (labels != np.floor(labels))
+    if bad.any():
+        raise DatasetFormatError(f"line {lines[np.argmax(bad)]}: fidelity must be an integer >= 1")
+    fids = sorted(set(map(int, labels.tolist())))
     if fids != list(range(1, len(fids) + 1)):
         raise DatasetFormatError(f"fidelity labels must be contiguous from 1, got {fids}")
     return MultiFidelityData(
-        inputs=[np.array(groups[f][0]) for f in fids],
-        outputs=[np.array(groups[f][1]) for f in fids],
+        inputs=[values[labels == f, :l] for f in fids],
+        outputs=[values[labels == f, l:-1] for f in fids],
     )
 
 

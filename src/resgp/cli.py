@@ -8,11 +8,9 @@ nesting, domain violations), 3 numerical or simulator failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -29,6 +27,7 @@ from .benchmarks import (
     design_uniform,
     evaluate,
     get_benchmark,
+    read_csv_rows,
     read_dataset_csv,
     run_benchmark_case,
     score,
@@ -43,9 +42,9 @@ from .bounds import (
     empirical_coverage,
     uniform_bound,
 )
-from .gp_level import IllConditionedError, OptimizerConfig, check_integer
+from .gp_level import IllConditionedError, OptimizerConfig, check_integer, check_real
 from .kernel import DEFAULT_JITTER_REL, DomainBox
-from .model import NestingError, _atomic_write_text, load_model, predict, save_model, train
+from .model import NestingError, _atomic_write_text, check_budgets, load_model, predict, save_model, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,8 +129,11 @@ def _benchmark(name) -> BenchmarkSpec:
 
 
 def _domain_from(entry) -> DomainBox:
+    """The domain object of a config; its bounds must be lists of JSON numbers."""
     try:
-        return DomainBox(np.array(entry["lower"]), np.array(entry["upper"]))
+        lower = [check_real(v, "domain lower") for v in entry["lower"]]
+        upper = [check_real(v, "domain upper") for v in entry["upper"]]
+        return DomainBox(lower, upper)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"invalid domain entry: {exc}") from exc
 
@@ -161,29 +163,26 @@ def _count(config: dict, key: str, default: int) -> int:
 
 
 def _budgets(raw, spec) -> list:
-    """Per-fidelity design sizes: one integer of at least 1 per fidelity, none above the one below."""
+    """The budgets of a config for spec, as check_budgets accepts them."""
     if not isinstance(raw, list):
         raise UsageError(f"budgets for {spec.name} must be a list of integers")
-    budgets = [_integer(b, "every budget") for b in raw]
-    if len(budgets) != spec.n_fidelities:
-        raise UsageError(f"{spec.name} needs {spec.n_fidelities} budgets, got {len(budgets)}")
-    if min(budgets) < 1:
-        raise UsageError(f"every budget must be at least 1, got {budgets}")
-    if any(hi > lo for lo, hi in zip(budgets, budgets[1:])):
-        raise UsageError(f"budgets must not increase with fidelity, got {budgets}")
-    return budgets
+    try:
+        return check_budgets(raw, spec.n_fidelities)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{spec.name}: {exc}") from None
 
 
 def _nonnegative(config: dict, key: str, default: float) -> float:
     """A config number such as a jitter or a noise variance: finite and at least 0."""
     value = config.get(key, default)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not (math.isfinite(value) and value >= 0)
-    ):
-        raise UsageError(f"{key} must be a finite number of at least 0, got {value!r}")
-    return float(value)
+    message = f"{key} must be a finite number of at least 0, got {value!r}"
+    try:
+        number = check_real(value, key)
+    except TypeError:
+        raise UsageError(message) from None
+    if not 0 <= number < math.inf:
+        raise UsageError(message)
+    return number
 
 
 def _resolve_seed(config: dict, override) -> int:
@@ -290,35 +289,12 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
 
 def _read_query_csv(path: str, input_dim: int) -> np.ndarray:
     expected = [f"x{i + 1}" for i in range(input_dim)]
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DatasetFormatError(f"cannot read queries {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError("line 1: empty query file") from None
-        if [h.strip() for h in header] != expected:
-            raise DatasetFormatError(
-                f"line 1: query header must be {','.join(expected)}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != input_dim:
-                raise DatasetFormatError(
-                    f"line {lineno}: expected {input_dim} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DatasetFormatError(f"line {lineno}: {exc}") from None
-    if not rows:
-        return np.zeros((0, input_dim))
-    return np.array(rows)
+
+    def check_header(header):
+        if header != expected:
+            raise DatasetFormatError(f"line 1: query header must be {','.join(expected)}")
+
+    return read_csv_rows(path, check_header)[1]
 
 
 def cmd_predict(
@@ -328,25 +304,19 @@ def cmd_predict(
     model = load_model(model_path)
     queries = _read_query_csv(query_file, model.input_dim)
     os.makedirs(out_dir, exist_ok=True)
-    if queries.shape[0] > 0:
-        post = predict(model, queries)
-        means = np.atleast_2d(post.mean)
-        variances = np.atleast_1d(post.var)
-    else:
-        means = np.zeros((0, model.output_dim))
-        variances = np.zeros(0)
+    post = predict(model, queries)
     if fmt == "structured":
         out_path = os.path.join(out_dir, "predictions.json")
         _write_json(
             out_path,
-            {"means": means.tolist(), "variances": variances.tolist()},
+            {"means": post.mean.tolist(), "variances": post.var.tolist()},
         )
         return out_path
     out_path = os.path.join(out_dir, "predictions.csv")
     write_csv(
         out_path,
         [f"y{j + 1}" for j in range(model.output_dim)] + ["variance"],
-        np.column_stack([means, variances]).tolist(),
+        np.column_stack([post.mean, post.var]).tolist(),
     )
     return out_path
 
@@ -438,9 +408,9 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
         if key not in config:
             raise UsageError(f"bounds config requires '{key}'")
         try:
-            constants[key] = float(config[key])
-        except (TypeError, ValueError):
-            raise UsageError(f"{key} must be a number, got {config[key]!r}") from None
+            constants[key] = check_real(config[key], key)
+        except TypeError as exc:
+            raise UsageError(str(exc)) from None
     domain = _domain_from(config["domain"]) if "domain" in config else model.domain
     try:
         cfg = BoundConfig(**constants, domain=domain)
@@ -510,37 +480,34 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
 
-    tasks = []
+    runs = []  # every name and budget list is checked before the first run
     for name in names:
         spec = _benchmark(name)
         budgets = _budgets(budgets_override.get(spec.name, DEFAULT_BUDGETS[spec.name]), spec)
+        runs.append((spec.name, budgets))
+
+    rows = []
+    for name, budgets in runs:
         for rep in range(repeats):
-            tasks.append((spec.name, budgets, rep, run_seed + rep))
-
-    def run_one(task):
-        name, budgets, rep, s = task
-        opt = _optimizer(config, s)
-        case = run_benchmark_case(
-            name,
-            budgets=budgets,
-            seed=s,
-            opt=opt,
-            test_points=test_points,
-            standardize=standardize,
-        )
-        return {
-            "benchmark": name,
-            "budgets": budgets,
-            "repeat": rep,
-            "seed": s,
-            **_metrics_dict(case["metrics"]),
-            "raw_rmse": case["raw_metrics"].rmse,
-            "raw_r2": case["raw_metrics"].r2,
-            "joint_nll": case["model"].joint_nll,
-            "fit_seconds": case["fit_seconds"],
-        }
-
-    rows = [run_one(t) for t in tasks]
+            s = run_seed + rep
+            case = run_benchmark_case(
+                name,
+                budgets=budgets,
+                seed=s,
+                opt=_optimizer(config, s),
+                test_points=test_points,
+                standardize=standardize,
+            )
+            rows.append({
+                "benchmark": name,
+                "budgets": budgets,
+                "repeat": rep,
+                "seed": s,
+                **_metrics_dict(case["metrics"]),
+                "raw_rmse": case["raw_metrics"].rmse,
+                "raw_r2": case["raw_metrics"].r2,
+                "joint_nll": case["model"].joint_nll,
+            })
 
     header = ["benchmark", "budgets", "repeat", "seed", "rmse", "r2", "mnll", "nrmse"]
     header += ["raw_rmse", "raw_r2", "joint_nll"]

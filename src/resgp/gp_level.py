@@ -61,6 +61,13 @@ def check_integer(value, name: str) -> int:
     return int(value)
 
 
+def check_real(value, name: str) -> float:
+    """value as a float; a bool, a string or None is a TypeError. Ranges are the caller's."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class OptimizerConfig:
     """Multi-start quasi-Newton settings for hyperparameter fitting.
@@ -86,8 +93,7 @@ class OptimizerConfig:
             raise ValueError("max_iters must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be at least 0")
-        if isinstance(self.grad_tol, bool) or not isinstance(self.grad_tol, numbers.Real):
-            raise TypeError(f"grad_tol must be a number, got {self.grad_tol!r}")
+        check_real(self.grad_tol, "grad_tol")
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
 
@@ -451,8 +457,9 @@ def fit_level(
     """
     if opt is None:
         opt = OptimizerConfig()
-    if noise < 0:
-        raise ValueError("noise must be non-negative")
+    for name, value in (("jitter_rel", jitter_rel), ("noise", noise)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and at least 0, got {value}")
     n, l = data.inputs.shape
     d = data.output_dim
     means = data.residuals.mean(axis=0)

@@ -14,6 +14,7 @@ supremum used by the error-bound module live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,8 +168,8 @@ def gram(params: KernelHyperparams, points, jitter: float = 0.0) -> np.ndarray:
         raise ValueError(f"points must be a 2-d array, got shape {pts.shape}")
     if pts.shape[1] != params.dim:
         raise ValueError("point dimension does not match kernel weights")
-    if jitter < 0:
-        raise ValueError("jitter must be non-negative")
+    if not 0 <= jitter < math.inf:
+        raise ValueError(f"jitter must be finite and at least 0, got {jitter}")
     K = kernel_values(params.amplitude, weighted_sq_dists(sq_diffs(pts, pts), params.weights))
     # mirror the upper triangle, the one the Cholesky factorization reads, so the
     # matrix is exactly symmetric and equal to the likelihood core's

@@ -19,6 +19,7 @@ import numpy as np
 from .gp_level import (
     OptimizerConfig,
     ResidualDataset,
+    check_integer,
     fit_level,
     level_predict,
     _finalize_level,
@@ -88,6 +89,25 @@ class MultiFidelityData:
     @property
     def counts(self) -> list:
         return [x.shape[0] for x in self.inputs]
+
+
+def check_budgets(budgets, n_fidelities: int | None = None) -> list:
+    """Per-fidelity design sizes as ints, cheapest fidelity first.
+
+    A budget that is not an integer is a TypeError, as in check_integer. No
+    budgets, a budget below 1 or above the one below it, or a count other than
+    n_fidelities (when given) is a ValueError.
+    """
+    budgets = [check_integer(b, "every budget") for b in budgets]
+    if not budgets:
+        raise ValueError("budgets must name at least one fidelity")
+    if n_fidelities is not None and len(budgets) != n_fidelities:
+        raise ValueError(f"{n_fidelities} budgets needed, one per fidelity, got {len(budgets)}")
+    if min(budgets) < 1:
+        raise ValueError(f"every budget must be at least 1, got {budgets}")
+    if any(hi > lo for lo, hi in zip(budgets, budgets[1:])):
+        raise ValueError(f"budgets must not increase with fidelity, got {budgets}")
+    return budgets
 
 
 @dataclass

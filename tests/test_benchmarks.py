@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from resgp import (
     BENCHMARKS,
     DEFAULT_BUDGETS,
     DatasetFormatError,
+    MultiFidelityData,
     design_uniform,
     evaluate,
     get_benchmark,
@@ -500,6 +504,59 @@ def test_dataset_csv_row_errors_name_the_line(tmp_path):
     path.write_text("x1,y1,fidelity\n0.0,1.0,0\n")
     with pytest.raises(DatasetFormatError, match="line 2"):
         read_dataset_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("0.5,nan,1", "line 4: values must be finite"), ("-inf,2.0,1", "line 4: values must be finite"),
+     ("0.5,2.0,inf", "line 4: values must be finite"), ("0.5,2.0,1.5", "line 4: fidelity must be an integer"),
+     ("1" * 200_000 + ",2.0,1", "line 4: field larger than field limit")],
+    ids=["nan-output", "inf-input", "inf-fidelity", "fractional-fidelity", "oversized-field"],
+)
+def test_dataset_csv_value_errors_name_the_line(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x1,y1,fidelity\n0.0,1.0,1\n\n{row}\n")
+    with pytest.raises(DatasetFormatError, match=message):
+        read_dataset_csv(str(path))
+
+
+def test_dataset_csv_unreadable_file_is_format_error(tmp_path):
+    with pytest.raises(DatasetFormatError, match="cannot read"):
+        read_dataset_csv(str(tmp_path / "absent.csv"))
+    # not UTF-8: unreadable under a UTF-8 locale, a bad number under a Latin-1 one
+    (tmp_path / "latin1.csv").write_bytes(b"x1,y1,fidelity\n0.5,\xff,1\n")
+    with pytest.raises(DatasetFormatError):
+        read_dataset_csv(str(tmp_path / "latin1.csv"))
+
+
+# any finite double: -0.0, subnormals and +-1.8e308 included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGE_VALUES = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 0.1]
+
+
+@st.composite
+def datasets(draw):
+    """1-4 fidelities of 1-6 rows each, non-increasing, with l, d <= 3."""
+    l, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    counts = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)), reverse=True)
+    return MultiFidelityData(
+        inputs=[draw(arrays(np.float64, (n, l), elements=FINITE)) for n in counts],
+        outputs=[draw(arrays(np.float64, (n, d), elements=FINITE)) for n in counts],
+    )
+
+
+@example(MultiFidelityData([np.array([EDGE_VALUES[:3], EDGE_VALUES[3:]])] * 2,
+                           [np.array([[EDGE_VALUES[1]], [EDGE_VALUES[0]]])] * 2))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(datasets())
+def test_dataset_csv_round_trips_bit_exactly(tmp_path_factory, data):
+    path = str(tmp_path_factory.mktemp("csv") / "data.csv")
+    write_dataset_csv(path, data)
+    back = read_dataset_csv(path)
+    assert back.counts == data.counts
+    for f in range(data.n_fidelities):
+        assert back.inputs[f].tobytes() == data.inputs[f].tobytes()
+        assert back.outputs[f].tobytes() == data.outputs[f].tobytes()
 
 
 def test_dataset_csv_fidelity_labels_must_be_contiguous(tmp_path):

@@ -8,9 +8,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from resgp import MultiFidelityData, load_model, predict, read_audit, write_dataset_csv
-from resgp.cli import main
+from resgp.benchmarks import write_csv
+from resgp.cli import _read_query_csv, main
 from resgp.gp_level import IllConditionedError
 
 
@@ -428,6 +432,41 @@ def test_predict_bad_query_header_is_data_error(trained, tmp_path, capsys):
     assert "query header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1,x2\n0.1,0.2\n0.3\n", "line 3: expected 2 fields, got 1"),
+        ("x1,x2\n0.1,0.2\n\n0.3,abc\n", "line 4: could not convert string to float"),
+        ("x1,x2\n0.1,nan\n", "line 2: values must be finite"),
+        ("x1,x2\n0.1,0.2\n\n-inf,0.2\n", "line 4: values must be finite"),
+        ("x1,x2\n0.1," + "2" * 200_000 + "\n", "line 2: field larger than field limit"),
+        (None, "cannot read"),
+    ],
+    ids=["field-count", "not-a-number", "nan", "inf", "oversized-field", "missing-file"],
+)
+def test_predict_bad_query_rows_are_data_errors(trained, tmp_path, capsys, text, message):
+    out, _, _ = trained
+    qfile = tmp_path / "q.csv"
+    if text is not None:
+        qfile.write_text(text)
+    argv = ["predict", "--model", str(out / "model.json"), "--queries", str(qfile), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@example(np.array([[-0.0, 5e-324, 1e308], [-1e308, 0.1, -2.2250738585072014e-308]]))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 3)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_query_csv_round_trips_bit_exactly(tmp_path_factory, queries):
+    path = str(tmp_path_factory.mktemp("csv") / "q.csv")
+    l = queries.shape[1]
+    write_csv(path, [f"x{i + 1}" for i in range(l)], queries.tolist())
+    back = _read_query_csv(path, l)
+    assert back.shape == queries.shape
+    assert back.tobytes() == queries.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # active
 
@@ -569,6 +608,28 @@ def test_bounds_bad_constant_is_usage_error(univariate_model, tmp_path, capsys, 
     cfg = write_config(tmp_path, "bounds.json", payload)
     assert main(["bounds", "--model", str(univariate_model), "--config", cfg, "--out", str(tmp_path / "b")]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("l_y", True), ("tau", "0.001")], ids=["l_y-bool", "tau-string"])
+def test_bounds_constant_must_be_a_json_number(univariate_model, tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, "bounds.json", {"delta": 0.05, "tau": 1e-3, "l_y": 10.0, key: value})
+    assert main(["bounds", "--model", str(univariate_model), "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert f"{key} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "bounds"])
+@pytest.mark.parametrize("lower", [["0"], [False]], ids=["string", "bool"])
+def test_domain_bounds_must_be_json_numbers(univariate_model, tmp_path, capsys, command, lower):
+    domain = {"lower": lower, "upper": [6.0]}
+    if command == "train":
+        write_dataset_csv(str(tmp_path / "data.csv"), sine_dataset())
+        cfg = write_config(tmp_path, "train.json", {"dataset": str(tmp_path / "data.csv"), "domain": domain})
+        argv = ["train", "--config", cfg]
+    else:
+        cfg = write_config(tmp_path, "bounds.json", {"delta": 0.05, "tau": 1e-3, "l_y": 10.0, "domain": domain})
+        argv = ["bounds", "--model", str(univariate_model), "--config", cfg]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+    assert "domain lower must be a number" in capsys.readouterr().err
 
 
 def test_bounds_requires_config_keys(univariate_model, tmp_path, capsys):

@@ -494,6 +494,21 @@ def test_fit_rejects_negative_noise():
         fit_level(ds, noise=-0.1)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("jitter_rel", float("nan")), ("jitter_rel", -1e-8), ("jitter_rel", float("inf")),
+     ("noise", float("nan")), ("noise", float("inf"))],
+    ids=["jitter-nan", "jitter-negative", "jitter-inf", "noise-nan", "noise-inf"],
+)
+def test_fit_rejects_bad_jitter_or_noise_before_searching(monkeypatch, key, value):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the likelihood search ran")
+
+    monkeypatch.setattr(gp_level, "minimize", no_search)
+    with pytest.raises(ValueError, match=f"{key} must be finite and at least 0"):
+        fit_level(scalar_dataset([0.0, 1.0], [0.0, 1.0]), **{key: value})
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)

@@ -106,6 +106,13 @@ def test_gram_symmetric():
     np.testing.assert_array_equal(K, K.T)
 
 
+@pytest.mark.parametrize("jitter", [-1e-8, float("nan"), float("inf")])
+def test_gram_rejects_bad_jitter(jitter):
+    p = KernelHyperparams(1.0, np.array([1.0]))
+    with pytest.raises(ValueError, match="jitter must be finite and at least 0"):
+        gram(p, np.array([[0.0], [1.0]]), jitter)
+
+
 # --- cross_vec --------------------------------------------------------------
 
 

@@ -25,6 +25,7 @@ from resgp import (
     save_model,
     train,
 )
+from resgp.model import check_budgets
 
 
 def column(*values):
@@ -349,3 +350,28 @@ def test_data_rejects_ragged_shapes():
                           [np.zeros((3, 1)), np.zeros((2, 1))])
     with pytest.raises(ValueError):
         MultiFidelityData([], [])
+
+
+# --- check_budgets ----------------------------------------------------------
+
+
+def test_check_budgets_returns_ints():
+    assert check_budgets(np.array([6, 6, 2]), n_fidelities=3) == [6, 6, 2]
+    assert all(type(b) is int for b in check_budgets(np.array([6, 2])))
+
+
+@pytest.mark.parametrize(
+    "budgets, n_fidelities, error, message",
+    [
+        ([], None, ValueError, "at least one fidelity"),
+        ([6, 0], None, ValueError, "every budget must be at least 1"),
+        ([2, 6], None, ValueError, "budgets must not increase with fidelity"),
+        ([6, 2], 3, ValueError, "3 budgets needed"),
+        ([6, True], None, TypeError, "every budget must be an integer"),
+        ([6, 2.0], 2, TypeError, "every budget must be an integer"),
+    ],
+    ids=["empty", "zero", "increasing", "count", "bool", "float"],
+)
+def test_check_budgets_rejects(budgets, n_fidelities, error, message):
+    with pytest.raises(error, match=message):
+        check_budgets(budgets, n_fidelities)
