@@ -235,28 +235,29 @@ def _nll_core(
     d = n_outputs
     C = kernel_values(amplitude, weighted_sq_dists(sq_diffs, weights))
     K = C.copy()
-    K.flat[:: n + 1] += shift
+    K.ravel()[:: n + 1] += shift
     chol = _cholesky(K)
     if chol is None:
         return np.inf, np.zeros(weights.size + 2)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    logdet = 2.0 * float(np.log(chol.diagonal()).sum())
     linv, _ = dtrtri(chol, lower=1, overwrite_c=1)  # L^-1, written over chol
     # K^-1 = L^-T L^-1 as a triangular product; linv's upper triangle is zero, so
     # the full K^-1 comes out
     kinv = dtrmm(1.0, linv, linv, lower=1, trans_a=1)
     alpha = dgemm(1.0, kinv, factor)  # K^-1 F
-    nll = 0.5 * d * logdet + 0.5 * float(np.sum(factor * alpha)) + 0.5 * n * d * LOG2PI
+    nll = 0.5 * d * logdet + 0.5 * float((factor * alpha).sum()) + 0.5 * n * d * LOG2PI
     # B = d K^-1 - alpha alpha^T = d K^-1 - K^-1 R R^T K^-1, written over kinv
     B = dgemm(-1.0, alpha, alpha, beta=float(d), c=kinv, trans_b=1, overwrite_c=1)
     # each component is 0.5 tr(B dK) = 0.5 sum(B^T * dK), with dK = C for the
     # amplitude, -w_i sq_diffs[..., i] * C for weight i and I for the shift;
     # B^T is the C-ordered view of the Fortran-ordered B
     bc = B.T
-    g_shift = 0.5 * float(np.trace(bc))
+    grad = np.empty(weights.size + 2)
+    grad[-1] = 0.5 * bc.trace()
     bc *= C
-    g_amp = 0.5 * float(np.sum(bc))
-    g_weights = -0.5 * weights * dgemv(1.0, sq_diffs.reshape(n * n, -1).T, bc.ravel())
-    return nll, np.concatenate(([g_amp], g_weights, [g_shift]))
+    grad[0] = 0.5 * bc.sum()
+    grad[1:-1] = -0.5 * weights * dgemv(1.0, sq_diffs.reshape(n * n, -1).T, bc.ravel())
+    return nll, grad
 
 
 def _nll_at(params: KernelHyperparams, data: ResidualDataset, jitter: float):
@@ -371,8 +372,10 @@ def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: in
     """
     x = np.clip(np.asarray(x0, dtype=float), -LOG_BOUND, LOG_BOUND)
     n = x.size
-    x_eval = x.copy()
-    f, g = objective(x_eval)
+    # the last point evaluated, as a list: lists of floats compare elementwise like
+    # the arrays do, in a tenth of the time at these sizes
+    x_eval = x.tolist()
+    f, g = objective(x.copy())
     nfev, nit = 1, 0
     m = LBFGS_MEMORY
     lower, upper = np.full(n, -LOG_BOUND), np.full(n, LOG_BOUND)
@@ -386,9 +389,10 @@ def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: in
         setulb(m, x, lower, upper, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave,
                dsave, LBFGS_MAXLS, ln_task)
         if task[0] == 3:  # evaluate f and g at x
-            if not np.array_equal(x, x_eval):
-                x_eval = x.copy()
-                f, g = objective(x_eval)
+            point = x.tolist()
+            if point != x_eval:
+                x_eval = point
+                f, g = objective(x.copy())
                 nfev += 1
         elif task[0] == 1:  # new iteration
             nit += 1
@@ -488,7 +492,7 @@ def fit_level(
             factor=factor,
             n_outputs=d,
         )
-        if not np.isfinite(nll):
+        if not math.isfinite(nll):
             return 1e25, np.zeros(n_free)
         # the jitter is amplitude-proportional, so its derivative folds into log amplitude
         grad[0] += jitter * grad[-1]

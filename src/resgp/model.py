@@ -222,6 +222,8 @@ def train(
 
 def _accumulate(model: ResGPModel, query, n_levels: int) -> Posterior:
     q = np.asarray(query, dtype=float)
+    if q.ndim not in (1, 2):
+        raise ValueError(f"query must have shape (l,) or (M, l), got {q.shape}")
     single = q.ndim == 1
     if single:
         q = q[None, :]
@@ -246,6 +248,7 @@ def predict(model: ResGPModel, query) -> Posterior:
 
 def predict_fidelity(model: ResGPModel, query, fidelity: int) -> Posterior:
     """Posterior of the fidelity-f surrogate (partial sum of levels 1..f)."""
+    fidelity = check_integer(fidelity, "fidelity")
     if not 1 <= fidelity <= model.n_fidelities:
         raise ValueError(
             f"fidelity must be in [1, {model.n_fidelities}], got {fidelity}"

@@ -488,6 +488,41 @@ def test_fit_nll_matches_recomputation():
     assert recomputed == pytest.approx(level.fit_nll, abs=1e-6)
 
 
+def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypatch):
+    # repeated rows make every Gram singular; with no jitter most trial points fail
+    # to factor, and the objective hands L-BFGS-B a huge value with a zero gradient
+    ds = scalar_dataset([0.1, 0.1, 0.5, 0.9, 0.9], [0.1, 0.1, 0.5, 0.9, 0.9])
+    core, driver = gp_level._nll_core, gp_level.minimize
+    core_nlls, objective_values = [], []
+
+    def recording_core(**kwargs):
+        nll, grad = core(**kwargs)
+        core_nlls.append(nll)
+        return nll, grad
+
+    def recording_driver(objective, x0, **kwargs):
+        def recorded(x):
+            f, g = objective(x)
+            objective_values.append((f, g.copy()))
+            return f, g
+
+        return driver(recorded, x0, **kwargs)
+
+    monkeypatch.setattr(gp_level, "_nll_core", recording_core)
+    monkeypatch.setattr(gp_level, "minimize", recording_driver)
+    level = fit_level(ds, OptimizerConfig(seed=0), jitter_rel=0.0)
+    assert math.inf in core_nlls
+    assert [f == 1e25 and not g.any() for f, g in objective_values] == [
+        nll == math.inf for nll in core_nlls
+    ]
+    # the finalize factorization escalates the jitter instead
+    assert np.isfinite(level.fit_nll) and level.jitter > 0
+    recomputed = neg_log_likelihood(
+        level.params, ResidualDataset(level.inputs, level.residuals), jitter=level.jitter
+    )
+    assert recomputed == pytest.approx(level.fit_nll, abs=1e-6)
+
+
 def test_fit_rejects_negative_noise():
     ds = scalar_dataset([0.0, 1.0], [0.0, 1.0])
     with pytest.raises(ValueError):

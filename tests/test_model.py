@@ -2,6 +2,7 @@
 model: training, prediction, and serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +238,12 @@ def test_predict_fidelity_range_check():
         predict_fidelity(model, np.zeros((1, 2)), 0)
     with pytest.raises(ValueError):
         predict_fidelity(model, np.zeros((1, 2)), model.n_fidelities + 1)
+    # the one integer rule: a bool or a float is not a fidelity, even when it equals one
+    for fidelity in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="fidelity must be an integer"):
+            predict_fidelity(model, np.zeros((1, 2)), fidelity)
+    exact = predict_fidelity(model, np.zeros((1, 2)), np.int64(2))
+    np.testing.assert_array_equal(exact.mean, predict_fidelity(model, np.zeros((1, 2)), 2).mean)
 
 
 def test_far_field_prior_limit():
@@ -294,6 +301,16 @@ def test_query_dimension_validation():
     model = fixed_model()
     with pytest.raises(ValueError):
         predict(model, np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("shape", [(), (3, 2, 2), (1, 1, 2)], ids=["0-d", "3-d", "3-d-single"])
+def test_query_that_is_not_1d_or_2d_is_rejected_with_its_shape(shape):
+    model = fixed_model()
+    message = re.escape(f"query must have shape (l,) or (M, l), got {shape}")
+    with pytest.raises(ValueError, match=message):
+        predict(model, np.zeros(shape))
+    with pytest.raises(ValueError, match=message):
+        predict_fidelity(model, np.zeros(shape), 1)
 
 
 # --- serialization ----------------------------------------------------------
