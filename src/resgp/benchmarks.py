@@ -13,7 +13,7 @@ import io
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -555,6 +555,21 @@ def score(
     return scored, raw, (m, s)
 
 
+def score_held_out(spec, model, data: MultiFidelityData, seed: int, test_points: int,
+                   standardize: bool) -> dict:
+    """Score a model of spec on test_points uniform points drawn at seed + TEST_SEED_OFFSET.
+
+    Returns the test inputs and truth, the posterior and score's metrics,
+    raw_metrics and scale.
+    """
+    test_x = design_uniform(spec.domain, test_points, seed + TEST_SEED_OFFSET)
+    truth = evaluate(spec, spec.n_fidelities, test_x)
+    post = predict(model, test_x)
+    scored, raw, scale = score(post, truth, data, standardize)
+    return {"metrics": scored, "raw_metrics": raw, "scale": scale,
+            "test_inputs": test_x, "test_truth": truth, "posterior": post}
+
+
 def run_benchmark_case(
     bench,
     budgets=None,
@@ -578,21 +593,12 @@ def run_benchmark_case(
     t0 = time.perf_counter()
     model = train(data, opt, domain=spec.domain, jitter_rel=jitter_rel)
     fit_seconds = time.perf_counter() - t0
-    test_x = design_uniform(spec.domain, test_points, seed + TEST_SEED_OFFSET)
-    truth = evaluate(spec, spec.n_fidelities, test_x)
-    post = predict(model, test_x)
-    scored, raw, scale = score(post, truth, data, standardize)
     return {
         "name": spec.name,
         "budgets": list(budgets),
         "seed": seed,
-        "metrics": scored,
-        "raw_metrics": raw,
-        "scale": scale,
         "model": model,
         "data": data,
-        "test_inputs": test_x,
-        "test_truth": truth,
-        "posterior": post,
         "fit_seconds": fit_seconds,
+        **score_held_out(spec, model, data, seed, test_points, standardize),
     }

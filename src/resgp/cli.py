@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .active import STRATEGIES, OracleError, read_audit, sequential_construct, write_audit
+from .active import STRATEGIES, OracleError, sequential_construct, write_audit
 from .benchmarks import (
     DEFAULT_BUDGETS,
     POOL_SEED_OFFSET,
@@ -31,6 +31,7 @@ from .benchmarks import (
     read_dataset_csv,
     run_benchmark_case,
     score,
+    score_held_out,
     write_csv,
     write_dataset_csv,
 )
@@ -368,10 +369,7 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
     model_path = os.path.join(out_dir, "model.json")
     save_model(model, model_path)
 
-    test_x = design_uniform(spec.domain, test_points, run_seed + TEST_SEED_OFFSET)
-    truth = evaluate(spec, spec.n_fidelities, test_x)
-    post = predict(model, test_x)
-    scored, raw, scale = score(post, truth, result.data, standardize)
+    held_out = score_held_out(spec, model, result.data, run_seed, test_points, standardize)
 
     record = {
         "command": "active",
@@ -380,10 +378,10 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
         "strategy": strategy,
         "budgets": budgets,
         "pool_size": pool_size,
-        "metrics": _metrics_dict(scored),
-        "raw_metrics": _metrics_dict(raw),
+        "metrics": _metrics_dict(held_out["metrics"]),
+        "raw_metrics": _metrics_dict(held_out["raw_metrics"]),
         "standardize": standardize,
-        "scale": scale,
+        "scale": held_out["scale"],
         "per_fidelity_nll": [lvl.fit_nll for lvl in model.levels],
         "joint_nll": model.joint_nll,
         "audit_path": audit_path,

@@ -34,6 +34,7 @@ from .kernel import (
 # optimization runs in log-parameter space, clipped to this symmetric box
 LOG_BOUND = 10.0
 LOG2PI = math.log(2.0 * math.pi)
+EPS = float(np.finfo(float).eps)
 # random restarts lie within this factor either way of the moment-matched start
 START_SPREAD = 100.0
 # every start runs to these loose L-BFGS-B tolerances; only the best is polished
@@ -163,16 +164,23 @@ class TrainedLevel:
         return self.residuals.shape[1]
 
 
-def _cholesky(K: np.ndarray) -> np.ndarray | None:
+def _cholesky(K: np.ndarray, shift: float) -> np.ndarray | None:
     """Lower Cholesky factor of K with a zero upper triangle, or None.
 
-    Only the upper triangle of K is read, and K may be overwritten. None means
-    K is not positive definite.
+    Only the upper triangle of K is read, and K may be overwritten. shift is the
+    diagonal K carries on top of the kernel. None means K is not positive
+    definite: dpotrf failed, or a squared pivot is at most n eps K[0, 0], where
+    dpotrf can succeed on an exactly singular K by rounding alone. A shift above
+    twice that floor rules this out, so the pivots are then not read.
     """
+    n = K.shape[0]
+    floor = n * EPS * K.item(0)  # K[0, 0]
     # K's transpose is the Fortran-ordered array LAPACK factors in place; its lower
     # triangle is K's upper one
     chol, info = dpotrf(K.T, lower=1, clean=1, overwrite_a=1)
-    return chol if info == 0 else None
+    if info != 0 or (shift <= 2.0 * floor and chol.diagonal().min() ** 2 <= floor):
+        return None
+    return chol
 
 
 def cholesky_with_escalation(
@@ -180,13 +188,13 @@ def cholesky_with_escalation(
 ) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of the Gram, escalating jitter x10 on failure.
 
-    Escalation stops at MAX_JITTER_REL * amplitude; beyond that the Gram is
-    declared ill-conditioned.
+    jitter is absolute. Escalation stops at MAX_JITTER_REL * amplitude; beyond
+    that the Gram is declared ill-conditioned.
     """
     amp = params.amplitude
     j = float(jitter)
     while True:
-        chol = _cholesky(gram(params, points, j))
+        chol = _cholesky(gram(params, points, j), j + params.noise)
         if chol is not None:
             return chol, j
         if j >= MAX_JITTER_REL * amp:
@@ -227,8 +235,8 @@ def _nll_core(
     r = min(N, d) bounds the cost per call whatever the number of output
     columns. The gradient is taken with respect to [log amplitude,
     log w_1 .. log w_l, shift]: the amplitude component holds the kernel term
-    only, and callers map the last component onto their noise and jitter. A K
-    that is not positive definite gives (inf, zeros). Every product runs in
+    only, and _level_objective maps the last component onto noise and jitter. A
+    K that is not positive definite gives (inf, zeros). Every product runs in
     scipy's BLAS, none of them in numpy's.
     """
     n = sq_diffs.shape[0]
@@ -236,7 +244,7 @@ def _nll_core(
     C = kernel_values(amplitude, weighted_sq_dists(sq_diffs, weights))
     K = C.copy()
     K.ravel()[:: n + 1] += shift
-    chol = _cholesky(K)
+    chol = _cholesky(K, shift)
     if chol is None:
         return np.inf, np.zeros(weights.size + 2)
     logdet = 2.0 * float(np.log(chol.diagonal()).sum())
@@ -260,48 +268,59 @@ def _nll_core(
     return nll, grad
 
 
-def _nll_at(params: KernelHyperparams, data: ResidualDataset, jitter: float):
-    """_nll_core at fixed hyperparameters and the escalated jitter."""
+def _level_objective(amplitude, weights, noise, jitter, sq, factor, n_outputs, learn_noise):
+    """NLL and gradient over [log amplitude, log w_1 .. log w_l (, log noise)].
+
+    The one map from hyperparameters to what a fit minimizes: _nll_core at
+    shift jitter + noise, with the jitter proportional to the amplitude, as fits
+    and the escalation always choose it. The log-noise component is there with
+    learn_noise. A K that is not positive definite gives (inf, zeros).
+    """
+    nll, grad = _nll_core(amplitude=amplitude, weights=weights, shift=jitter + noise,
+                          sq_diffs=sq, factor=factor, n_outputs=n_outputs)
+    # the jitter is amplitude-proportional, so its derivative folds into log amplitude
+    grad[0] += jitter * grad[-1]
+    if learn_noise:
+        grad[-1] *= noise
+        return nll, grad
+    return nll, grad[:-1]
+
+
+def _nll_at(params: KernelHyperparams, data: ResidualDataset, jitter_rel: float):
+    """_level_objective at fixed hyperparameters and the escalated jitter."""
     if data.input_dim != params.dim:
         raise ValueError("data dimension does not match kernel weights")
-    _, j = cholesky_with_escalation(params, data.inputs, jitter)
-    return _nll_core(
-        amplitude=params.amplitude,
-        weights=params.weights,
-        shift=j + params.noise,
-        sq_diffs=sq_diffs(data.inputs, data.inputs),
-        factor=_residual_factor(data.residuals),
-        n_outputs=data.output_dim,
-    )
+    _, j = cholesky_with_escalation(params, data.inputs, jitter_rel * params.amplitude)
+    sq, factor = sq_diffs(data.inputs, data.inputs), _residual_factor(data.residuals)
+    return _level_objective(params.amplitude, params.weights, params.noise, j, sq, factor,
+                            data.output_dim, params.noise > 0)
 
 
 def neg_log_likelihood(
-    params: KernelHyperparams, data: ResidualDataset, jitter: float = 0.0
+    params: KernelHyperparams, data: ResidualDataset, jitter_rel: float = 0.0
 ) -> float:
     """Negative log marginal likelihood of the residual matrix under the level GP.
 
     Equals the sum over output columns of the negated Gaussian log-density:
     (d/2) log|K| + (1/2) tr(R^T K^-1 R) + (N d / 2) log 2pi, with K the Gram
-    plus (noise + jitter) diagonal. jitter is absolute; on Cholesky failure it
-    escalates like the fitting path before an ill-conditioned error is raised.
+    plus (noise + jitter) diagonal. The jitter starts at jitter_rel * amplitude,
+    as in fit_level, and escalates like cholesky_with_escalation before an
+    ill-conditioned error is raised.
     """
-    return float(_nll_at(params, data, jitter)[0])
+    return float(_nll_at(params, data, jitter_rel)[0])
 
 
 def nll_gradient(
-    params: KernelHyperparams, data: ResidualDataset, jitter: float = 0.0
+    params: KernelHyperparams, data: ResidualDataset, jitter_rel: float = 0.0
 ) -> np.ndarray:
     """Gradient of neg_log_likelihood with respect to log-hyperparameters.
 
     Component order is [log amplitude, log w_1 .. log w_l] with a trailing
-    log-noise component when params.noise > 0. Validated against central
-    finite differences in the test suite.
+    log-noise component when params.noise > 0. The jitter it escalates to
+    scales with the amplitude, so its derivative is part of the log-amplitude
+    component; this is the gradient fit_level's objective hands L-BFGS-B.
     """
-    grad = _nll_at(params, data, jitter)[1]
-    if params.noise > 0:
-        grad[-1] *= params.noise
-        return grad
-    return grad[:-1]
+    return _nll_at(params, data, jitter_rel)[1]
 
 
 def _finalize_level(
@@ -384,7 +403,7 @@ def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: in
     iwa = np.zeros(3 * n, dtype=np.int32)
     task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
     lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-    factr = ftol / np.finfo(float).eps
+    factr = ftol / EPS
     while True:
         setulb(m, x, lower, upper, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave,
                dsave, LBFGS_MAXLS, ln_task)
@@ -479,27 +498,14 @@ def fit_level(
     else:
         tau_init_log = 0.0
 
-    def objective(logvec: np.ndarray):
-        amp = math.exp(logvec[0])
-        weights = np.exp(logvec[1 : 1 + l])
+    def unpack(logvec: np.ndarray):
         tau = math.exp(logvec[tau_index]) if learn_noise else noise
-        jitter = jitter_rel * amp
-        nll, grad = _nll_core(
-            amplitude=amp,
-            weights=weights,
-            shift=jitter + tau,
-            sq_diffs=sq,
-            factor=factor,
-            n_outputs=d,
-        )
-        if not math.isfinite(nll):
-            return 1e25, np.zeros(n_free)
-        # the jitter is amplitude-proportional, so its derivative folds into log amplitude
-        grad[0] += jitter * grad[-1]
-        if learn_noise:
-            grad[-1] *= tau
-            return nll, grad
-        return nll, grad[:-1]
+        return math.exp(logvec[0]), np.exp(logvec[1 : 1 + l]), tau
+
+    def objective(logvec: np.ndarray):
+        amp, w, tau = unpack(logvec)
+        nll, grad = _level_objective(amp, w, tau, jitter_rel * amp, sq, factor, d, learn_noise)
+        return (nll, grad) if math.isfinite(nll) else (1e25, grad)
 
     amp0 = float(np.mean(centered**2))
     med = 0.0
@@ -519,10 +525,7 @@ def fit_level(
     best = min((descend(x0, LOOSE_FTOL, LOOSE_GTOL) for x0 in starts), key=lambda r: r.fun)
     best_x = descend(best.x, POLISH_FTOL, opt.grad_tol).x
 
-    amp = math.exp(best_x[0])
-    weights = np.exp(best_x[1 : 1 + l])
-    tau = math.exp(best_x[tau_index]) if learn_noise else noise
-    params = KernelHyperparams(amplitude=amp, weights=weights, noise=tau)
+    params = KernelHyperparams(*unpack(best_x))
     return _finalize_level(params, data.inputs, centered, means, jitter_rel)
 
 

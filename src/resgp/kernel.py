@@ -69,20 +69,10 @@ class DomainBox:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, x, atol: float = 1e-12) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol)
-        )
-
     def normalize(self, x) -> np.ndarray:
         """Affinely map raw coordinates onto [0, 1]^l."""
         x = np.asarray(x, dtype=float)
         return (x - self.lower) / self.width
-
-    def denormalize(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return self.lower + u * self.width
 
     def is_hypercube(self, atol: float = 1e-12) -> bool:
         w = self.width

@@ -133,7 +133,7 @@ def test_nll_dimension_mismatch():
 # --- nll_gradient -----------------------------------------------------------
 
 
-def central_difference(p, ds, step=1e-5):
+def central_difference(p, ds, step=1e-5, jitter_rel=0.0):
     """Independent finite-difference gradient in log-parameter space."""
     logv = np.log(np.concatenate(([p.amplitude], p.weights)))
     learn_noise = p.noise > 0
@@ -152,7 +152,8 @@ def central_difference(p, ds, step=1e-5):
         hi[i] += step
         lo[i] -= step
         fd[i] = (
-            neg_log_likelihood(unpack(hi), ds) - neg_log_likelihood(unpack(lo), ds)
+            neg_log_likelihood(unpack(hi), ds, jitter_rel)
+            - neg_log_likelihood(unpack(lo), ds, jitter_rel)
         ) / (2.0 * step)
     return fd
 
@@ -174,6 +175,31 @@ def test_gradient_matches_finite_differences_with_noise():
     assert g.size == 4  # amplitude, two weights, noise
     fd = central_difference(p, ds)
     np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-7)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3], ids=["no-noise", "noise"])
+def test_gradient_matches_finite_differences_with_relative_jitter(noise):
+    # the jitter scales with the amplitude, so its derivative is part of the
+    # log-amplitude component
+    rng = np.random.default_rng(15)
+    ds = random_dataset(rng, 6, 2, 2)
+    p = KernelHyperparams(0.7, np.array([1.4, 0.9]), noise=noise)
+    g = nll_gradient(p, ds, jitter_rel=1e-2)
+    fd = central_difference(p, ds, jitter_rel=1e-2)
+    np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-7)
+
+
+def test_gradient_matches_finite_differences_on_repeated_rows():
+    # the Gram is exactly singular, so every evaluation escalates the jitter
+    x = [0.1, 0.1, 0.5, 0.9, 0.9]
+    ds = scalar_dataset(x, np.sin(6.0 * np.array(x)))
+    p = KernelHyperparams(1.3, np.array([2.0]))
+    nlls = [
+        neg_log_likelihood(KernelHyperparams(1.3 * math.exp(s), p.weights), ds)
+        for s in (-1e-5, 0.0, 1e-5)
+    ]
+    assert max(abs(a - b) for a, b in zip(nlls, nlls[1:])) < 1e-3
+    np.testing.assert_allclose(nll_gradient(p, ds), central_difference(p, ds), rtol=1e-2)
 
 
 # --- _nll_core against a dense reference --------------------------------------
@@ -359,22 +385,15 @@ def test_fit_result_not_worse_than_any_start_and_idempotent():
 def test_fit_gradient_small_at_interior_optimum():
     # first-order condition of the objective the optimizer actually minimized,
     # whose diagonal jitter scales with the amplitude parameter
-    from resgp.gp_level import _nll_core
-
     ds, _ = smooth_1d_sample(seed=22, n=15, weight=30.0, d=2, regular=True)
     level = fit_level(ds, OptimizerConfig(seed=0))
     centered = ds.residuals - ds.residuals.mean(axis=0)
-    jitter = 1e-8 * level.params.amplitude
-    _, g = _nll_core(
-        amplitude=level.params.amplitude,
-        weights=level.params.weights,
-        shift=jitter,
-        sq_diffs=sq_diffs(ds.inputs, ds.inputs),
-        factor=centered,
-        n_outputs=centered.shape[1],
+    p = level.params
+    _, g = gp_level._level_objective(
+        p.amplitude, p.weights, 0.0, 1e-8 * p.amplitude, sq_diffs(ds.inputs, ds.inputs),
+        centered, centered.shape[1], False,
     )
-    g[0] += jitter * g[-1]
-    assert np.linalg.norm(g[:-1]) < 1e-3
+    assert np.linalg.norm(g) < 1e-3
 
 
 def benchmark_level(name, seed, level):
@@ -483,7 +502,7 @@ def test_fit_nll_matches_recomputation():
     recomputed = neg_log_likelihood(
         level.params,
         ResidualDataset(level.inputs, level.residuals),
-        jitter=level.jitter,
+        jitter_rel=level.jitter / level.params.amplitude,
     )
     assert recomputed == pytest.approx(level.fit_nll, abs=1e-6)
 
@@ -518,9 +537,25 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
     # the finalize factorization escalates the jitter instead
     assert np.isfinite(level.fit_nll) and level.jitter > 0
     recomputed = neg_log_likelihood(
-        level.params, ResidualDataset(level.inputs, level.residuals), jitter=level.jitter
+        level.params,
+        ResidualDataset(level.inputs, level.residuals),
+        jitter_rel=level.jitter / level.params.amplitude,
     )
     assert recomputed == pytest.approx(level.fit_nll, abs=1e-6)
+
+
+def test_fit_rejects_a_factor_of_a_singular_gram():
+    # with repeated rows dpotrf can factor the exactly singular Gram at zero jitter
+    # by rounding; the pivot rule rejects that factor, so the finalize escalates
+    x = [0.1, 0.1, 0.5, 0.9, 0.9]
+    level = fit_level(scalar_dataset(x, np.sin(6.0 * np.array(x))), jitter_rel=0.0)
+    assert level.jitter == pytest.approx(1e-8 * level.params.amplitude)
+    recomputed = neg_log_likelihood(
+        level.params,
+        ResidualDataset(level.inputs, level.residuals),
+        jitter_rel=level.jitter / level.params.amplitude,
+    )
+    assert recomputed == pytest.approx(level.fit_nll, abs=1e-8)
 
 
 def test_fit_rejects_negative_noise():

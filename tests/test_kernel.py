@@ -207,16 +207,9 @@ def test_domain_box_round_trip():
     dom = DomainBox(np.array([-5.0, 0.0]), np.array([10.0, 15.0]))
     rng = np.random.default_rng(8)
     x = rng.uniform(dom.lower, dom.upper, size=(20, 2))
-    np.testing.assert_allclose(dom.denormalize(dom.normalize(x)), x, atol=1e-12)
     u = dom.normalize(x)
+    np.testing.assert_allclose(dom.lower + u * dom.width, x, atol=1e-12)
     assert np.all(u >= 0.0) and np.all(u <= 1.0)
-
-
-def test_domain_box_contains():
-    dom = DomainBox.unit(2)
-    assert dom.contains(np.array([0.5, 0.5]))
-    assert dom.contains(np.array([0.0, 1.0]))
-    assert not dom.contains(np.array([1.5, 0.5]))
 
 
 def test_domain_box_hypercube_flag():
@@ -297,4 +290,5 @@ def test_kernel_matrices_come_from_one_pairwise_routine(case):
         assume(False)
     assert j >= jitter
     assert not np.triu(chol, 1).any()
-    assert math.isfinite(neg_log_likelihood(p, ResidualDataset(x, case["residuals"]), jitter))
+    data = ResidualDataset(x, case["residuals"])
+    assert math.isfinite(neg_log_likelihood(p, data, jitter_rel=jitter / p.amplitude))
