@@ -1,17 +1,18 @@
 """Variance-driven sequential design over a fixed candidate pool.
 
-Each fidelity is built in turn: a random seed point, then repeated cycles of
-fit, pick the candidate with the largest posterior variance, simulate, append.
-Higher fidelities draw their candidates from the points already simulated one
-level below, so the constructed designs are nested by construction. Every
-simulation is recorded in an audit log that suffices to replay and verify the
-selections without refitting.
+Each fidelity is built in turn by one loop: simulate the pick, record it,
+refit, then pick the candidate with the largest posterior variance (the first
+pick of a fidelity is a random seed point). Higher fidelities draw their
+candidates from the points already simulated one level below, so the
+constructed designs are nested by construction. Every simulation is recorded
+in an audit log that suffices to replay and verify the selections without
+refitting.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,10 +84,6 @@ def select_next(level: TrainedLevel, candidates) -> tuple[int, float]:
     return idx, float(gains[idx])
 
 
-def _log_params(level: TrainedLevel) -> np.ndarray:
-    return np.log(np.concatenate(([level.params.amplitude], level.params.weights)))
-
-
 def sequential_construct(
     pool,
     budgets,
@@ -101,11 +98,12 @@ def sequential_construct(
     """Build nested designs fidelity by fidelity under the given budgets.
 
     oracle(fidelity, point) returns the length-d simulator output; it is called
-    once per (fidelity, point) pair and cached. strategy "variance" picks the
-    argmax-variance candidate each step, "random" picks uniformly (the paired
-    baseline). Hyperparameters are refit after every acquisition, warm-started
-    at the previous optimum; a final refit follows the last acquisition of each
-    fidelity. Identical inputs and seed reproduce the construction exactly.
+    once per (fidelity, point) pair, and every output must have the length of
+    the first. strategy "variance" picks the argmax-variance candidate each
+    step, "random" picks uniformly (the paired baseline). Hyperparameters are
+    refit after every acquisition, warm-started at the previous optimum; a
+    final refit follows the last acquisition of each fidelity. Identical inputs
+    and seed reproduce the construction exactly.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
@@ -123,115 +121,76 @@ def sequential_construct(
         raise ValueError("lowest-fidelity budget exceeds the pool size")
     unit = domain.normalize(raw)
     rng = np.random.default_rng(seed)
-    warm_opt = OptimizerConfig(
-        restarts=1, max_iters=opt.max_iters, grad_tol=opt.grad_tol, seed=opt.seed
-    )
+    warm_opt = replace(opt, restarts=1)
 
-    cache: dict = {}
+    outputs: dict = {}
     audit: list = []
 
     def simulate(f: int, i: int) -> np.ndarray:
-        key = (f, i)
-        if key in cache:
-            return cache[key]
+        where = f"at fidelity {f}, point {raw[i].tolist()}"
         try:
             y = np.asarray(oracle(f, raw[i]), dtype=float).reshape(-1)
         except Exception as exc:
-            raise OracleError(
-                f"oracle failed at fidelity {f}, point {raw[i].tolist()}: {exc}",
-                audit,
-            ) from exc
+            raise OracleError(f"oracle failed {where}: {exc}", audit) from exc
         if y.size == 0 or not np.all(np.isfinite(y)):
+            raise OracleError(f"oracle returned invalid output {where}", audit)
+        first = next(iter(outputs.values()), y)
+        if y.size != first.size:
             raise OracleError(
-                f"oracle returned invalid output at fidelity {f}, "
-                f"point {raw[i].tolist()}",
+                f"oracle returned {y.size} outputs {where}; the first output had {first.size}",
                 audit,
             )
-        cache[key] = y
+        outputs[f, i] = y
         return y
-
-    def residual_row(f: int, i: int) -> np.ndarray:
-        y = simulate(f, i)
-        if f == 1:
-            return y
-        return y - cache[(f - 1, i)]
 
     levels: list[TrainedLevel] = []
     selected: dict = {}
     for f in range(1, len(budgets) + 1):
-        if f == 1:
-            source = list(range(pool.size))
-        else:
-            source = list(selected[f - 1])
-        seed_pos = int(rng.integers(len(source)))
-        chosen = [source[seed_pos]]
-        rows = [residual_row(f, chosen[0])]
-        pending = {
-            "fidelity": f,
-            "step": 1,
-            "pool_index": int(chosen[0]),
-            "point": raw[chosen[0]].tolist(),
-            "mode": "seed",
-            "gain": None,
-            "params": None,
-            "nll": None,
-        }
-        audit.append(pending)
-
-        warm = None
+        source = list(range(pool.size)) if f == 1 else selected[f - 1]
+        pick, mode, gain = source[int(rng.integers(len(source)))], "seed", None
+        chosen, rows, level = [], [], None
         while True:
-            ds = ResidualDataset(inputs=unit[chosen], residuals=np.array(rows))
-            level = fit_level(
-                ds,
-                warm_opt if warm is not None else opt,
-                jitter_rel=jitter_rel,
-                init=warm,
-            )
-            pending["nll"] = level.fit_nll
-            if len(chosen) == budgets[f - 1]:
-                break
-            warm = _log_params(level)
-            chosen_set = set(chosen)
-            remaining = [i for i in source if i not in chosen_set]
-            if strategy == "variance":
-                local, gain = select_next(level, unit[remaining])
-                pick = remaining[local]
-                mode = "argmax"
-                gain_value: float | None = gain
-            else:
-                pick = remaining[int(rng.integers(len(remaining)))]
-                mode = "random"
-                gain_value = None
-            rows.append(residual_row(f, pick))
+            y = simulate(f, pick)
+            rows.append(y if f == 1 else y - outputs[f - 1, pick])
             chosen.append(pick)
-            pending = {
+            # params are those of the level that chose the pick; nll is the fit after it
+            record = {
                 "fidelity": f,
                 "step": len(chosen),
                 "pool_index": int(pick),
                 "point": raw[pick].tolist(),
                 "mode": mode,
-                "gain": gain_value,
-                "params": {
+                "gain": gain,
+                "params": None if level is None else {
                     "amplitude": level.params.amplitude,
                     "weights": level.params.weights.tolist(),
                     "noise": level.params.noise,
                 },
                 "nll": None,
             }
-            audit.append(pending)
+            audit.append(record)
+            ds = ResidualDataset(inputs=unit[chosen], residuals=np.array(rows))
+            # a fidelity's first fit runs the full opt, later ones start at the last optimum
+            warm = None if level is None else np.log([level.params.amplitude, *level.params.weights])
+            level = fit_level(ds, opt if warm is None else warm_opt, jitter_rel=jitter_rel, init=warm)
+            record["nll"] = level.fit_nll
+            if len(chosen) == budgets[f - 1]:
+                break
+            taken = set(chosen)
+            remaining = [i for i in source if i not in taken]
+            if strategy == "variance":
+                local, gain = select_next(level, unit[remaining])
+                pick, mode = remaining[local], "argmax"
+            else:
+                pick, mode = remaining[int(rng.integers(len(remaining)))], "random"
         levels.append(level)
         selected[f] = chosen
 
     data = MultiFidelityData(
         inputs=[raw[selected[f]] for f in selected],
-        outputs=[np.array([cache[(f, i)] for i in selected[f]]) for f in selected],
+        outputs=[np.array([outputs[f, i] for i in selected[f]]) for f in selected],
     )
-    model = ResGPModel(
-        levels=levels,
-        domain=domain,
-        input_dim=data.input_dim,
-        output_dim=data.output_dim,
-    )
+    model = ResGPModel(levels, domain, input_dim=data.input_dim, output_dim=data.output_dim)
     return ConstructionResult(model=model, audit=audit, selected=selected, data=data)
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gp_level import OptimizerConfig
+from .gp_level import OptimizerConfig, check_integer
 from .kernel import DEFAULT_JITTER_REL, DomainBox
 from .model import MultiFidelityData, Posterior, _atomic_write_text, check_budgets, predict, train
 
@@ -311,9 +311,11 @@ def get_benchmark(bench) -> BenchmarkSpec:
 def evaluate(bench, fidelity: int, query) -> np.ndarray:
     """Evaluate a benchmark fidelity at query point(s) inside its domain.
 
-    A (l,) query returns a (d,) output; an (M, l) query returns (M, d).
+    A (l,) query returns a (d,) output; an (M, l) query returns (M, d). A
+    fidelity that is not an integer (a bool, a float, a string) is a TypeError.
     """
     spec = get_benchmark(bench)
+    fidelity = check_integer(fidelity, "fidelity")
     if not 1 <= fidelity <= spec.n_fidelities:
         raise ValueError(
             f"{spec.name} has fidelities 1..{spec.n_fidelities}, got {fidelity}"

@@ -281,11 +281,55 @@ def test_oracle_failure_carries_partial_audit():
             raise RuntimeError("simulator crashed")
         return currin_oracle(f, x)
 
+    full = sequential_construct(
+        small_pool(seed=13), [8, 2], currin_oracle, OptimizerConfig(seed=0), seed=6
+    )
     with pytest.raises(OracleError) as err:
         sequential_construct(
             small_pool(seed=13), [8, 2], flaky, OptimizerConfig(seed=0), seed=6
         )
-    assert len(err.value.audit) >= 3
+    # the three simulated points, each with the nll of the fit that followed it
+    assert err.value.audit == full.audit[:3]
+    assert all(rec["nll"] is not None for rec in err.value.audit)
+
+
+@pytest.mark.parametrize("strategy", ["variance", "random"])
+def test_audit_records_follow_oracle_calls(strategy):
+    spec = BENCHMARKS["branin3"]
+    calls = []
+
+    def oracle(f, x):
+        calls.append((f, np.asarray(x).tolist()))
+        return spec.funcs[f - 1](np.atleast_2d(x))[0]
+
+    pool = design_uniform(spec.domain, 30, seed=16)
+    res = sequential_construct(
+        pool, [8, 4, 2], oracle, OptimizerConfig(restarts=2, seed=0), seed=8,
+        domain=spec.domain, strategy=strategy,
+    )
+    assert [(r["fidelity"], r["point"]) for r in res.audit] == calls
+    assert len(calls) == 14
+
+
+def test_oracle_output_length_must_not_change():
+    pool = np.linspace(0.0, 1.0, 12)[:, None]
+
+    def grows_with_fidelity(f, x):
+        return np.ones(f) * x[0]
+
+    with pytest.raises(OracleError, match="2 outputs at fidelity 2, point .*had 1") as err:
+        sequential_construct(pool, [6, 3], grows_with_fidelity, OptimizerConfig(seed=0))
+    assert len(err.value.audit) == 6
+
+    calls = {"n": 0}
+
+    def grows_within_fidelity(f, x):
+        calls["n"] += 1
+        return np.ones(calls["n"]) * x[0]
+
+    with pytest.raises(OracleError, match="2 outputs at fidelity 1, point .*had 1") as err:
+        sequential_construct(pool, [6, 3], grows_within_fidelity, OptimizerConfig(seed=0))
+    assert len(err.value.audit) == 1
 
 
 def test_non_finite_oracle_output_rejected():

@@ -290,6 +290,17 @@ def test_evaluate_fidelity_out_of_range():
         evaluate("currin", 3, np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("fidelity", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_evaluate_fidelity_must_be_an_integer(fidelity):
+    with pytest.raises(TypeError, match="fidelity must be an integer"):
+        evaluate("currin", fidelity, np.array([0.5, 0.5]))
+
+
+def test_evaluate_takes_numpy_integer_fidelity():
+    x = np.array([math.pi, 2.275])
+    assert evaluate("branin3", np.int64(3), x) == evaluate("branin3", 3, x)
+
+
 def test_evaluate_rejects_wrong_input_dimension():
     with pytest.raises(ValueError, match="2-dimensional"):
         evaluate("currin", 1, np.array([0.5, 0.5, 0.5]))
