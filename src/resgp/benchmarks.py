@@ -9,7 +9,6 @@ size sets the fidelity.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import time
 from dataclasses import dataclass
@@ -435,13 +434,12 @@ def _dataset_header(l: int, d: int) -> list:
 
 
 def write_csv(path: str, header: list, rows) -> None:
-    """Write a CSV atomically; float cells are written with repr, so they read back exactly."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-    _atomic_write_text(path, buf.getvalue())
+    """Write a CSV atomically, each cell as its str.
+
+    A float's str is its shortest repr, so it reads back exactly. Cells are
+    numbers and names, which need no quoting.
+    """
+    _atomic_write_text(path, "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
 
 
 def write_dataset_csv(path: str, data: MultiFidelityData) -> None:

@@ -8,9 +8,11 @@ nesting, domain violations), 3 numerical or simulator failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -24,6 +26,7 @@ from .benchmarks import (
     TEST_SEED_OFFSET,
     BenchmarkSpec,
     DatasetFormatError,
+    Metrics,
     design_uniform,
     evaluate,
     get_benchmark,
@@ -104,92 +107,88 @@ def _write_json(path: str, payload: dict) -> None:
     _atomic_write_text(path, json.dumps(_jsonable(payload), sort_keys=True, indent=1) + "\n")
 
 
-def _metrics_dict(m) -> dict:
-    return {"rmse": m.rmse, "r2": m.r2, "mnll": m.mnll, "nrmse": m.nrmse}
+@contextlib.contextmanager
+def _config_faults(context: str = ""):
+    """A TypeError or ValueError raised inside becomes a UsageError (exit 1), prefixed by context.
+
+    Each command reads its whole config in one such block, before it touches a file or fits.
+    """
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{context}{exc}") from exc
 
 
 def _optimizer(config: dict, seed: int) -> OptimizerConfig:
     """The optimizer object of the config, its seed defaulting to the run seed."""
     sub = config.get("optimizer", {})
     if not isinstance(sub, dict):
-        raise UsageError(f"optimizer must be a JSON object, got {sub!r}")
-    try:
+        raise TypeError(f"optimizer must be a JSON object, got {sub!r}")
+    with _config_faults("invalid optimizer config: "):
         return OptimizerConfig(**{"seed": seed, **sub})
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid optimizer config: {exc}") from exc
 
 
 def _benchmark(name) -> BenchmarkSpec:
-    """The benchmark a config names; a name that is not known is a config problem."""
+    """The benchmark a config names; get_benchmark rejects a name that is not known."""
     if not isinstance(name, str):
-        raise UsageError(f"benchmark must be a name, got {name!r}")
-    try:
-        return get_benchmark(name)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise TypeError(f"benchmark must be a name, got {name!r}")
+    return get_benchmark(name)
 
 
-def _domain_from(entry) -> DomainBox:
-    """The domain object of a config; its bounds must be lists of JSON numbers."""
-    try:
-        lower = [check_real(v, "domain lower") for v in entry["lower"]]
-        upper = [check_real(v, "domain upper") for v in entry["upper"]]
-        return DomainBox(lower, upper)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"invalid domain entry: {exc}") from exc
+def _domain(config: dict) -> DomainBox | None:
+    """The domain object of a config, or None without one; lower and upper list JSON numbers."""
+    if "domain" not in config:
+        return None
+    entry = config["domain"]
+    keys = ("lower", "upper")
+    if not (isinstance(entry, dict) and all(isinstance(entry.get(k), list) for k in keys)):
+        raise TypeError(f"domain must be an object with lists lower and upper, got {entry!r}")
+    return DomainBox(*([check_real(v, f"domain {k}") for v in entry[k]] for k in keys))
 
 
-def _integer(value, name: str) -> int:
-    """value as an int; as in OptimizerConfig, a bool, fraction or string is rejected."""
-    try:
-        return check_integer(value, name)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from None
+def _path(config: dict, key: str) -> str | None:
+    """A file path of a config, or None without one; it must be a JSON string."""
+    path = config.get(key)
+    if key in config and not isinstance(path, str):
+        raise TypeError(f"{key} must be a file path (a JSON string), got {path!r}")
+    return path
 
 
 def _flag(config: dict, key: str, default: bool) -> bool:
     """A config switch; it must be a JSON boolean."""
     value = config.get(key, default)
     if not isinstance(value, bool):
-        raise UsageError(f"{key} must be true or false, got {value!r}")
+        raise TypeError(f"{key} must be true or false, got {value!r}")
     return value
 
 
 def _count(config: dict, key: str, default: int) -> int:
     """A config field counting something; it must be an integer of at least 1."""
-    n = _integer(config.get(key, default), key)
+    n = check_integer(config.get(key, default), key)
     if n < 1:
-        raise UsageError(f"{key} must be at least 1")
+        raise ValueError(f"{key} must be at least 1")
     return n
 
 
 def _budgets(raw, spec) -> list:
     """The budgets of a config for spec, as check_budgets accepts them."""
     if not isinstance(raw, list):
-        raise UsageError(f"budgets for {spec.name} must be a list of integers")
-    try:
-        return check_budgets(raw, spec.n_fidelities)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{spec.name}: {exc}") from None
+        raise TypeError(f"budgets for {spec.name} must be a list of integers")
+    return check_budgets(raw, spec.n_fidelities)
 
 
 def _nonnegative(config: dict, key: str, default: float) -> float:
     """A config number such as a jitter or a noise variance: finite and at least 0."""
     value = config.get(key, default)
-    message = f"{key} must be a finite number of at least 0, got {value!r}"
-    try:
-        number = check_real(value, key)
-    except TypeError:
-        raise UsageError(message) from None
-    if not 0 <= number < math.inf:
-        raise UsageError(message)
-    return number
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+        raise ValueError(f"{key} must be a finite number of at least 0, got {value!r}")
+    return float(value)
 
 
-def _resolve_seed(config: dict, override) -> int:
-    seed = _integer(config.get("seed", 0) if override is None else override, "seed")
+def _seed(config: dict, override) -> int:
+    seed = check_integer(config.get("seed", 0) if override is None else override, "seed")
     if seed < 0:
-        raise UsageError(f"seed must be at least 0, got {seed}")
+        raise ValueError(f"seed must be at least 0, got {seed}")
     return seed
 
 
@@ -199,37 +198,36 @@ def _resolve_seed(config: dict, override) -> int:
 
 def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
     """Train a model from a benchmark protocol or a dataset CSV."""
-    run_seed = _resolve_seed(config, seed)
-    opt = _optimizer(config, run_seed)
-    jitter_rel = _nonnegative(config, "jitter_rel", DEFAULT_JITTER_REL)
+    with _config_faults():
+        run_seed = _seed(config, seed)
+        opt = _optimizer(config, run_seed)
+        jitter_rel = _nonnegative(config, "jitter_rel", DEFAULT_JITTER_REL)
+        if ("benchmark" in config) == ("dataset" in config):
+            raise ValueError("config must name exactly one of 'benchmark' or 'dataset'")
+        if "benchmark" in config:
+            spec = _benchmark(config["benchmark"])
+            budgets = _budgets(config.get("budgets", DEFAULT_BUDGETS[spec.name]), spec)
+            standardize = _flag(config, "standardize", True)
+            test_points = _count(config, "test_points", 1000)
+        else:
+            spec = None
+            dataset_path = _path(config, "dataset")
+            test_path = _path(config, "test_dataset")
+            domain = _domain(config)
+            standardize = _flag(config, "standardize", False)
+            noise = _nonnegative(config, "noise", 0.0)
+            learn_noise = _flag(config, "learn_noise", False)
     os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, "model.json")
     t0 = time.perf_counter()
 
-    has_bench = "benchmark" in config
-    has_dataset = "dataset" in config
-    if has_bench == has_dataset:
-        raise UsageError("config must name exactly one of 'benchmark' or 'dataset'")
-
-    scale = None
-    if has_bench:
-        spec = _benchmark(config["benchmark"])
-        budgets = _budgets(config.get("budgets", DEFAULT_BUDGETS[spec.name]), spec)
-        standardize = _flag(config, "standardize", True)
+    if spec is not None:
         case = run_benchmark_case(
-            spec,
-            budgets=budgets,
-            seed=run_seed,
-            opt=opt,
-            test_points=_count(config, "test_points", 1000),
-            standardize=standardize,
-            jitter_rel=jitter_rel,
+            spec, budgets=budgets, seed=run_seed, opt=opt, test_points=test_points,
+            standardize=standardize, jitter_rel=jitter_rel,
         )
-        model = case["model"]
-        data = case["data"]
-        scored = case["metrics"]
-        raw = case["raw_metrics"]
-        scale = case["scale"]
+        model, data = case["model"], case["data"]
+        scored, raw, scale = case["metrics"], case["raw_metrics"], case["scale"]
         write_dataset_csv(os.path.join(out_dir, "dataset.csv"), data)
         _write_json(
             os.path.join(out_dir, "dataset_meta.json"),
@@ -242,20 +240,13 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
             },
         )
     else:
-        data = read_dataset_csv(config["dataset"])
-        domain = _domain_from(config["domain"]) if "domain" in config else None
-        standardize = _flag(config, "standardize", False)
+        data = read_dataset_csv(dataset_path)
         model = train(
-            data,
-            opt,
-            domain=domain,
-            jitter_rel=jitter_rel,
-            noise=_nonnegative(config, "noise", 0.0),
-            learn_noise=_flag(config, "learn_noise", False),
+            data, opt, domain=domain, jitter_rel=jitter_rel, noise=noise, learn_noise=learn_noise
         )
-        scored = raw = None
-        if "test_dataset" in config:
-            test = read_dataset_csv(config["test_dataset"])
+        scored = raw = scale = None
+        if test_path is not None:
+            test = read_dataset_csv(test_path)
             post = predict(model, test.inputs[-1])
             scored, raw, scale = score(post, test.outputs[-1], data, standardize)
 
@@ -270,8 +261,8 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
         "config_hash": _config_hash(config),
         "seed": run_seed,
         "counts": data.counts,
-        "metrics": None if scored is None else _metrics_dict(scored),
-        "raw_metrics": None if raw is None else _metrics_dict(raw),
+        "metrics": None if scored is None else scored._asdict(),
+        "raw_metrics": None if raw is None else raw._asdict(),
         "standardize": standardize,
         "scale": scale,
         "per_fidelity_nll": [lvl.fit_nll for lvl in model.levels],
@@ -298,9 +289,7 @@ def _read_query_csv(path: str, input_dim: int) -> np.ndarray:
     return read_csv_rows(path, check_header)[1]
 
 
-def cmd_predict(
-    model_path: str, query_file: str, out_dir: str = ".", fmt: str = "csv"
-) -> str:
+def cmd_predict(model_path: str, query_file: str, out_dir: str = ".", fmt: str = "csv") -> str:
     """Predict at query points; writes predictions.csv or predictions.json."""
     model = load_model(model_path)
     queries = _read_query_csv(query_file, model.input_dim)
@@ -328,25 +317,26 @@ def cmd_predict(
 
 def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
     """Sequential variance-driven design on a benchmark oracle."""
-    run_seed = _resolve_seed(config, seed)
-    if "benchmark" not in config:
-        raise UsageError("active config must name a 'benchmark'")
-    spec = _benchmark(config["benchmark"])
-    budgets = _budgets(config.get("budgets", DEFAULT_BUDGETS[spec.name]), spec)
-    pool_size = _count(config, "pool_size", 200)
-    if budgets[0] > pool_size:
-        raise UsageError(f"lowest-fidelity budget {budgets[0]} exceeds pool_size {pool_size}")
-    strategy = config.get("strategy", "variance")
-    if strategy not in STRATEGIES:
-        raise UsageError(f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}")
-    opt = _optimizer(config, run_seed)
-    jitter_rel = _nonnegative(config, "jitter_rel", DEFAULT_JITTER_REL)
+    with _config_faults():
+        run_seed = _seed(config, seed)
+        if "benchmark" not in config:
+            raise ValueError("active config must name a 'benchmark'")
+        spec = _benchmark(config["benchmark"])
+        budgets = _budgets(config.get("budgets", DEFAULT_BUDGETS[spec.name]), spec)
+        pool_size = _count(config, "pool_size", 200)
+        if budgets[0] > pool_size:
+            raise ValueError(f"lowest-fidelity budget {budgets[0]} exceeds pool_size {pool_size}")
+        strategy = config.get("strategy", "variance")
+        if strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}")
+        opt = _optimizer(config, run_seed)
+        jitter_rel = _nonnegative(config, "jitter_rel", DEFAULT_JITTER_REL)
+        test_points = _count(config, "test_points", 1000)
+        standardize = _flag(config, "standardize", True)
     os.makedirs(out_dir, exist_ok=True)
     audit_path = os.path.join(out_dir, "audit.jsonl")
     t0 = time.perf_counter()
 
-    test_points = _count(config, "test_points", 1000)
-    standardize = _flag(config, "standardize", True)
     pool = design_uniform(spec.domain, pool_size, run_seed + POOL_SEED_OFFSET)
 
     try:
@@ -378,8 +368,8 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
         "strategy": strategy,
         "budgets": budgets,
         "pool_size": pool_size,
-        "metrics": _metrics_dict(held_out["metrics"]),
-        "raw_metrics": _metrics_dict(held_out["raw_metrics"]),
+        "metrics": held_out["metrics"]._asdict(),
+        "raw_metrics": held_out["raw_metrics"]._asdict(),
         "standardize": standardize,
         "scale": held_out["scale"],
         "per_fidelity_nll": [lvl.fit_nll for lvl in model.levels],
@@ -399,32 +389,28 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
 
 def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> dict:
     """Uniform-bound constants for a saved univariate model, plus a sampled curve."""
-    run_seed = _resolve_seed(config, seed)
-    model = load_model(model_path)
-    constants = {}
-    for key in ("delta", "tau", "l_y"):
-        if key not in config:
-            raise UsageError(f"bounds config requires '{key}'")
-        try:
+    with _config_faults():
+        run_seed = _seed(config, seed)
+        constants = {}
+        for key in ("delta", "tau", "l_y"):
+            if key not in config:
+                raise ValueError(f"bounds config requires '{key}'")
             constants[key] = check_real(config[key], key)
-        except TypeError as exc:
-            raise UsageError(str(exc)) from None
-    domain = _domain_from(config["domain"]) if "domain" in config else model.domain
-    try:
-        cfg = BoundConfig(**constants, domain=domain)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        cfg = BoundConfig(**constants, domain=_domain(config))
+        grid_points = _count(config, "grid_points", 512)
+        truth_path = _path(config, "truth")
+    model = load_model(model_path)
+    cfg.domain = cfg.domain or model.domain  # the model's own box unless the config names one
     bound, bound_fn = uniform_bound(model, cfg)
     os.makedirs(out_dir, exist_ok=True)
 
-    grid_points = _count(config, "grid_points", 512)
     if model.input_dim == 1:
-        grid = np.linspace(domain.lower[0], domain.upper[0], grid_points)[:, None]
+        grid = np.linspace(cfg.domain.lower[0], cfg.domain.upper[0], grid_points)[:, None]
     else:
-        grid = design_uniform(domain, grid_points, run_seed)
+        grid = design_uniform(cfg.domain, grid_points, run_seed)
     post = predict(model, grid)
     sigma = np.sqrt(np.asarray(post.var))
-    g = bound_fn(grid)
+    g = math.sqrt(bound.beta) * sigma + bound.gamma  # bound_fn(grid), without a second predict
 
     curve_path = os.path.join(out_dir, "curve.csv")
     write_csv(
@@ -434,8 +420,8 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
     )
 
     coverage = None
-    if "truth" in config:
-        truth_data = read_dataset_csv(config["truth"])
+    if truth_path is not None:
+        truth_data = read_dataset_csv(truth_path)
         tx = truth_data.inputs[-1]
         ty = truth_data.outputs[-1]
         coverage = empirical_coverage(model, bound_fn, tx, ty)
@@ -448,7 +434,7 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
         "l_mu": bound.l_mu,
         "omega_coeff": bound.omega_coeff,
         "covering": bound.covering,
-        "covering_consistent": bound.covering == covering_number_bound(domain, cfg.tau),
+        "covering_consistent": bound.covering == covering_number_bound(cfg.domain, cfg.tau),
         "delta": cfg.delta,
         "tau": cfg.tau,
         "l_y": cfg.l_y,
@@ -465,35 +451,32 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
 
 def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> list:
     """Run the benchmark suite and write a results table plus summary."""
-    run_seed = _resolve_seed(config, seed)
-    names = config.get("benchmarks", sorted(DEFAULT_BUDGETS))
-    if not isinstance(names, list):
-        raise UsageError(f"bench benchmarks must be a list of benchmark names, got {names!r}")
-    repeats = _count(config, "repeats", 1)
-    test_points = _count(config, "test_points", 1000)
-    standardize = _flag(config, "standardize", True)
-    budgets_override = config.get("budgets", {})
-    if not isinstance(budgets_override, dict):
-        raise UsageError("bench budgets must map benchmark names to budget lists")
+    with _config_faults():
+        run_seed = _seed(config, seed)
+        names = config.get("benchmarks", sorted(DEFAULT_BUDGETS))
+        if not isinstance(names, list):
+            raise TypeError(f"bench benchmarks must be a list of benchmark names, got {names!r}")
+        repeats = _count(config, "repeats", 1)
+        test_points = _count(config, "test_points", 1000)
+        standardize = _flag(config, "standardize", True)
+        budgets_override = config.get("budgets", {})
+        if not isinstance(budgets_override, dict):
+            raise TypeError("bench budgets must map benchmark names to budget lists")
+        runs = []
+        for name in names:
+            spec = _benchmark(name)
+            given = budgets_override.get(spec.name, DEFAULT_BUDGETS[spec.name])
+            runs.append((spec.name, _budgets(given, spec)))
+        opts = [_optimizer(config, run_seed + rep) for rep in range(repeats)]
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
 
-    runs = []  # every name and budget list is checked before the first run
-    for name in names:
-        spec = _benchmark(name)
-        budgets = _budgets(budgets_override.get(spec.name, DEFAULT_BUDGETS[spec.name]), spec)
-        runs.append((spec.name, budgets))
-
     rows = []
     for name, budgets in runs:
-        for rep in range(repeats):
+        for rep, opt in enumerate(opts):
             s = run_seed + rep
             case = run_benchmark_case(
-                name,
-                budgets=budgets,
-                seed=s,
-                opt=_optimizer(config, s),
-                test_points=test_points,
+                name, budgets=budgets, seed=s, opt=opt, test_points=test_points,
                 standardize=standardize,
             )
             rows.append({
@@ -501,7 +484,7 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
                 "budgets": budgets,
                 "repeat": rep,
                 "seed": s,
-                **_metrics_dict(case["metrics"]),
+                **case["metrics"]._asdict(),
                 "raw_rmse": case["raw_metrics"].rmse,
                 "raw_r2": case["raw_metrics"].r2,
                 "joint_nll": case["model"].joint_nll,
@@ -511,7 +494,7 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
     header += ["raw_rmse", "raw_r2", "joint_nll"]
     if fmt == "structured":
         results_path = os.path.join(out_dir, "results.json")
-        _write_json(results_path, {"rows": [{k: row[k] for k in header} for row in rows]})
+        _write_json(results_path, {"rows": rows})
     else:
         results_path = os.path.join(out_dir, "results.csv")
         write_csv(
@@ -527,9 +510,7 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
     summary = {}
     for name in names:
         sub = [r for r in rows if r["benchmark"] == name]
-        summary[name] = {
-            k: float(np.mean([r[k] for r in sub])) for k in ["rmse", "r2", "mnll", "nrmse"]
-        }
+        summary[name] = {k: float(np.mean([r[k] for r in sub])) for k in Metrics._fields}
         summary[name]["repeats"] = len(sub)
     _write_json(
         os.path.join(out_dir, "summary.json"),
@@ -601,10 +582,7 @@ def main(argv=None) -> int:
             config = _load_config(args.config) if args.config else {}
             cmd_bench(config, args.out, args.seed, args.format)
         return EXIT_OK
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceLimitError as exc:
+    except (UsageError, ResourceLimitError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DatasetFormatError, NestingError) as exc:

@@ -2,10 +2,13 @@
 
 bench/layers.py silently skips a wrap target the package no longer defines,
 and that target's per-layer metrics then read 0; these tests fail instead.
+The harness's own self-test runs here too.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,10 @@ def test_active_calls_fit_and_select_through_its_own_names():
     # active.refit.* counts fit_level spans entered through resgp.active's name
     assert active.fit_level is gp_level.fit_level
     assert callable(active.select_next)
+
+
+def test_benchmark_selftest_passes():
+    # the harness's tracer, percentile rule and layer metrics, checked by its own self-test
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=BENCH.parent,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

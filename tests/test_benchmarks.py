@@ -1,6 +1,8 @@
 """Tests for the benchmark functions, designs, metrics, and dataset files."""
 
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -29,7 +31,7 @@ from resgp import (
     standardization_scale,
     write_dataset_csv,
 )
-from resgp.benchmarks import POOL_SEED_OFFSET, TEST_SEED_OFFSET
+from resgp.benchmarks import POOL_SEED_OFFSET, TEST_SEED_OFFSET, write_csv
 
 HALF_LOG_2PI = 0.9189385332046727
 
@@ -568,6 +570,33 @@ def test_dataset_csv_round_trips_bit_exactly(tmp_path_factory, data):
     for f in range(data.n_fidelities):
         assert back.inputs[f].tobytes() == data.inputs[f].tobytes()
         assert back.outputs[f].tobytes() == data.outputs[f].tobytes()
+
+
+def reference_csv(header, rows) -> str:
+    """What csv.writer makes of the rows, each float cell written as repr(float(v))."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
+
+
+CELLS = st.one_of(
+    st.floats(),  # subnormals, -0.0, +-inf and nan included
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+    st.floats().map(np.float64),
+    st.integers(-10**20, 10**20),
+    st.sampled_from(sorted(BENCHMARKS)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.lists(CELLS, min_size=1, max_size=5), max_size=8))
+def test_write_csv_matches_csv_writer(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    header = ["benchmark", "x1", "y1"]
+    write_csv(str(path), header, rows)
+    assert path.read_text() == reference_csv(header, rows)
 
 
 def test_dataset_csv_fidelity_labels_must_be_contiguous(tmp_path):

@@ -276,6 +276,55 @@ def test_bad_optimizer_config_is_usage_error(tmp_path, capsys, optimizer, messag
     assert message in capsys.readouterr().err
 
 
+# Never 0, 1, 2 or a boolean: open() takes those as the file descriptors of
+# this process's own stdin, stdout and stderr, and closes them after the read.
+@pytest.mark.parametrize("value", [None, ["data.csv"], 2.5, 12345], ids=["null", "list", "float", "int"])
+@pytest.mark.parametrize("command, key", [("train", "dataset"), ("train", "test_dataset"), ("bounds", "truth")])
+def test_file_path_must_be_a_json_string(request, tmp_path, capsys, command, key, value):
+    if command == "train":
+        write_dataset_csv(str(tmp_path / "data.csv"), sine_dataset())
+        payload = {"dataset": str(tmp_path / "data.csv"), key: value}
+        argv = ["train", "--config", write_config(tmp_path, "train.json", payload)]
+    else:
+        payload = {"delta": 0.05, "tau": 1e-3, "l_y": 10.0, key: value}
+        argv = ["bounds", "--model", str(request.getfixturevalue("univariate_model")),
+                "--config", write_config(tmp_path, "bounds.json", payload)]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+    assert f"{key} must be a file path" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("train", {"benchmark": "currin", "budgets": [6, 2], "test_points": 0}),
+        ("active", {"benchmark": "currin", "budgets": [6, 2], "pool_size": 20, "standardize": "no"}),
+        ("bench", {"benchmarks": ["currin", "nope"], "budgets": {"currin": [6, 2]}}),
+    ],
+    ids=["train", "active", "bench"],
+)
+def test_config_fault_creates_no_out_directory(tmp_path, command, payload):
+    cfg = write_config(tmp_path, f"{command}.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_bounds_config_fault_wins_over_missing_model(tmp_path, capsys):
+    cfg = write_config(tmp_path, "bounds.json", {"delta": 0.05, "tau": 1e-3, "l_y": 10.0, "grid_points": 0})
+    argv = ["bounds", "--model", str(tmp_path / "absent.json"), "--config", cfg, "--out", str(tmp_path / "b")]
+    assert main(argv) == 1
+    assert "grid_points" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_train_config_fault_wins_over_bad_dataset(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("x1,y1,fidelity\n0.0,oops,1\n")
+    cfg = write_config(tmp_path, "train.json", {"dataset": str(data), "noise": -1})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "noise must be" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train
 
