@@ -12,6 +12,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain, compress, count
 from typing import NamedTuple
 
 import numpy as np
@@ -436,10 +437,17 @@ def _dataset_header(l: int, d: int) -> list:
 def write_csv(path: str, header: list, rows) -> None:
     """Write a CSV atomically, each cell as its str.
 
-    A float's str is its shortest repr, so it reads back exactly. Cells are
-    numbers and names, which need no quoting.
+    rows is a list of rows or a 2-D array of at least one column. A float's str
+    is its shortest repr, so it reads back exactly. Cells are numbers and names,
+    which need no quoting.
     """
-    _atomic_write_text(path, "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
+    if isinstance(rows, np.ndarray):
+        # one str map over the flat cells, regrouped into rows of rows.shape[1] cells
+        cells = iter(map(str, rows.ravel().tolist()))
+        rows = zip(*[cells] * rows.shape[1])
+    else:
+        rows = (map(str, row) for row in rows)
+    _atomic_write_text(path, "\n".join([",".join(header), *map(",".join, rows), ""]))
 
 
 def write_dataset_csv(path: str, data: MultiFidelityData) -> None:
@@ -452,14 +460,31 @@ def write_dataset_csv(path: str, data: MultiFidelityData) -> None:
     write_csv(path, _dataset_header(data.input_dim, data.output_dim), rows)
 
 
+def _check_records(records: list, n: int) -> None:
+    """Raise DatasetFormatError at the first record, in file order, that is not n numbers.
+
+    Blank records pass; records[0] is line 2.
+    """
+    for lineno, record in enumerate(records, start=2):
+        if record and len(record) != n:
+            raise DatasetFormatError(f"line {lineno}: expected {n} fields, got {len(record)}")
+        try:
+            list(map(float, record))
+        except ValueError as exc:
+            raise DatasetFormatError(f"line {lineno}: {exc}") from None
+
+
 def read_csv_rows(path: str, check_header) -> tuple[list, np.ndarray, list]:
     """Header, (rows, fields) values and 1-based row lines of a CSV of finite numbers.
 
     check_header gets the stripped header fields and raises DatasetFormatError
     if it rejects them. Blank lines are skipped; every other line must hold one
     finite number per header field. Faults, an unreadable file included, raise
-    DatasetFormatError naming the line where there is one.
+    DatasetFormatError naming the line where there is one; of several, the first
+    in the file wins. The records are read in one pass and converted by one
+    float map; the per-record checks run only when that fails.
     """
+    records = []
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -468,23 +493,27 @@ def read_csv_rows(path: str, check_header) -> tuple[list, np.ndarray, list]:
                 raise DatasetFormatError("line 1: empty file")
             header = [h.strip() for h in header]
             check_header(header)
-            n = len(header)
-            rows, lines = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != n:
-                    raise DatasetFormatError(f"line {lineno}: expected {n} fields, got {len(row)}")
-                try:
-                    rows.append(list(map(float, row)))
-                except ValueError as exc:
-                    raise DatasetFormatError(f"line {lineno}: {exc}") from None
-                lines.append(lineno)
+            try:
+                for record in reader:  # an explicit loop keeps the records read before a fault
+                    records.append(record)
+            except (OSError, UnicodeDecodeError, csv.Error):
+                _check_records(records, len(header))  # a fault among them comes first
+                raise
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:  # such as a field above csv.field_size_limit()
         raise DatasetFormatError(f"line {reader.line_num}: {exc}") from None
-    values = np.array(rows).reshape(len(rows), n)
+    n = len(header)
+    lines = list(compress(count(2), records))  # the line of each record that is not blank
+    try:
+        if not set(map(len, records)) <= {0, n}:
+            raise ValueError("a record has the wrong number of fields")
+        # blank records add no fields to the chain
+        values = np.fromiter(map(float, chain.from_iterable(records)), float, count=len(lines) * n)
+    except ValueError:
+        _check_records(records, n)
+        raise
+    values = values.reshape(len(lines), n)
     # one finiteness check over the whole array is cheaper than one per row
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -306,7 +307,7 @@ def cmd_predict(model_path: str, query_file: str, out_dir: str = ".", fmt: str =
     write_csv(
         out_path,
         [f"y{j + 1}" for j in range(model.output_dim)] + ["variance"],
-        np.column_stack([post.mean, post.var]).tolist(),
+        np.column_stack([post.mean, post.var]),
     )
     return out_path
 
@@ -416,7 +417,7 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
     write_csv(
         curve_path,
         [f"x{i + 1}" for i in range(model.input_dim)] + ["mean", "sigma", "bound"],
-        np.column_stack([grid, np.atleast_2d(post.mean)[:, 0], sigma, g]).tolist(),
+        np.column_stack([grid, np.atleast_2d(post.mean)[:, 0], sigma, g]),
     )
 
     coverage = None
@@ -462,17 +463,22 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
         budgets_override = config.get("budgets", {})
         if not isinstance(budgets_override, dict):
             raise TypeError("bench budgets must map benchmark names to budget lists")
-        runs = []
+        runs = {}  # benchmark name -> budgets
         for name in names:
             spec = _benchmark(name)
+            if spec.name in runs:
+                raise ValueError(f"bench benchmarks name {spec.name!r} twice")
             given = budgets_override.get(spec.name, DEFAULT_BUDGETS[spec.name])
-            runs.append((spec.name, _budgets(given, spec)))
+            runs[spec.name] = _budgets(given, spec)
+        for key in budgets_override:
+            if key not in runs:
+                raise ValueError(f"bench budgets name {key!r}, which is not a benchmark of this run")
         opts = [_optimizer(config, run_seed + rep) for rep in range(repeats)]
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
 
     rows = []
-    for name, budgets in runs:
+    for name, budgets in runs.items():
         for rep, opt in enumerate(opts):
             s = run_seed + rep
             case = run_benchmark_case(
@@ -508,7 +514,7 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
         )
 
     summary = {}
-    for name in names:
+    for name in runs:
         sub = [r for r in rows if r["benchmark"] == name]
         summary[name] = {k: float(np.mean([r[k] for r in sub])) for k in Metrics._fields}
         summary[name]["repeats"] = len(sub)
@@ -531,6 +537,7 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
 # entry point
 
 
+@functools.cache  # main only reads the parser, so one per process serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="resgp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

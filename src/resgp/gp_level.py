@@ -45,6 +45,8 @@ POLISH_FTOL = 1e-13
 # L-BFGS-B memory pairs and line-search steps per iteration, as in scipy's minimize
 LBFGS_MEMORY = 10
 LBFGS_MAXLS = 20
+# what a fit's objective hands L-BFGS-B where the Gram does not factor
+NOT_PD_NLL = 1e25
 
 
 class IllConditionedError(RuntimeError):
@@ -476,7 +478,8 @@ def fit_level(
     tolerances LOOSE_FTOL and LOOSE_GTOL; the best result is then polished to
     a projected-gradient norm of opt.grad_tol. noise fixes the observation
     variance; with learn_noise it is optimized as an additional log-parameter
-    instead.
+    instead. The objective does not escalate the jitter: when no start reaches
+    a Gram that factors at jitter_rel, the fit raises IllConditionedError.
     """
     if opt is None:
         opt = OptimizerConfig()
@@ -505,7 +508,7 @@ def fit_level(
     def objective(logvec: np.ndarray):
         amp, w, tau = unpack(logvec)
         nll, grad = _level_objective(amp, w, tau, jitter_rel * amp, sq, factor, d, learn_noise)
-        return (nll, grad) if math.isfinite(nll) else (1e25, grad)
+        return (nll, grad) if math.isfinite(nll) else (NOT_PD_NLL, grad)
 
     amp0 = float(np.mean(centered**2))
     med = 0.0
@@ -523,6 +526,11 @@ def fit_level(
 
     starts = _start_points(opt, n_free, init, tau_index, tau_init_log, heuristic)
     best = min((descend(x0, LOOSE_FTOL, LOOSE_GTOL) for x0 in starts), key=lambda r: r.fun)
+    if best.fun >= NOT_PD_NLL:  # L-BFGS-B only descends, so no start left that value
+        raise IllConditionedError(
+            f"no start of the fit reached a positive definite Gram matrix at jitter_rel "
+            f"{jitter_rel:.3e}; a design with repeated rows needs jitter_rel above 0"
+        )
     best_x = descend(best.x, POLISH_FTOL, opt.grad_tol).x
 
     params = KernelHyperparams(*unpack(best_x))

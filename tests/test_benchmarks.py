@@ -31,7 +31,7 @@ from resgp import (
     standardization_scale,
     write_dataset_csv,
 )
-from resgp.benchmarks import POOL_SEED_OFFSET, TEST_SEED_OFFSET, write_csv
+from resgp.benchmarks import POOL_SEED_OFFSET, TEST_SEED_OFFSET, read_csv_rows, write_csv
 
 HALF_LOG_2PI = 0.9189385332046727
 
@@ -590,13 +590,150 @@ CELLS = st.one_of(
 )
 
 
+ARRAY_CELLS = st.one_of(
+    st.floats(),  # subnormals, -0.0, +-inf and nan included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan]),
+)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.lists(CELLS, min_size=1, max_size=5), max_size=8))
-def test_write_csv_matches_csv_writer(tmp_path_factory, rows):
+@given(st.lists(st.lists(CELLS, min_size=1, max_size=5), max_size=8),
+       arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(1, 5)), elements=ARRAY_CELLS))
+def test_write_csv_matches_csv_writer(tmp_path_factory, rows, table):
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
     header = ["benchmark", "x1", "y1"]
     write_csv(str(path), header, rows)
     assert path.read_text() == reference_csv(header, rows)
+    # a 2-D array is written as its rows of Python floats would be
+    write_csv(str(path), header, table)
+    assert path.read_text() == reference_csv(header, table.tolist())
+
+
+def per_line_read_csv_rows(path: str, check_header) -> tuple[list, np.ndarray, list]:
+    """The per-line reader read_csv_rows replaced: the reference for its results and messages."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DatasetFormatError("line 1: empty file")
+            header = [h.strip() for h in header]
+            check_header(header)
+            n = len(header)
+            rows, lines = [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != n:
+                    raise DatasetFormatError(f"line {lineno}: expected {n} fields, got {len(row)}")
+                try:
+                    rows.append(list(map(float, row)))
+                except ValueError as exc:
+                    raise DatasetFormatError(f"line {lineno}: {exc}") from None
+                lines.append(lineno)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise DatasetFormatError(f"line {reader.line_num}: {exc}") from None
+    values = np.array(rows).reshape(len(rows), n)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise DatasetFormatError(f"line {lines[np.argmin(finite)]}: values must be finite")
+    return header, values, lines
+
+
+def reject_a_headers(header):
+    if "a" in header:
+        raise DatasetFormatError("line 1: header names a")
+
+
+def read_outcome(reader, path):
+    """What a reader makes of a file: its results, or the message of its DatasetFormatError."""
+    try:
+        header, values, lines = reader(path, reject_a_headers)
+    except DatasetFormatError as exc:
+        return "error", str(exc)
+    assert values.dtype == np.float64
+    return header, values.shape, values.tobytes(), lines
+
+
+OVERSIZED = "2" * 140_000  # above csv.field_size_limit()
+NUMBERS = st.one_of(
+    st.floats().map(repr),  # nan, +-inf, -0.0 and subnormals included
+    st.sampled_from(["1_0", "infinity", "-Infinity", "NaN", " 0.5", "0.5 ", "\t2e3", "1e999", "+.5"]),
+)
+FIELDS = st.one_of(
+    NUMBERS,
+    NUMBERS,
+    NUMBERS.map(lambda v: f'"{v}"'),  # quoted
+    st.sampled_from(['"1\n"', '"0,5"', '""']),  # a quoted line break, comma, empty field
+    st.sampled_from(["", "abc", "1.2.3", "1__0", "0x10", "--1", OVERSIZED]),
+)
+RECORDS = st.one_of(
+    st.lists(FIELDS, min_size=2, max_size=2).map(",".join),
+    st.lists(FIELDS, min_size=2, max_size=2).map(",".join),
+    st.lists(FIELDS, min_size=1, max_size=3).map(",".join),  # often ragged
+    st.sampled_from(["", " "]),  # a blank line, a line of one blank field
+)
+LAYOUTS = [
+    "x1,x2\n0.5,abc\n\n0.1," + OVERSIZED + "\n",  # a bad value before an oversized field
+    "x1,x2\n0.1,0.2\n0.5\n\n" + OVERSIZED + ",1\n",  # a ragged row before it
+    "x1,x2\n0.1,nan\n0.5," + OVERSIZED + "\n",  # an oversized field after a non-finite one
+    'x1,x2\n"0.1\n",0.2\n\n0.3,x\n',  # lines are record numbers, not physical lines
+    "x1,x2\n0.1,0.2\n1_0, inf \n",
+    "a,b\n0.1,0.2\n",
+    "",
+    "\n\n0.1,0.2\n",
+]
+
+
+@example(LAYOUTS[0], b"")
+@example(LAYOUTS[1], b"")
+@example(LAYOUTS[2], b"")
+@example(LAYOUTS[3], b"")
+@example(LAYOUTS[4], b"")
+@example(LAYOUTS[5], b"")
+@example(LAYOUTS[6], b"")
+@example(LAYOUTS[7], b"")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.builds(
+        lambda header, records, newline, last: newline.join([header, *records]) + last,
+        st.sampled_from(["x1,x2", " x1 , x2 ", "x1", "x1,x2,x3", "a,b", ""]),
+        st.lists(RECORDS, max_size=12),
+        st.sampled_from(["\n", "\r\n"]),
+        st.sampled_from(["\n", ""]),
+    ),
+    st.sampled_from([b"", b"", b"", b"0.1,\xff\n"]),  # bytes that do not decode, appended
+)
+def test_read_csv_rows_matches_the_per_line_reader(tmp_path_factory, text, tail):
+    path = str(tmp_path_factory.mktemp("csv") / "rows.csv")
+    with open(path, "wb") as fh:
+        fh.write(text.encode() + tail)
+    assert read_outcome(read_csv_rows, path) == read_outcome(per_line_read_csv_rows, path)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("0.5,abc\n", "could not convert string to float: 'abc'"),
+    ("0.5\n", "expected 2 fields, got 1"),
+    (None, None),
+], ids=["bad-value", "ragged", "none"])
+@pytest.mark.parametrize("stream_fault", ["oversized", "undecodable"])
+def test_a_record_fault_before_a_mid_file_stream_fault_wins(tmp_path, fault, message, stream_fault):
+    # 2,000 good records fill more than one 8 kB decode chunk, so the reader yields
+    # the record fault before it meets the stream fault
+    good = "".join(f"{i / 2000!r},0.5\n" for i in range(2000)).encode()
+    later = (f"0.1,{OVERSIZED}\n").encode() if stream_fault == "oversized" else b"0.1,\xff\n"
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"x1,x2\n" + good + (fault or "").encode() + good + later)
+    outcome = read_outcome(read_csv_rows, str(path))
+    assert outcome == read_outcome(per_line_read_csv_rows, str(path))
+    if fault is not None:
+        assert outcome == ("error", f"line 2002: {message}")
+    elif stream_fault == "oversized":
+        assert outcome == ("error", "line 4002: field larger than field limit (131072)")
+    else:
+        assert outcome[0] == "error" and outcome[1].startswith("cannot read")
 
 
 def test_dataset_csv_fidelity_labels_must_be_contiguous(tmp_path):

@@ -98,6 +98,21 @@ def test_bench_benchmarks_not_a_list_is_usage_error(tmp_path, capsys):
     assert "list of benchmark names" in capsys.readouterr().err
 
 
+def test_bench_benchmark_named_twice_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "bench.json", {"benchmarks": ["currin", "currin"], "test_points": 20})
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert "bench benchmarks name 'currin' twice" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_bench_budgets_for_a_benchmark_not_run_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "bench.json",
+                       {"benchmarks": ["currin"], "budgets": {"currin": [6, 2], "curin": [3, 1]}})
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert "bench budgets name 'curin', which is not a benchmark of this run" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 def test_malformed_dataset_is_data_error(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("x1,y1,fidelity\n0.0,1.0,1\n0.5,oops,1\n")
@@ -112,6 +127,17 @@ def test_broken_nesting_is_data_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "train.json", {"dataset": str(data)})
     assert main(["train", "--config", cfg]) == 2
     assert "fidelity 2" in capsys.readouterr().err
+
+
+def test_train_on_repeated_rows_at_zero_jitter_is_numeric_error(tmp_path, capsys):
+    # every Gram the fit tries is singular, so it has no optimum to save
+    x = np.array([[0.1], [0.1], [0.5], [0.9], [0.9]])
+    write_dataset_csv(str(tmp_path / "data.csv"), MultiFidelityData([x], [np.sin(6.0 * x)]))
+    cfg = write_config(tmp_path, "train.json", {"dataset": str(tmp_path / "data.csv"), "jitter_rel": 0})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "jitter_rel 0.000e+00" in err
+    assert not (tmp_path / "run" / "model.json").exists()
 
 
 def test_numerical_failure_is_numeric_error(tmp_path, capsys, monkeypatch):
@@ -471,6 +497,19 @@ def test_predict_structured_format(trained, tmp_path):
     payload = json.loads((pdir / "predictions.json").read_text())
     assert len(payload["means"]) == 2
     assert len(payload["variances"]) == 2
+
+
+def test_predict_calls_in_one_process_share_no_parsed_value(trained, tmp_path):
+    # the parser is built once per process; each call parses its own arguments
+    out, inputs, _ = trained
+    qfile = tmp_path / "q.csv"
+    write_queries(qfile, inputs[:2])
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["predict", "--model", str(out / "model.json"), "--queries", str(qfile), "--out"]
+    assert main(argv + [str(first), "--format", "structured"]) == 0
+    assert main(argv + [str(second)]) == 0
+    assert sorted(p.name for p in first.iterdir()) == ["predictions.json"]
+    assert sorted(p.name for p in second.iterdir()) == ["predictions.csv"]
 
 
 def test_predict_bad_query_header_is_data_error(trained, tmp_path, capsys):

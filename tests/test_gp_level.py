@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from resgp import (
     DEFAULT_BUDGETS,
+    IllConditionedError,
     KernelHyperparams,
     MultiFidelityData,
     OptimizerConfig,
@@ -508,9 +509,11 @@ def test_fit_nll_matches_recomputation():
 
 
 def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypatch):
-    # repeated rows make every Gram singular; with no jitter most trial points fail
-    # to factor, and the objective hands L-BFGS-B a huge value with a zero gradient
-    ds = scalar_dataset([0.1, 0.1, 0.5, 0.9, 0.9], [0.1, 0.1, 0.5, 0.9, 0.9])
+    # rows 1e-4 apart make the Gram singular to rounding at long length scales;
+    # with no jitter some trial points there fail to factor, and the objective
+    # hands L-BFGS-B a huge value with a zero gradient
+    x = np.array([0.1, 0.1 + 1e-4, 0.5, 0.9, 0.9 + 1e-4])
+    ds = scalar_dataset(x, np.sin(6.0 * x))
     core, driver = gp_level._nll_core, gp_level.minimize
     core_nlls, objective_values = [], []
 
@@ -530,12 +533,12 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
     monkeypatch.setattr(gp_level, "_nll_core", recording_core)
     monkeypatch.setattr(gp_level, "minimize", recording_driver)
     level = fit_level(ds, OptimizerConfig(seed=0), jitter_rel=0.0)
-    assert math.inf in core_nlls
-    assert [f == 1e25 and not g.any() for f, g in objective_values] == [
+    assert math.inf in core_nlls and any(map(math.isfinite, core_nlls))
+    assert [f == gp_level.NOT_PD_NLL and not g.any() for f, g in objective_values] == [
         nll == math.inf for nll in core_nlls
     ]
-    # the finalize factorization escalates the jitter instead
-    assert np.isfinite(level.fit_nll) and level.jitter > 0
+    # the search steps back to shorter length scales, where the Gram factors
+    assert np.isfinite(level.fit_nll)
     recomputed = neg_log_likelihood(
         level.params,
         ResidualDataset(level.inputs, level.residuals),
@@ -546,9 +549,13 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
 
 def test_fit_rejects_a_factor_of_a_singular_gram():
     # with repeated rows dpotrf can factor the exactly singular Gram at zero jitter
-    # by rounding; the pivot rule rejects that factor, so the finalize escalates
+    # by rounding; the pivot rule rejects that factor, so the finalize escalates (a
+    # fit here raises: test_fit_raises_when_no_start_reaches_a_gram_that_factors)
     x = [0.1, 0.1, 0.5, 0.9, 0.9]
-    level = fit_level(scalar_dataset(x, np.sin(6.0 * np.array(x))), jitter_rel=0.0)
+    ds = scalar_dataset(x, np.sin(6.0 * np.array(x)))
+    # the fit's moment-matched start
+    p = KernelHyperparams(float(np.mean((ds.residuals - ds.residuals.mean()) ** 2)), np.array([6.25]))
+    level = build_level(p, ds, jitter_rel=0.0)
     assert level.jitter == pytest.approx(1e-8 * level.params.amplitude)
     recomputed = neg_log_likelihood(
         level.params,
@@ -556,6 +563,18 @@ def test_fit_rejects_a_factor_of_a_singular_gram():
         jitter_rel=level.jitter / level.params.amplitude,
     )
     assert recomputed == pytest.approx(level.fit_nll, abs=1e-8)
+
+
+@pytest.mark.parametrize("y", ["sine", "identity"])
+def test_fit_raises_when_no_start_reaches_a_gram_that_factors(y):
+    # repeated rows at zero jitter: every Gram the search tries is singular, so the
+    # fit has no optimum to return, not even the moment-matched start it never moved
+    x = np.array([0.1, 0.1, 0.5, 0.9, 0.9])
+    ds = scalar_dataset(x, np.sin(6.0 * x) if y == "sine" else x)
+    with pytest.raises(IllConditionedError, match="jitter_rel 0.000e"):
+        fit_level(ds, OptimizerConfig(seed=0), jitter_rel=0.0)
+    # the same design fits at the default jitter
+    assert np.isfinite(fit_level(ds, OptimizerConfig(seed=0)).fit_nll)
 
 
 def test_fit_rejects_negative_noise():
