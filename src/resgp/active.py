@@ -171,7 +171,7 @@ def sequential_construct(
             audit.append(record)
             ds = ResidualDataset(inputs=unit[chosen], residuals=np.array(rows))
             # a fidelity's first fit runs the full opt, later ones start at the last optimum
-            warm = None if level is None else np.log([level.params.amplitude, *level.params.weights])
+            warm = None if level is None else level.params
             level = fit_level(ds, opt if warm is None else warm_opt, jitter_rel=jitter_rel, init=warm)
             record["nll"] = level.fit_nll
             if len(chosen) == budgets[f - 1]:

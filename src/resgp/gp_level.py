@@ -369,7 +369,13 @@ def build_level(
 
 @dataclass
 class LbfgsResult:
-    """Outcome of one L-BFGS-B run: the final point, its NLL and the work done."""
+    """Outcome of one L-BFGS-B run: the final point, an NLL and the work done.
+
+    fun is the objective at the last point evaluated. That is x itself except
+    after an abnormal line-search stop (success False below the iteration cap),
+    where setulb restores x to the previous iterate; fun then is not f(x).
+    fit_level computes fit_nll again at the x it keeps.
+    """
 
     x: np.ndarray
     fun: float
@@ -386,7 +392,8 @@ def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: in
     length, factr = ftol / eps and an iteration cap counted on each new
     iteration; the objective is called once at x0 and then only where setulb
     asks for a point other than the last one evaluated. So x, fun, nit, nfev
-    and success equal minimize's bit for bit, without its wrapper objects
+    and success equal minimize's bit for bit (fun, as there, may not be f(x):
+    see LbfgsResult), without its wrapper objects
     (scipy's 15,000-evaluation cap is left out: below about 375 iterations it
     cannot bind). setulb is private scipy API with this signature since 1.15.
     The name is the one bench/layers.py wraps to time each run.
@@ -424,38 +431,27 @@ def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: in
 
 
 def _start_points(
-    opt: OptimizerConfig,
-    n_free: int,
-    init: np.ndarray | None,
-    tau_index: int | None,
-    tau_init_log: float,
-    heuristic: np.ndarray | None = None,
+    opt: OptimizerConfig, unit: np.ndarray, centre: np.ndarray, warm: np.ndarray | None = None
 ) -> list[np.ndarray]:
-    """Warm start, moment-matched start, then the opt.restarts recipe starts.
+    """Warm start, moment-matched centre, unit start, then opt.restarts - 1 draws.
 
-    The recipe is one start at unit scales (noise at tau_init_log) plus
-    opt.restarts - 1 random restarts drawn log-uniformly within a factor
-    START_SPREAD either way of the moment-matched heuristic start in every
-    parameter (of the unit start when the data give no heuristic), so the
-    restarts follow the scale of the residuals rather than raw output units.
-    The heuristic and an explicit init are extras ahead of the recipe.
+    The draws are log-uniform within a factor START_SPREAD either way of the
+    clipped centre in every parameter, so the restarts follow the scale of the
+    residuals rather than raw output units. Every start lies in the
+    [-LOG_BOUND, LOG_BOUND] box. warm is left out when None, and the centre
+    when it is the unit start (the data give no moment match).
     """
     rng = np.random.default_rng(opt.seed)
-    unit = np.zeros(n_free)
-    if tau_index is not None:
-        unit[tau_index] = tau_init_log
-    centre = unit if heuristic is None else np.clip(heuristic, -LOG_BOUND, LOG_BOUND)
+    centre = np.clip(centre, -LOG_BOUND, LOG_BOUND)
     spread = math.log(START_SPREAD)
-    starts = [unit]
-    while len(starts) < opt.restarts:
-        draw = centre + rng.uniform(-spread, spread, size=n_free)
-        starts.append(np.clip(draw, -LOG_BOUND, LOG_BOUND))
-    if heuristic is not None:
-        starts = [centre] + starts
-    if init is not None:
-        init = np.clip(np.asarray(init, dtype=float), -LOG_BOUND, LOG_BOUND)
-        starts = [init] + starts
-    return starts
+    draws = [
+        np.clip(centre + rng.uniform(-spread, spread, size=centre.size), -LOG_BOUND, LOG_BOUND)
+        for _ in range(opt.restarts - 1)
+    ]
+    starts = [] if warm is None else [np.clip(warm, -LOG_BOUND, LOG_BOUND)]
+    if not np.array_equal(centre, unit):
+        starts.append(centre)
+    return starts + [unit] + draws
 
 
 def fit_level(
@@ -465,21 +461,23 @@ def fit_level(
     jitter_rel: float = DEFAULT_JITTER_REL,
     noise: float = 0.0,
     learn_noise: bool = False,
-    init: np.ndarray | None = None,
+    init: KernelHyperparams | None = None,
 ) -> TrainedLevel:
     """Fit hyperparameters by maximum likelihood and cache prediction state.
 
     Residual columns are centered before fitting; the means are stored on the
-    level and restored by level_predict. Optimization runs over log-parameters
-    in [-LOG_BOUND, LOG_BOUND] from an explicit init (a warm start), the
-    moment-matched start (amplitude at the mean squared residual, every weight
-    at the inverse median pairwise squared distance) and the opt.restarts
-    recipe starts of _start_points. Each start runs L-BFGS-B only to the loose
-    tolerances LOOSE_FTOL and LOOSE_GTOL; the best result is then polished to
-    a projected-gradient norm of opt.grad_tol. noise fixes the observation
-    variance; with learn_noise it is optimized as an additional log-parameter
-    instead. The objective does not escalate the jitter: when no start reaches
-    a Gram that factors at jitter_rel, the fit raises IllConditionedError.
+    level and restored by level_predict. The search runs over [log amplitude,
+    log w_1 .. log w_l (, log noise)] in [-LOG_BOUND, LOG_BOUND] from the starts
+    of _start_points: init (a warm start, such as the previous fit's params),
+    the moment-matched centre (amplitude at the mean squared residual, every
+    weight at the inverse median pairwise squared distance), the unit start and
+    draws around the centre. Each runs L-BFGS-B to LOOSE_FTOL and LOOSE_GTOL;
+    the best is polished to a projected-gradient norm of opt.grad_tol. noise
+    fixes the observation variance; with learn_noise it is searched too, from
+    noise (or 1e-3 of the mean squared residual when noise is 0) and, in the warm
+    start, from init.noise when that is positive. The objective does not escalate
+    the jitter: when no start reaches a Gram that factors at jitter_rel, the fit
+    raises IllConditionedError.
     """
     if opt is None:
         opt = OptimizerConfig()
@@ -487,22 +485,32 @@ def fit_level(
         if not 0 <= value < math.inf:
             raise ValueError(f"{name} must be finite and at least 0, got {value}")
     n, l = data.inputs.shape
+    if init is not None and init.dim != l:
+        raise ValueError(f"init has {init.dim} weights, but the data have {l} inputs")
     d = data.output_dim
     means = data.residuals.mean(axis=0)
     centered = data.residuals - means
     factor = _residual_factor(centered)
     sq = sq_diffs(data.inputs, data.inputs)
+    amp0 = float(np.mean(centered**2))
 
-    n_free = 1 + l + (1 if learn_noise else 0)
-    tau_index = n_free - 1 if learn_noise else None
+    unit = np.zeros(l + 2 if learn_noise else l + 1)
     if learn_noise:
-        tau0 = noise if noise > 0 else max(1e-6, 1e-3 * float(np.mean(centered**2)))
-        tau_init_log = float(np.clip(math.log(tau0), -LOG_BOUND, LOG_BOUND))
-    else:
-        tau_init_log = 0.0
+        tau0 = noise if noise > 0 else max(1e-6, 1e-3 * amp0)
+        unit[-1] = np.clip(math.log(tau0), -LOG_BOUND, LOG_BOUND)
+    centre = unit.copy()
+    med = float(np.median(sq.sum(axis=2)[np.triu_indices(n, k=1)])) if n > 1 else 0.0
+    if amp0 > 0 and med > 0:
+        centre[0], centre[1 : 1 + l] = math.log(amp0), math.log(1.0 / med)
+    warm = None
+    if init is not None:
+        warm = unit.copy()
+        warm[: 1 + l] = np.log([init.amplitude, *init.weights])
+        if learn_noise and init.noise > 0:
+            warm[-1] = math.log(init.noise)
 
     def unpack(logvec: np.ndarray):
-        tau = math.exp(logvec[tau_index]) if learn_noise else noise
+        tau = math.exp(logvec[-1]) if learn_noise else noise
         return math.exp(logvec[0]), np.exp(logvec[1 : 1 + l]), tau
 
     def objective(logvec: np.ndarray):
@@ -510,21 +518,10 @@ def fit_level(
         nll, grad = _level_objective(amp, w, tau, jitter_rel * amp, sq, factor, d, learn_noise)
         return (nll, grad) if math.isfinite(nll) else (NOT_PD_NLL, grad)
 
-    amp0 = float(np.mean(centered**2))
-    med = 0.0
-    if n > 1:
-        med = float(np.median(sq.sum(axis=2)[np.triu_indices(n, k=1)]))
-    heuristic = None
-    if amp0 > 0 and med > 0:
-        heuristic = np.full(n_free, math.log(1.0 / med))
-        heuristic[0] = math.log(amp0)
-        if learn_noise:
-            heuristic[tau_index] = tau_init_log
-
     def descend(x0: np.ndarray, ftol: float, gtol: float) -> LbfgsResult:
         return minimize(objective, x0, ftol=ftol, gtol=gtol, maxiter=opt.max_iters)
 
-    starts = _start_points(opt, n_free, init, tau_index, tau_init_log, heuristic)
+    starts = _start_points(opt, unit, centre, warm)
     best = min((descend(x0, LOOSE_FTOL, LOOSE_GTOL) for x0 in starts), key=lambda r: r.fun)
     if best.fun >= NOT_PD_NLL:  # L-BFGS-B only descends, so no start left that value
         raise IllConditionedError(

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from resgp import (
     DEFAULT_BUDGETS,
+    DEFAULT_JITTER_REL,
     IllConditionedError,
     KernelHyperparams,
     MultiFidelityData,
@@ -29,6 +30,7 @@ from resgp import (
     nested_random_data,
     nesting_check,
     nll_gradient,
+    train,
 )
 from resgp.kernel import sq_diffs
 
@@ -376,11 +378,79 @@ def test_fit_recovers_known_length_scale():
 def test_fit_result_not_worse_than_any_start_and_idempotent():
     ds, _ = smooth_1d_sample(seed=21)
     level = fit_level(ds, OptimizerConfig(seed=0))
-    warm = np.log(
-        np.concatenate(([level.params.amplitude], level.params.weights))
-    )
-    again = fit_level(ds, OptimizerConfig(seed=0), init=warm)
+    again = fit_level(ds, OptimizerConfig(seed=0), init=level.params)
     assert again.fit_nll <= level.fit_nll + 1e-6
+
+
+def no_search(*args, **kwargs):
+    raise AssertionError("the likelihood search ran")
+
+
+@pytest.mark.parametrize("weights", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
+def test_fit_rejects_init_of_another_dimension_before_searching(monkeypatch, weights):
+    monkeypatch.setattr(gp_level, "minimize", no_search)
+    ds = random_dataset(np.random.default_rng(0), 12, 2, 1)
+    with pytest.raises(ValueError, match="init has .* weights, but the data have 2 inputs"):
+        fit_level(ds, init=KernelHyperparams(1.0, weights))
+
+
+def test_init_cannot_hold_a_nan():
+    with pytest.raises(ValueError, match="finite"):
+        KernelHyperparams(1.0, [float("nan"), 1.0])
+
+
+def record_start_points(monkeypatch):
+    """Patch _start_points to append (unit, centre, warm, starts) of each fit to a list."""
+    start_points, calls = gp_level._start_points, []
+
+    def recorder(opt, unit, centre, warm=None):
+        starts = start_points(opt, unit, centre, warm)
+        calls.append((unit, centre, warm, starts))
+        return starts
+
+    monkeypatch.setattr(gp_level, "_start_points", recorder)
+    return calls
+
+
+def test_learned_noise_warm_start_maps_init_noise(monkeypatch):
+    ds, _ = smooth_1d_sample(seed=26, n=25)
+    noisy = ResidualDataset(
+        ds.inputs, ds.residuals + 0.05 * np.random.default_rng(26).normal(size=ds.residuals.shape)
+    )
+    cold = fit_level(noisy, OptimizerConfig(seed=0), learn_noise=True)
+    calls = record_start_points(monkeypatch)
+    warm_opt = OptimizerConfig(seed=0, restarts=1)
+    # a zero init.noise, which has no log, takes the unit start's noise entry; a
+    # positive one is the warm start's noise entry. Warnings fail the suite.
+    p = cold.params
+    for init in (KernelHyperparams(p.amplitude, p.weights), p):
+        level = fit_level(noisy, warm_opt, learn_noise=True, init=init)
+        assert np.isfinite(level.fit_nll) and level.params.noise > 0
+    (unit, _, _, zero_starts), (_, _, _, starts) = calls
+    np.testing.assert_array_equal(zero_starts[0], [*np.log([p.amplitude, *p.weights]), unit[-1]])
+    np.testing.assert_array_equal(starts[0], [*np.log([p.amplitude, *p.weights]), math.log(p.noise)])
+
+
+def test_start_recipe_draws_around_the_clipped_centre(monkeypatch):
+    ds, _ = smooth_1d_sample(seed=27)
+    big = ResidualDataset(ds.inputs, 1e5 * ds.residuals)
+    calls = record_start_points(monkeypatch)
+    opt = OptimizerConfig(seed=0)
+    fit_level(big, opt, init=KernelHyperparams(1.0, [2.0]))
+    [(unit, centre, _, starts)] = calls
+    bound, spread = gp_level.LOG_BOUND, math.log(gp_level.START_SPREAD)
+    # the moment-matched log amplitude lies above the box
+    assert centre[0] > bound
+    clipped = np.clip(centre, -bound, bound)
+    assert len(starts) == 3 + opt.restarts - 1
+    np.testing.assert_array_equal(starts[0], np.log([1.0, 2.0]))
+    np.testing.assert_array_equal(starts[1], clipped)
+    np.testing.assert_array_equal(starts[2], unit)
+    assert all(np.all(np.abs(x) <= bound) for x in starts)
+    draws = np.array(starts[3:])
+    assert np.all(np.abs(draws - clipped) <= spread)
+    # draws around the unclipped centre would all put log amplitude on the ceiling
+    assert np.any(draws[:, 0] < bound)
 
 
 def test_fit_gradient_small_at_interior_optimum():
@@ -405,6 +475,17 @@ def benchmark_level(name, seed, level):
         inputs=[spec.domain.normalize(x) for x in data.inputs], outputs=data.outputs
     )
     return compute_residuals(norm, nesting_check(norm))[level - 1]
+
+
+@pytest.mark.parametrize("name", ["currin", "park", "borehole", "branin3", "hartmann3"])
+def test_train_keeps_the_search_jitter_on_every_table2_level(name):
+    # the polish returns a point whose Gram factored at jitter_rel * amplitude, and
+    # gram rebuilds that matrix bit for bit, so the finalize Cholesky never escalates
+    spec = get_benchmark(name)
+    data = nested_random_data(spec, DEFAULT_BUDGETS[name], 0)
+    model = train(data, OptimizerConfig(seed=0), domain=spec.domain)
+    for level in model.levels:
+        assert level.jitter == DEFAULT_JITTER_REL * level.params.amplitude
 
 
 @pytest.mark.parametrize("name,seed,level", [("currin", 6, 1), ("park", 8, 2)])
@@ -590,9 +671,6 @@ def test_fit_rejects_negative_noise():
     ids=["jitter-nan", "jitter-negative", "jitter-inf", "noise-nan", "noise-inf"],
 )
 def test_fit_rejects_bad_jitter_or_noise_before_searching(monkeypatch, key, value):
-    def no_search(*args, **kwargs):
-        raise AssertionError("the likelihood search ran")
-
     monkeypatch.setattr(gp_level, "minimize", no_search)
     with pytest.raises(ValueError, match=f"{key} must be finite and at least 0"):
         fit_level(scalar_dataset([0.0, 1.0], [0.0, 1.0]), **{key: value})
