@@ -61,7 +61,6 @@ from .gp_level import (
 )
 from .kernel import (
     DEFAULT_JITTER_REL,
-    MAX_JITTER_REL,
     DomainBox,
     KernelHyperparams,
     ard_eval,

@@ -21,9 +21,8 @@ from scipy.optimize._lbfgsb import setulb
 
 from .kernel import (
     DEFAULT_JITTER_REL,
-    JITTER_GROWTH,
-    MAX_JITTER_REL,
     KernelHyperparams,
+    check_nonnegative,
     cross_vec,
     gram,
     kernel_values,
@@ -50,7 +49,7 @@ NOT_PD_NLL = 1e25
 
 
 class IllConditionedError(RuntimeError):
-    """Cholesky failed even at the maximum admissible jitter."""
+    """A level's Gram matrix does not factor at its jitter, jitter_rel * amplitude."""
 
     def __init__(self, message: str, params: KernelHyperparams | None = None):
         super().__init__(message)
@@ -145,7 +144,7 @@ class TrainedLevel:
     column_means restores the raw residuals at prediction time. chol is the
     lower Cholesky factor of the Gram plus (noise + jitter) diagonal, alpha the
     dual weights solving K alpha = residuals, and jitter the absolute diagonal
-    shift that made the factorization succeed.
+    shift, jitter_rel * amplitude. fit_nll is neg_log_likelihood there, bit for bit.
     """
 
     params: KernelHyperparams
@@ -187,26 +186,18 @@ def _cholesky(K: np.ndarray, shift: float) -> np.ndarray | None:
 
 def cholesky_with_escalation(
     params: KernelHyperparams, points: np.ndarray, jitter: float
-) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of the Gram, escalating jitter x10 on failure.
+) -> np.ndarray:
+    """Lower Cholesky factor of the Gram plus the absolute jitter and the noise.
 
-    jitter is absolute. Escalation stops at MAX_JITTER_REL * amplitude; beyond
-    that the Gram is declared ill-conditioned.
+    A Gram that does not factor there raises IllConditionedError. The name is
+    older than the single jitter; it stays because bench/layers.py times this
+    function as the gp_level.cholesky layer.
     """
-    amp = params.amplitude
-    j = float(jitter)
-    while True:
-        chol = _cholesky(gram(params, points, j), j + params.noise)
-        if chol is not None:
-            return chol, j
-        if j >= MAX_JITTER_REL * amp:
-            raise IllConditionedError(
-                f"Gram matrix not positive definite at jitter {j:.3e} "
-                f"(amplitude {amp:.3e})",
-                params=params,
-            )
-        j = max(DEFAULT_JITTER_REL * amp, j * JITTER_GROWTH)
-        j = min(j, MAX_JITTER_REL * amp)
+    chol = _cholesky(gram(params, points, jitter), jitter + params.noise)
+    if chol is None:
+        raise IllConditionedError(f"Gram matrix not positive definite at jitter {jitter:.3e} "
+                                  f"(amplitude {params.amplitude:.3e})", params=params)
+    return chol
 
 
 def _residual_factor(residuals: np.ndarray) -> np.ndarray:
@@ -273,10 +264,10 @@ def _nll_core(
 def _level_objective(amplitude, weights, noise, jitter, sq, factor, n_outputs, learn_noise):
     """NLL and gradient over [log amplitude, log w_1 .. log w_l (, log noise)].
 
-    The one map from hyperparameters to what a fit minimizes: _nll_core at
-    shift jitter + noise, with the jitter proportional to the amplitude, as fits
-    and the escalation always choose it. The log-noise component is there with
-    learn_noise. A K that is not positive definite gives (inf, zeros).
+    The one map from hyperparameters to a level's NLL, for the fit's search,
+    its fit_nll and neg_log_likelihood alike: _nll_core at shift jitter + noise,
+    with the jitter proportional to the amplitude. The log-noise component is
+    there with learn_noise. A K that is not positive definite gives (inf, zeros).
     """
     nll, grad = _nll_core(amplitude=amplitude, weights=weights, shift=jitter + noise,
                           sq_diffs=sq, factor=factor, n_outputs=n_outputs)
@@ -288,14 +279,20 @@ def _level_objective(amplitude, weights, noise, jitter, sq, factor, n_outputs, l
     return nll, grad[:-1]
 
 
-def _nll_at(params: KernelHyperparams, data: ResidualDataset, jitter_rel: float):
-    """_level_objective at fixed hyperparameters and the escalated jitter."""
-    if data.input_dim != params.dim:
+def _nll_at(params: KernelHyperparams, inputs: np.ndarray, residuals: np.ndarray,
+            jitter_rel: float):
+    """_level_objective at fixed params and jitter_rel * amplitude, where K must factor."""
+    check_nonnegative(jitter_rel, "jitter_rel")
+    if inputs.shape[1] != params.dim:
         raise ValueError("data dimension does not match kernel weights")
-    _, j = cholesky_with_escalation(params, data.inputs, jitter_rel * params.amplitude)
-    sq, factor = sq_diffs(data.inputs, data.inputs), _residual_factor(data.residuals)
-    return _level_objective(params.amplitude, params.weights, params.noise, j, sq, factor,
-                            data.output_dim, params.noise > 0)
+    sq, factor = sq_diffs(inputs, inputs), _residual_factor(residuals)
+    nll, grad = _level_objective(params.amplitude, params.weights, params.noise,
+                                 jitter_rel * params.amplitude, sq, factor,
+                                 residuals.shape[1], params.noise > 0)
+    if not math.isfinite(nll):
+        raise IllConditionedError(f"Gram matrix not positive definite at jitter_rel "
+                                  f"{jitter_rel:.3e}", params=params)
+    return nll, grad
 
 
 def neg_log_likelihood(
@@ -305,11 +302,10 @@ def neg_log_likelihood(
 
     Equals the sum over output columns of the negated Gaussian log-density:
     (d/2) log|K| + (1/2) tr(R^T K^-1 R) + (N d / 2) log 2pi, with K the Gram
-    plus (noise + jitter) diagonal. The jitter starts at jitter_rel * amplitude,
-    as in fit_level, and escalates like cholesky_with_escalation before an
-    ill-conditioned error is raised.
+    plus (noise + jitter) diagonal and the jitter jitter_rel * amplitude, as in
+    fit_level. A K that does not factor raises IllConditionedError.
     """
-    return float(_nll_at(params, data, jitter_rel)[0])
+    return float(_nll_at(params, data.inputs, data.residuals, jitter_rel)[0])
 
 
 def nll_gradient(
@@ -318,11 +314,11 @@ def nll_gradient(
     """Gradient of neg_log_likelihood with respect to log-hyperparameters.
 
     Component order is [log amplitude, log w_1 .. log w_l] with a trailing
-    log-noise component when params.noise > 0. The jitter it escalates to
-    scales with the amplitude, so its derivative is part of the log-amplitude
-    component; this is the gradient fit_level's objective hands L-BFGS-B.
+    log-noise component when params.noise > 0. The jitter scales with the
+    amplitude, so its derivative is part of the log-amplitude component; this is
+    the gradient fit_level's objective hands L-BFGS-B.
     """
-    return _nll_at(params, data, jitter_rel)[1]
+    return _nll_at(params, data.inputs, data.residuals, jitter_rel)[1]
 
 
 def _finalize_level(
@@ -331,13 +327,13 @@ def _finalize_level(
     centered: np.ndarray,
     means: np.ndarray,
     jitter_rel: float,
+    fit_nll: float,
 ) -> TrainedLevel:
-    chol, j = cholesky_with_escalation(params, inputs, jitter_rel * params.amplitude)
-    n, d = centered.shape
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    """Factor the Gram at jitter_rel * amplitude and solve for alpha; fit_nll is the caller's."""
+    j = jitter_rel * params.amplitude
+    chol = cholesky_with_escalation(params, inputs, j)
     white = solve_triangular(chol, centered, lower=True)
     alpha = solve_triangular(chol, white, lower=True, trans="T")
-    nll = 0.5 * d * logdet + 0.5 * float(np.sum(white * white)) + 0.5 * n * d * LOG2PI
     return TrainedLevel(
         params=params,
         inputs=np.array(inputs, dtype=float, copy=True),
@@ -346,7 +342,7 @@ def _finalize_level(
         chol=chol,
         alpha=alpha,
         jitter=j,
-        fit_nll=nll,
+        fit_nll=fit_nll,
     )
 
 
@@ -357,14 +353,10 @@ def build_level(
     center: bool = True,
 ) -> TrainedLevel:
     """Construct a TrainedLevel with fixed hyperparameters, no optimization."""
-    if data.input_dim != params.dim:
-        raise ValueError("data dimension does not match kernel weights")
-    if center:
-        means = data.residuals.mean(axis=0)
-    else:
-        means = np.zeros(data.output_dim)
+    means = data.residuals.mean(axis=0) if center else np.zeros(data.output_dim)
     centered = data.residuals - means
-    return _finalize_level(params, data.inputs, centered, means, jitter_rel)
+    fit_nll = _nll_at(params, data.inputs, centered, jitter_rel)[0]
+    return _finalize_level(params, data.inputs, centered, means, jitter_rel, fit_nll)
 
 
 @dataclass
@@ -374,7 +366,7 @@ class LbfgsResult:
     fun is the objective at the last point evaluated. That is x itself except
     after an abnormal line-search stop (success False below the iteration cap),
     where setulb restores x to the previous iterate; fun then is not f(x).
-    fit_level computes fit_nll again at the x it keeps.
+    fit_level takes fit_nll from one more objective call at the x it keeps.
     """
 
     x: np.ndarray
@@ -475,15 +467,14 @@ def fit_level(
     the best is polished to a projected-gradient norm of opt.grad_tol. noise
     fixes the observation variance; with learn_noise it is searched too, from
     noise (or 1e-3 of the mean squared residual when noise is 0) and, in the warm
-    start, from init.noise when that is positive. The objective does not escalate
-    the jitter: when no start reaches a Gram that factors at jitter_rel, the fit
-    raises IllConditionedError.
+    start, from init.noise when that is positive. The jitter stays at
+    jitter_rel * amplitude: when no start reaches a Gram that factors there, the
+    fit raises IllConditionedError.
     """
     if opt is None:
         opt = OptimizerConfig()
-    for name, value in (("jitter_rel", jitter_rel), ("noise", noise)):
-        if not 0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and at least 0, got {value}")
+    check_nonnegative(jitter_rel, "jitter_rel")
+    check_nonnegative(noise, "noise")
     n, l = data.inputs.shape
     if init is not None and init.dim != l:
         raise ValueError(f"init has {init.dim} weights, but the data have {l} inputs")
@@ -531,7 +522,7 @@ def fit_level(
     best_x = descend(best.x, POLISH_FTOL, opt.grad_tol).x
 
     params = KernelHyperparams(*unpack(best_x))
-    return _finalize_level(params, data.inputs, centered, means, jitter_rel)
+    return _finalize_level(params, data.inputs, centered, means, jitter_rel, objective(best_x)[0])
 
 
 def level_predict(level: TrainedLevel, query):

@@ -20,16 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemv
 
-# Relative jitter policy: fits add DEFAULT_JITTER_REL * amplitude to the Gram
-# diagonal, escalating by x10 on Cholesky failure up to MAX_JITTER_REL * amplitude.
+# Relative jitter: each level factors its Gram once, with jitter_rel * amplitude on
+# the diagonal; a Gram that does not factor there is ill-conditioned.
 DEFAULT_JITTER_REL = 1e-8
-MAX_JITTER_REL = 1e-2
-JITTER_GROWTH = 10.0
 # Weighted squared distances are capped here before exponentiation, so every
 # kernel value is at least amplitude * e^-230 (about 1e-100 * amplitude). The
 # cap keeps subnormal numbers, which slow floating-point arithmetic many times
 # over, out of every Gram, cross-covariance and likelihood evaluation.
 DIST_CUT = 230.0
+
+
+def check_nonnegative(value: float, name: str) -> None:
+    """ValueError unless value is finite and at least 0 (a NaN is neither)."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and at least 0, got {value}")
 
 
 def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
@@ -158,8 +162,7 @@ def gram(params: KernelHyperparams, points, jitter: float = 0.0) -> np.ndarray:
         raise ValueError(f"points must be a 2-d array, got shape {pts.shape}")
     if pts.shape[1] != params.dim:
         raise ValueError("point dimension does not match kernel weights")
-    if not 0 <= jitter < math.inf:
-        raise ValueError(f"jitter must be finite and at least 0, got {jitter}")
+    check_nonnegative(jitter, "jitter")
     K = kernel_values(params.amplitude, weighted_sq_dists(sq_diffs(pts, pts), params.weights))
     # mirror the upper triangle, the one the Cholesky factorization reads, so the
     # matrix is exactly symmetric and equal to the likelihood core's

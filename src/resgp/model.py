@@ -302,7 +302,8 @@ def load_model(path: str) -> ResGPModel:
 
     Cholesky factors and dual weights are recomputed from the stored inputs,
     hyperparameters, and jitter, so loaded predictions match the saved model
-    to tight tolerance.
+    to tight tolerance; fit_nll is kept as stored. A Gram that does not factor
+    at its stored jitter raises IllConditionedError.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -323,9 +324,8 @@ def load_model(path: str) -> ResGPModel:
         inputs = np.array(entry["inputs"], dtype=float)
         centered = np.array(entry["residuals"], dtype=float)
         means = np.array(entry["column_means"], dtype=float)
-        amp = params.amplitude
-        lvl = _finalize_level(params, inputs, centered, means, entry["jitter"] / amp)
-        lvl.fit_nll = entry["fit_nll"]
+        jitter_rel = entry["jitter"] / params.amplitude
+        lvl = _finalize_level(params, inputs, centered, means, jitter_rel, entry["fit_nll"])
         levels.append(lvl)
     return ResGPModel(
         levels=levels,

@@ -13,7 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from resgp import active, gp_level
+from resgp import (
+    DEFAULT_BUDGETS,
+    OptimizerConfig,
+    active,
+    gp_level,
+    load_model,
+    nested_random_data,
+    save_model,
+    train,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -46,6 +55,25 @@ def test_active_calls_fit_and_select_through_its_own_names():
     # active.refit.* counts fit_level spans entered through resgp.active's name
     assert active.fit_level is gp_level.fit_level
     assert callable(active.select_next)
+
+
+def test_each_level_factors_through_the_wrapped_cholesky_once(monkeypatch, tmp_path):
+    # gp_level.cholesky.* times gp_level.cholesky_with_escalation; a factorization
+    # made past that name would read 0 there
+    calls = []
+    wrapped = gp_level.cholesky_with_escalation
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(gp_level, "cholesky_with_escalation", counting)
+    data = nested_random_data("currin", DEFAULT_BUDGETS["currin"], 0)
+    model = train(data, OptimizerConfig(seed=0))
+    assert len(calls) == len(model.levels) == 2
+    save_model(model, str(tmp_path / "model.json"))
+    load_model(str(tmp_path / "model.json"))
+    assert len(calls) == 2 * len(model.levels)
 
 
 def test_benchmark_selftest_passes():

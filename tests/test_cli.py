@@ -140,6 +140,24 @@ def test_train_on_repeated_rows_at_zero_jitter_is_numeric_error(tmp_path, capsys
     assert not (tmp_path / "run" / "model.json").exists()
 
 
+def test_predict_with_a_model_jitter_its_gram_does_not_factor_at_is_numeric_error(tmp_path, capsys):
+    # repeated rows fit at the default jitter; at zero jitter their Gram is singular,
+    # and loading the model factors each level at the jitter the file holds
+    x = np.array([[0.1], [0.1], [0.5], [0.9], [0.9]])
+    write_dataset_csv(str(tmp_path / "data.csv"), MultiFidelityData([x], [np.sin(6.0 * x)]))
+    cfg = write_config(tmp_path, "train.json", {"dataset": str(tmp_path / "data.csv")})
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+    model = json.loads((run / "model.json").read_text())
+    model["levels"][0]["jitter"] = 0.0
+    (run / "model.json").write_text(json.dumps(model))
+    write_queries(tmp_path / "q.csv", [[0.3]])
+    args = ["predict", "--model", str(run / "model.json"), "--queries", str(tmp_path / "q.csv")]
+    assert main([*args, "--out", str(tmp_path / "pred")]) == 3
+    assert "numerical error" in capsys.readouterr().err
+    assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+
 def test_numerical_failure_is_numeric_error(tmp_path, capsys, monkeypatch):
     import resgp.cli as cli_mod
 

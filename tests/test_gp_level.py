@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.linalg.lapack import dpotrf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -193,16 +194,33 @@ def test_gradient_matches_finite_differences_with_relative_jitter(noise):
 
 
 def test_gradient_matches_finite_differences_on_repeated_rows():
-    # the Gram is exactly singular, so every evaluation escalates the jitter
+    # the Gram is exactly singular: at the default jitter it factors, at zero it does not
     x = [0.1, 0.1, 0.5, 0.9, 0.9]
     ds = scalar_dataset(x, np.sin(6.0 * np.array(x)))
     p = KernelHyperparams(1.3, np.array([2.0]))
     nlls = [
-        neg_log_likelihood(KernelHyperparams(1.3 * math.exp(s), p.weights), ds)
+        neg_log_likelihood(KernelHyperparams(1.3 * math.exp(s), p.weights), ds, DEFAULT_JITTER_REL)
         for s in (-1e-5, 0.0, 1e-5)
     ]
     assert max(abs(a - b) for a, b in zip(nlls, nlls[1:])) < 1e-3
-    np.testing.assert_allclose(nll_gradient(p, ds), central_difference(p, ds), rtol=1e-2)
+    np.testing.assert_allclose(
+        nll_gradient(p, ds, DEFAULT_JITTER_REL),
+        central_difference(p, ds, jitter_rel=DEFAULT_JITTER_REL),
+        rtol=1e-2,
+    )
+    for likelihood in (neg_log_likelihood, nll_gradient):
+        with pytest.raises(IllConditionedError, match="jitter_rel 0.000e"):
+            likelihood(p, ds, 0.0)
+
+
+@pytest.mark.parametrize("jitter_rel", [float("nan"), -1e-8, float("inf")],
+                         ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("at_params", [neg_log_likelihood, nll_gradient, build_level],
+                         ids=["nll", "gradient", "build"])
+def test_fixed_params_reject_bad_jitter(at_params, jitter_rel):
+    ds = scalar_dataset([0.0, 1.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="jitter_rel must be finite and at least 0"):
+        at_params(KernelHyperparams(1.0, np.array([1.0])), ds, jitter_rel)
 
 
 # --- _nll_core against a dense reference --------------------------------------
@@ -480,12 +498,15 @@ def benchmark_level(name, seed, level):
 @pytest.mark.parametrize("name", ["currin", "park", "borehole", "branin3", "hartmann3"])
 def test_train_keeps_the_search_jitter_on_every_table2_level(name):
     # the polish returns a point whose Gram factored at jitter_rel * amplitude, and
-    # gram rebuilds that matrix bit for bit, so the finalize Cholesky never escalates
+    # gram rebuilds that matrix bit for bit, so the finalize Cholesky factors it too;
+    # fit_nll comes from the same likelihood core as neg_log_likelihood
     spec = get_benchmark(name)
     data = nested_random_data(spec, DEFAULT_BUDGETS[name], 0)
     model = train(data, OptimizerConfig(seed=0), domain=spec.domain)
     for level in model.levels:
         assert level.jitter == DEFAULT_JITTER_REL * level.params.amplitude
+        own = ResidualDataset(level.inputs, level.residuals)
+        assert level.fit_nll == neg_log_likelihood(level.params, own, DEFAULT_JITTER_REL)
 
 
 @pytest.mark.parametrize("name,seed,level", [("currin", 6, 1), ("park", 8, 2)])
@@ -584,9 +605,9 @@ def test_fit_nll_matches_recomputation():
     recomputed = neg_log_likelihood(
         level.params,
         ResidualDataset(level.inputs, level.residuals),
-        jitter_rel=level.jitter / level.params.amplitude,
+        jitter_rel=DEFAULT_JITTER_REL,
     )
-    assert recomputed == pytest.approx(level.fit_nll, abs=1e-6)
+    assert recomputed == level.fit_nll
 
 
 def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypatch):
@@ -614,36 +635,47 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
     monkeypatch.setattr(gp_level, "_nll_core", recording_core)
     monkeypatch.setattr(gp_level, "minimize", recording_driver)
     level = fit_level(ds, OptimizerConfig(seed=0), jitter_rel=0.0)
-    assert math.inf in core_nlls and any(map(math.isfinite, core_nlls))
+    # the core's last call is fit_nll's, after the search
+    searched = core_nlls[:-1]
+    assert len(searched) == len(objective_values)
+    assert math.inf in searched and any(map(math.isfinite, searched))
     assert [f == gp_level.NOT_PD_NLL and not g.any() for f, g in objective_values] == [
-        nll == math.inf for nll in core_nlls
+        nll == math.inf for nll in searched
     ]
     # the search steps back to shorter length scales, where the Gram factors
     assert np.isfinite(level.fit_nll)
     recomputed = neg_log_likelihood(
-        level.params,
-        ResidualDataset(level.inputs, level.residuals),
-        jitter_rel=level.jitter / level.params.amplitude,
+        level.params, ResidualDataset(level.inputs, level.residuals), jitter_rel=0.0
     )
-    assert recomputed == pytest.approx(level.fit_nll, abs=1e-6)
+    assert recomputed == level.fit_nll
 
 
 def test_fit_rejects_a_factor_of_a_singular_gram():
-    # with repeated rows dpotrf can factor the exactly singular Gram at zero jitter
-    # by rounding; the pivot rule rejects that factor, so the finalize escalates (a
-    # fit here raises: test_fit_raises_when_no_start_reaches_a_gram_that_factors)
+    # with repeated rows dpotrf factors the exactly singular Gram at zero jitter by
+    # rounding; the pivot rule rejects that factor, so building the level raises (a
+    # fit here raises too: test_fit_raises_when_no_start_reaches_a_gram_that_factors)
     x = [0.1, 0.1, 0.5, 0.9, 0.9]
     ds = scalar_dataset(x, np.sin(6.0 * np.array(x)))
     # the fit's moment-matched start
     p = KernelHyperparams(float(np.mean((ds.residuals - ds.residuals.mean()) ** 2)), np.array([6.25]))
-    level = build_level(p, ds, jitter_rel=0.0)
-    assert level.jitter == pytest.approx(1e-8 * level.params.amplitude)
+    assert dpotrf(gram(p, ds.inputs), lower=1)[1] == 0
+    with pytest.raises(IllConditionedError, match="jitter_rel 0.000e"):
+        build_level(p, ds, jitter_rel=0.0)
+    # the finalize factorization applies the same rule
+    with pytest.raises(IllConditionedError, match="jitter 0.000e"):
+        gp_level.cholesky_with_escalation(p, ds.inputs, 0.0)
+
+
+def test_fit_nll_is_the_likelihood_core_near_the_pivot_floor():
+    # rows 1e-8 apart at zero jitter: the fit ends where the Gram factors with a
+    # condition number near 1e15, and fit_nll is neg_log_likelihood there exactly
+    x = np.array([0.1, 0.1 + 1e-8, 0.5, 0.9, 0.9 + 1e-8])
+    ds = scalar_dataset(x, x)
+    level = fit_level(ds, OptimizerConfig(seed=0), jitter_rel=0.0)
     recomputed = neg_log_likelihood(
-        level.params,
-        ResidualDataset(level.inputs, level.residuals),
-        jitter_rel=level.jitter / level.params.amplitude,
+        level.params, ResidualDataset(level.inputs, level.residuals), jitter_rel=0.0
     )
-    assert recomputed == pytest.approx(level.fit_nll, abs=1e-8)
+    assert level.fit_nll == recomputed
 
 
 @pytest.mark.parametrize("y", ["sine", "identity"])
