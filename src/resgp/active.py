@@ -23,7 +23,7 @@ from .gp_level import (
     fit_level,
     level_predict,
 )
-from .kernel import DEFAULT_JITTER_REL, DomainBox
+from .kernel import DEFAULT_JITTER_REL, DomainBox, check_array, check_integer
 from .model import MultiFidelityData, ResGPModel, _atomic_write_text, _infer_domain, check_budgets
 
 # "variance" picks the argmax-variance candidate, "random" a uniform one (the baseline)
@@ -45,11 +45,9 @@ class CandidatePool:
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[0] == 0:
-            raise ValueError("pool must be a non-empty (M, l) array")
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("pool points must be finite")
+        self.points = check_array(self.points, "pool points", 2)
+        if self.points.shape[0] == 0:
+            raise ValueError("pool must hold at least one point")
 
     @property
     def size(self) -> int:
@@ -75,9 +73,9 @@ def select_next(level: TrainedLevel, candidates) -> tuple[int, float]:
     floor are snapped to zero so a degenerate pool (every candidate already
     interpolated) resolves to index 0; exact ties break to the lowest index.
     """
-    cands = np.asarray(candidates, dtype=float)
-    if cands.ndim != 2 or cands.shape[0] == 0:
-        raise ValueError("candidates must be a non-empty (M, l) array")
+    cands = check_array(candidates, "candidates", 2)
+    if cands.shape[0] == 0:
+        raise ValueError("candidates must hold at least one point")
     _, gains = level_predict(level, cands)
     snapped = np.where(gains < 10.0 * level.jitter, 0.0, gains)
     idx = int(np.argmax(snapped))
@@ -120,7 +118,7 @@ def sequential_construct(
     if budgets[0] > pool.size:
         raise ValueError("lowest-fidelity budget exceeds the pool size")
     unit = domain.normalize(raw)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer(seed, "seed", 0))
     warm_opt = replace(opt, restarts=1)
 
     outputs: dict = {}
@@ -190,7 +188,7 @@ def sequential_construct(
         inputs=[raw[selected[f]] for f in selected],
         outputs=[np.array([outputs[f, i] for i in selected[f]]) for f in selected],
     )
-    model = ResGPModel(levels, domain, input_dim=data.input_dim, output_dim=data.output_dim)
+    model = ResGPModel(levels, domain)
     return ConstructionResult(model=model, audit=audit, selected=selected, data=data)
 
 

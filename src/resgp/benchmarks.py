@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gp_level import OptimizerConfig, check_integer
-from .kernel import DEFAULT_JITTER_REL, DomainBox
+from .gp_level import OptimizerConfig
+from .kernel import DEFAULT_JITTER_REL, DomainBox, check_array, check_integer, check_real
 from .model import MultiFidelityData, Posterior, _atomic_write_text, check_budgets, predict, train
 
 # seed offsets keeping test designs and pools disjoint from training designs
@@ -187,8 +187,7 @@ def _pendulum_rhs(state):
 def _pendulum_integrate(theta1_0, dt, keep_path=False):
     """Classic four-stage RK4 with fixed step from t=0 to t=5."""
     th0 = np.atleast_1d(np.asarray(theta1_0, dtype=float))
-    if dt <= 0 or dt > _PEND_T_END:
-        raise ValueError("dt must lie in (0, 5]")
+    dt = check_real(dt, "dt", f"(0, {_PEND_T_END:g}]")
     n_steps = max(1, int(round(_PEND_T_END / dt)))
     h = _PEND_T_END / n_steps
     state = np.stack(
@@ -211,13 +210,14 @@ def _pendulum_integrate(theta1_0, dt, keep_path=False):
 
 def pendulum_solve(theta1_0: float, dt: float = 0.01) -> tuple[float, float]:
     """Angles (theta1, theta2) at t=5 for the given release angle and step."""
-    state = _pendulum_integrate(float(theta1_0), dt)
+    state = _pendulum_integrate(check_real(theta1_0, "theta1_0", "(-inf, inf)"), dt)
     return float(state[0, 0]), float(state[1, 0])
 
 
 def pendulum_trajectory(theta1_0: float, dt: float = 0.01):
     """Times and full (theta1, theta2, omega1, omega2) path, for diagnostics."""
-    times, path = _pendulum_integrate(float(theta1_0), dt, keep_path=True)
+    times, path = _pendulum_integrate(check_real(theta1_0, "theta1_0", "(-inf, inf)"), dt,
+                                      keep_path=True)
     return times, path[:, :, 0]
 
 
@@ -315,16 +315,11 @@ def evaluate(bench, fidelity: int, query) -> np.ndarray:
     fidelity that is not an integer (a bool, a float, a string) is a TypeError.
     """
     spec = get_benchmark(bench)
-    fidelity = check_integer(fidelity, "fidelity")
-    if not 1 <= fidelity <= spec.n_fidelities:
-        raise ValueError(
-            f"{spec.name} has fidelities 1..{spec.n_fidelities}, got {fidelity}"
-        )
-    q = np.asarray(query, dtype=float)
+    fidelity = check_integer(fidelity, "fidelity", 1, spec.n_fidelities)
+    q = np.asarray(query)
     single = q.ndim == 1
-    if single:
-        q = q[None, :]
-    if q.ndim != 2 or q.shape[1] != spec.input_dim:
+    q = check_array(q[None, :] if single else q, "query", 2)
+    if q.shape[1] != spec.input_dim:
         raise ValueError(f"{spec.name} expects {spec.input_dim}-dimensional inputs")
     lo, hi = spec.domain.lower, spec.domain.upper
     bad = np.any(q < lo - 1e-12, axis=1) | np.any(q > hi + 1e-12, axis=1)
@@ -343,20 +338,16 @@ def evaluate(bench, fidelity: int, query) -> np.ndarray:
 
 def design_uniform(domain: DomainBox, n: int, seed: int) -> np.ndarray:
     """n uniform random points inside the box, deterministic per seed."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
+    n = check_integer(n, "n", 1)
+    rng = np.random.default_rng(check_integer(seed, "seed", 0))
     return domain.lower + rng.random((n, domain.dim)) * domain.width
 
 
 def nested_subsample(design, n_sub: int, seed: int):
     """Exact-row subsample without replacement; returns (subset, indices)."""
-    pts = np.asarray(design, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("design must be a 2-d array")
-    if not 1 <= n_sub <= pts.shape[0]:
-        raise ValueError(f"n_sub must lie in [1, {pts.shape[0]}], got {n_sub}")
-    rng = np.random.default_rng(seed)
+    pts = check_array(design, "design", 2)
+    n_sub = check_integer(n_sub, "n_sub", 1, pts.shape[0])
+    rng = np.random.default_rng(check_integer(seed, "seed", 0))
     idx = rng.choice(pts.shape[0], size=n_sub, replace=False)
     return pts[idx], idx
 
@@ -392,19 +383,14 @@ def metrics(pred_mean, pred_var, truth) -> Metrics:
     (+inf when a zero-variance prediction misses); nrmse normalized by the
     truth's root sum of squares.
     """
-    mean = np.asarray(pred_mean, dtype=float)
-    var = np.asarray(pred_var, dtype=float)
-    y = np.asarray(truth, dtype=float)
-    if mean.ndim == 1:
-        mean = mean[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
+    mean, var, y = np.asarray(pred_mean), np.asarray(pred_var), np.asarray(truth)
+    mean = check_array(mean[:, None] if mean.ndim == 1 else mean, "pred_mean", 2)
+    y = check_array(y[:, None] if y.ndim == 1 else y, "truth", 2)
     if mean.shape != y.shape:
         raise ValueError("prediction and truth shapes differ")
     if var.shape != (mean.shape[0],):
         raise ValueError("pred_var must have one entry per prediction row")
-    if np.any(var < 0):
-        raise ValueError("predictive variances must be non-negative")
+    var = check_array(var, "pred_var", 1, "[0, inf)")
     err = mean - y
     rmse = float(np.sqrt(np.mean(err**2)))
     sst = float(np.sum((y - y.mean()) ** 2))

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import svdvals
 from scipy.spatial import cKDTree
 
-from .kernel import DomainBox, KernelHyperparams, kernel_lipschitz
+from .kernel import DomainBox, KernelHyperparams, check_array, check_integer, check_real, kernel_lipschitz
 from .model import ResGPModel, predict
 
 GRID_POINT_CAP = 10_000_000
@@ -49,12 +49,9 @@ class BoundConfig:
     domain: DomainBox
 
     def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie strictly between 0 and 1")
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValueError("tau must be positive and finite")
-        if not (self.l_y >= 0 and math.isfinite(self.l_y)):
-            raise ValueError("l_y must be non-negative and finite")
+        self.delta = check_real(self.delta, "delta", "(0, 1)")
+        self.tau = check_real(self.tau, "tau", "(0, inf)")
+        self.l_y = check_real(self.l_y, "l_y", "[0, inf)")
 
 
 @dataclass
@@ -114,8 +111,7 @@ def sigma_modulus(model: ResGPModel, r: float, domain: DomainBox | None = None) 
     """Continuity modulus of the posterior deviation: omega(r) with
     omega(r)^2 = sum over levels of 2 L_k (1 + N * max_k * |K^-1|_2) * r."""
     _require_univariate(model)
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    r = check_real(r, "r", "[0, inf)")
     if domain is None:
         domain = model.domain
     return math.sqrt(_modulus_coefficient(model, domain) * r)
@@ -124,8 +120,8 @@ def sigma_modulus(model: ResGPModel, r: float, domain: DomainBox | None = None) 
 def covering_number_bound(domain: DomainBox, tau: float) -> int:
     """Upper bound ceil((1 + e/tau)^l) on the tau-covering number of a
     hypercube with edge length e."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if tau != math.inf:  # an infinite radius covers the box with one ball
+        tau = check_real(tau, "tau", "(0, inf)")
     if not domain.is_hypercube(1e-12):
         raise ValueError(
             "covering bound requires a hypercubic domain (equal edge lengths)"
@@ -143,13 +139,12 @@ def fill_distance(design, domain: DomainBox, grid_resolution: int = 101) -> floa
     A lower estimate of the true fill distance; it improves as the grid
     refines. Grids beyond GRID_POINT_CAP points are refused.
     """
-    pts = np.asarray(design, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("design must be a non-empty (N, l) array")
+    pts = check_array(design, "design", 2)
+    if pts.shape[0] == 0:
+        raise ValueError("design must hold at least one point")
     if pts.shape[1] != domain.dim:
         raise ValueError("design dimension does not match domain")
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be at least 2")
+    grid_resolution = check_integer(grid_resolution, "grid_resolution", 2)
     total = grid_resolution**domain.dim
     if total > GRID_POINT_CAP:
         raise ResourceLimitError(
@@ -196,7 +191,7 @@ def empirical_coverage(model: ResGPModel, bound_fn, query, truth) -> float:
     """Fraction of points where |truth - posterior mean| <= bound_fn."""
     _require_univariate(model)
     q = np.asarray(query, dtype=float)
-    y = np.asarray(truth, dtype=float).reshape(-1)
+    y = check_array(np.asarray(truth).reshape(-1), "truth", 1)
     post = predict(model, q)
     mean = np.asarray(post.mean, dtype=float).reshape(-1)
     g = np.asarray(bound_fn(q), dtype=float).reshape(-1)

@@ -13,7 +13,6 @@ import functools
 import hashlib
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -47,8 +46,8 @@ from .bounds import (
     empirical_coverage,
     uniform_bound,
 )
-from .gp_level import IllConditionedError, OptimizerConfig, check_integer, check_real
-from .kernel import DEFAULT_JITTER_REL, DomainBox
+from .gp_level import IllConditionedError, OptimizerConfig
+from .kernel import DEFAULT_JITTER_REL, DomainBox, check_integer, check_real
 from .model import NestingError, _atomic_write_text, check_budgets, load_model, predict, save_model, train
 
 EXIT_OK = 0
@@ -144,7 +143,8 @@ def _domain(config: dict) -> DomainBox | None:
     keys = ("lower", "upper")
     if not (isinstance(entry, dict) and all(isinstance(entry.get(k), list) for k in keys)):
         raise TypeError(f"domain must be an object with lists lower and upper, got {entry!r}")
-    return DomainBox(*([check_real(v, f"domain {k}") for v in entry[k]] for k in keys))
+    return DomainBox(*([check_real(v, f"domain {k}", "(-inf, inf)") for v in entry[k]]
+                       for k in keys))
 
 
 def _path(config: dict, key: str) -> str | None:
@@ -163,14 +163,6 @@ def _flag(config: dict, key: str, default: bool) -> bool:
     return value
 
 
-def _count(config: dict, key: str, default: int) -> int:
-    """A config field counting something; it must be an integer of at least 1."""
-    n = check_integer(config.get(key, default), key)
-    if n < 1:
-        raise ValueError(f"{key} must be at least 1")
-    return n
-
-
 def _budgets(raw, spec) -> list:
     """The budgets of a config for spec, as check_budgets accepts them."""
     if not isinstance(raw, list):
@@ -178,19 +170,9 @@ def _budgets(raw, spec) -> list:
     return check_budgets(raw, spec.n_fidelities)
 
 
-def _nonnegative(config: dict, key: str, default: float) -> float:
-    """A config number such as a jitter or a noise variance: finite and at least 0."""
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
-        raise ValueError(f"{key} must be a finite number of at least 0, got {value!r}")
-    return float(value)
-
-
 def _seed(config: dict, override) -> int:
-    seed = check_integer(config.get("seed", 0) if override is None else override, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
-    return seed
+    """The run seed: the --seed flag, else the config's seed, else 0."""
+    return check_integer(config.get("seed", 0) if override is None else override, "seed", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +184,22 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
     with _config_faults():
         run_seed = _seed(config, seed)
         opt = _optimizer(config, run_seed)
-        jitter_rel = _nonnegative(config, "jitter_rel", DEFAULT_JITTER_REL)
+        jitter_rel = check_real(config.get("jitter_rel", DEFAULT_JITTER_REL), "jitter_rel",
+                                "[0, inf)")
         if ("benchmark" in config) == ("dataset" in config):
             raise ValueError("config must name exactly one of 'benchmark' or 'dataset'")
         if "benchmark" in config:
             spec = _benchmark(config["benchmark"])
             budgets = _budgets(config.get("budgets", DEFAULT_BUDGETS[spec.name]), spec)
             standardize = _flag(config, "standardize", True)
-            test_points = _count(config, "test_points", 1000)
+            test_points = check_integer(config.get("test_points", 1000), "test_points", 1)
         else:
             spec = None
             dataset_path = _path(config, "dataset")
             test_path = _path(config, "test_dataset")
             domain = _domain(config)
             standardize = _flag(config, "standardize", False)
-            noise = _nonnegative(config, "noise", 0.0)
+            noise = check_real(config.get("noise", 0.0), "noise", "[0, inf)")
             learn_noise = _flag(config, "learn_noise", False)
     os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, "model.json")
@@ -324,15 +307,16 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
             raise ValueError("active config must name a 'benchmark'")
         spec = _benchmark(config["benchmark"])
         budgets = _budgets(config.get("budgets", DEFAULT_BUDGETS[spec.name]), spec)
-        pool_size = _count(config, "pool_size", 200)
+        pool_size = check_integer(config.get("pool_size", 200), "pool_size", 1)
         if budgets[0] > pool_size:
             raise ValueError(f"lowest-fidelity budget {budgets[0]} exceeds pool_size {pool_size}")
         strategy = config.get("strategy", "variance")
         if strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}")
         opt = _optimizer(config, run_seed)
-        jitter_rel = _nonnegative(config, "jitter_rel", DEFAULT_JITTER_REL)
-        test_points = _count(config, "test_points", 1000)
+        jitter_rel = check_real(config.get("jitter_rel", DEFAULT_JITTER_REL), "jitter_rel",
+                                "[0, inf)")
+        test_points = check_integer(config.get("test_points", 1000), "test_points", 1)
         standardize = _flag(config, "standardize", True)
     os.makedirs(out_dir, exist_ok=True)
     audit_path = os.path.join(out_dir, "audit.jsonl")
@@ -392,13 +376,11 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
     """Uniform-bound constants for a saved univariate model, plus a sampled curve."""
     with _config_faults():
         run_seed = _seed(config, seed)
-        constants = {}
         for key in ("delta", "tau", "l_y"):
             if key not in config:
                 raise ValueError(f"bounds config requires '{key}'")
-            constants[key] = check_real(config[key], key)
-        cfg = BoundConfig(**constants, domain=_domain(config))
-        grid_points = _count(config, "grid_points", 512)
+        cfg = BoundConfig(config["delta"], config["tau"], config["l_y"], _domain(config))
+        grid_points = check_integer(config.get("grid_points", 512), "grid_points", 1)
         truth_path = _path(config, "truth")
     model = load_model(model_path)
     cfg.domain = cfg.domain or model.domain  # the model's own box unless the config names one
@@ -457,8 +439,8 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
         names = config.get("benchmarks", sorted(DEFAULT_BUDGETS))
         if not isinstance(names, list):
             raise TypeError(f"bench benchmarks must be a list of benchmark names, got {names!r}")
-        repeats = _count(config, "repeats", 1)
-        test_points = _count(config, "test_points", 1000)
+        repeats = check_integer(config.get("repeats", 1), "repeats", 1)
+        test_points = check_integer(config.get("test_points", 1000), "test_points", 1)
         standardize = _flag(config, "standardize", True)
         budgets_override = config.get("budgets", {})
         if not isinstance(budgets_override, dict):

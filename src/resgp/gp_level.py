@@ -10,7 +10,6 @@ are cached for prediction.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,9 @@ from scipy.optimize._lbfgsb import setulb
 from .kernel import (
     DEFAULT_JITTER_REL,
     KernelHyperparams,
-    check_nonnegative,
+    check_array,
+    check_integer,
+    check_real,
     cross_vec,
     gram,
     kernel_values,
@@ -56,20 +57,6 @@ class IllConditionedError(RuntimeError):
         self.params = params
 
 
-def check_integer(value, name: str) -> int:
-    """value as an int; a bool, a fraction or a string is a TypeError, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def check_real(value, name: str) -> float:
-    """value as a float; a bool, a string or None is a TypeError. Ranges are the caller's."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 @dataclass
 class OptimizerConfig:
     """Multi-start quasi-Newton settings for hyperparameter fitting.
@@ -87,17 +74,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters", "seed"):
-            check_integer(getattr(self, name), name)
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be at least 0")
-        check_real(self.grad_tol, "grad_tol")
-        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
-            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
+        self.restarts = check_integer(self.restarts, "restarts", 1)
+        self.max_iters = check_integer(self.max_iters, "max_iters", 1)
+        self.seed = check_integer(self.seed, "seed", 0)
+        self.grad_tol = check_real(self.grad_tol, "grad_tol", "(0, inf)")
 
 
 @dataclass
@@ -108,20 +88,12 @@ class ResidualDataset:
     residuals: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=float)
-        self.residuals = np.asarray(self.residuals, dtype=float)
-        if self.inputs.ndim != 2:
-            raise ValueError("inputs must be a 2-d array (N, l)")
-        if self.residuals.ndim != 2:
-            raise ValueError("residuals must be a 2-d array (N, d)")
+        self.inputs = check_array(self.inputs, "inputs", 2)
+        self.residuals = check_array(self.residuals, "residuals", 2)
         if self.inputs.shape[0] != self.residuals.shape[0]:
             raise ValueError("inputs and residuals disagree on N")
         if self.inputs.shape[0] == 0:
             raise ValueError("dataset must contain at least one row")
-        if not np.all(np.isfinite(self.inputs)):
-            raise ValueError("inputs must be finite")
-        if not np.all(np.isfinite(self.residuals)):
-            raise ValueError("residuals must be finite")
 
     @property
     def n_points(self) -> int:
@@ -282,7 +254,7 @@ def _level_objective(amplitude, weights, noise, jitter, sq, factor, n_outputs, l
 def _nll_at(params: KernelHyperparams, inputs: np.ndarray, residuals: np.ndarray,
             jitter_rel: float):
     """_level_objective at fixed params and jitter_rel * amplitude, where K must factor."""
-    check_nonnegative(jitter_rel, "jitter_rel")
+    jitter_rel = check_real(jitter_rel, "jitter_rel", "[0, inf)")
     if inputs.shape[1] != params.dim:
         raise ValueError("data dimension does not match kernel weights")
     sq, factor = sq_diffs(inputs, inputs), _residual_factor(residuals)
@@ -473,8 +445,8 @@ def fit_level(
     """
     if opt is None:
         opt = OptimizerConfig()
-    check_nonnegative(jitter_rel, "jitter_rel")
-    check_nonnegative(noise, "noise")
+    jitter_rel = check_real(jitter_rel, "jitter_rel", "[0, inf)")
+    noise = check_real(noise, "noise", "[0, inf)")
     n, l = data.inputs.shape
     if init is not None and init.dim != l:
         raise ValueError(f"init has {init.dim} weights, but the data have {l} inputs")

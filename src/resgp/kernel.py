@@ -15,6 +15,7 @@ supremum used by the error-bound module live here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,18 +31,70 @@ DEFAULT_JITTER_REL = 1e-8
 DIST_CUT = 230.0
 
 
-def check_nonnegative(value: float, name: str) -> None:
-    """ValueError unless value is finite and at least 0 (a NaN is neither)."""
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and at least 0, got {value}")
+def _inside(value, bounds: str):
+    """Whether value, a float or an array (elementwise), lies in an interval such as "(0, 5]"."""
+    low, high = map(float, bounds[1:-1].split(","))
+    above = low < value if bounds[0] == "(" else low <= value
+    return above & (value < high if bounds[-1] == ")" else value <= high)
 
 
-def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+def _must_be(bounds: str, finite: bool = True) -> str:
+    """What a check says a value must be: "finite and at least 0", "in [1, 5]" and so on."""
+    low, high = (end.strip() for end in bounds[1:-1].split(","))
+    if high != "inf":
+        words = [f"in {bounds}"]
+    else:
+        words = [] if low == "-inf" else [f"{'above' if bounds[0] == '(' else 'at least'} {low}"]
+    return " and ".join(["finite"] * finite + words)
+
+
+def check_integer(value, name: str, low: int, high: int | None = None) -> int:
+    """value as an int in [low, high], with no upper end when high is None.
+
+    A bool, a fraction, a string or None is a TypeError, never truncated; a numpy
+    integer is an integer. An integer out of range is a ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low or (high is not None and value > high):
+        bounds = f"[{low}, inf)" if high is None else f"[{low}, {high}]"
+        raise ValueError(f"{name} must be {_must_be(bounds, finite=False)}, got {value}")
+    return value
+
+
+def check_real(value, name: str, bounds: str) -> float:
+    """value as a float, finite and within bounds, an interval such as "[0, inf)" or "(0, 1)".
+
+    A bool, a string or None is a TypeError; a NaN, an infinity or a number
+    outside bounds is a ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not (math.isfinite(value) and _inside(value, bounds)):
+        raise ValueError(f"{name} must be {_must_be(bounds)}, got {value}")
+    return value
+
+
+def check_array(x, name: str, ndim: int, bounds: str | None = None) -> np.ndarray:
+    """x as a float array of ndim dimensions, every entry finite and within bounds (if given).
+
+    Entries that are not integers or floats (bools, strings, None) are a
+    TypeError; a ragged nesting, a wrong dimension count, a NaN, an infinity or
+    an entry outside bounds is a ValueError.
+    """
+    try:
+        arr = np.asarray(x)
+    except ValueError:
+        raise ValueError(f"{name} must be a regular array, not a ragged nesting") from None
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must be an array of numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+    if not (np.isfinite(arr).all() and (bounds is None or _inside(arr, bounds).all())):
+        raise ValueError(f"{name} must be {_must_be(bounds or '(-inf, inf)')}")
     return arr
 
 
@@ -56,8 +109,8 @@ class DomainBox:
     upper: np.ndarray
 
     def __post_init__(self):
-        self.lower = _as_float_array(self.lower, "lower", 1)
-        self.upper = _as_float_array(self.upper, "upper", 1)
+        self.lower = check_array(self.lower, "lower", 1)
+        self.upper = check_array(self.upper, "upper", 1)
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower and upper must have the same length")
         if self.lower.size == 0:
@@ -96,15 +149,11 @@ class KernelHyperparams:
     noise: float = 0.0
 
     def __post_init__(self):
-        self.amplitude = float(self.amplitude)
-        self.weights = _as_float_array(self.weights, "weights", 1)
-        self.noise = float(self.noise)
-        if not (np.isfinite(self.amplitude) and self.amplitude > 0):
-            raise ValueError("amplitude must be positive and finite")
-        if self.weights.size == 0 or not np.all(self.weights > 0):
-            raise ValueError("weights must be positive")
-        if not (np.isfinite(self.noise) and self.noise >= 0):
-            raise ValueError("noise variance must be non-negative and finite")
+        self.amplitude = check_real(self.amplitude, "amplitude", "(0, inf)")
+        self.weights = check_array(self.weights, "weights", 1, "(0, inf)")
+        self.noise = check_real(self.noise, "noise", "[0, inf)")
+        if self.weights.size == 0:
+            raise ValueError("weights must not be empty")
 
     @property
     def dim(self) -> int:
@@ -144,8 +193,8 @@ def kernel_values(amplitude: float, sq_dists: np.ndarray) -> np.ndarray:
 
 def ard_eval(params: KernelHyperparams, a, b) -> float:
     """Kernel value amplitude * exp(-sum_i w_i (a_i - b_i)^2) for two points."""
-    a = _as_float_array(a, "a", 1)
-    b = _as_float_array(b, "b", 1)
+    a = check_array(a, "a", 1)
+    b = check_array(b, "b", 1)
     if a.size != params.dim or b.size != params.dim:
         raise ValueError("point dimension does not match kernel weights")
     return float(cross_vec(params, a, b[None, :])[0])
@@ -157,12 +206,10 @@ def gram(params: KernelHyperparams, points, jitter: float = 0.0) -> np.ndarray:
     jitter is an absolute value added to the diagonal; callers that want the
     relative policy pass jitter_rel * amplitude.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"points must be a 2-d array, got shape {pts.shape}")
+    pts = check_array(points, "points", 2)
     if pts.shape[1] != params.dim:
         raise ValueError("point dimension does not match kernel weights")
-    check_nonnegative(jitter, "jitter")
+    jitter = check_real(jitter, "jitter", "[0, inf)")
     K = kernel_values(params.amplitude, weighted_sq_dists(sq_diffs(pts, pts), params.weights))
     # mirror the upper triangle, the one the Cholesky factorization reads, so the
     # matrix is exactly symmetric and equal to the likelihood core's
@@ -226,7 +273,4 @@ def kernel_lipschitz(params: KernelHyperparams, domain: DomainBox) -> float:
     """
     if domain.dim != params.dim:
         raise ValueError("domain dimension does not match kernel weights")
-    hw = domain.width
-    if np.any(hw <= 0):
-        raise ValueError("degenerate domain: zero width dimension")
-    return 1.01 * _grad_norm_sup(params, hw)
+    return 1.01 * _grad_norm_sup(params, domain.width)

@@ -16,15 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp_level import (
-    OptimizerConfig,
-    ResidualDataset,
+from .gp_level import OptimizerConfig, ResidualDataset, fit_level, level_predict, _finalize_level
+from .kernel import (
+    DEFAULT_JITTER_REL,
+    DomainBox,
+    KernelHyperparams,
+    check_array,
     check_integer,
-    fit_level,
-    level_predict,
-    _finalize_level,
+    check_real,
 )
-from .kernel import DEFAULT_JITTER_REL, DomainBox, KernelHyperparams
 
 MODEL_FORMAT = "resgp-model"
 MODEL_VERSION = 1
@@ -50,20 +50,18 @@ class MultiFidelityData:
             raise ValueError("inputs and outputs must list the same number of fidelities")
         if len(self.inputs) == 0:
             raise ValueError("at least one fidelity is required")
-        self.inputs = [np.asarray(x, dtype=float) for x in self.inputs]
-        self.outputs = [np.asarray(y, dtype=float) for y in self.outputs]
+        self.inputs = [check_array(x, f"fidelity {f} inputs", 2)
+                       for f, x in enumerate(self.inputs, start=1)]
+        self.outputs = [check_array(y, f"fidelity {f} outputs", 2)
+                        for f, y in enumerate(self.outputs, start=1)]
         l = None
         d = None
         prev_n = None
         for f, (x, y) in enumerate(zip(self.inputs, self.outputs), start=1):
-            if x.ndim != 2 or y.ndim != 2:
-                raise ValueError(f"fidelity {f}: inputs and outputs must be 2-d arrays")
             if x.shape[0] != y.shape[0]:
                 raise ValueError(f"fidelity {f}: inputs and outputs disagree on N")
             if x.shape[0] < 1:
                 raise ValueError(f"fidelity {f}: at least one point required")
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise ValueError(f"fidelity {f}: non-finite values")
             l = x.shape[1] if l is None else l
             d = y.shape[1] if d is None else d
             if x.shape[1] != l or y.shape[1] != d:
@@ -98,13 +96,11 @@ def check_budgets(budgets, n_fidelities: int | None = None) -> list:
     budgets, a budget below 1 or above the one below it, or a count other than
     n_fidelities (when given) is a ValueError.
     """
-    budgets = [check_integer(b, "every budget") for b in budgets]
+    budgets = [check_integer(b, "every budget", 1) for b in budgets]
     if not budgets:
         raise ValueError("budgets must name at least one fidelity")
     if n_fidelities is not None and len(budgets) != n_fidelities:
         raise ValueError(f"{n_fidelities} budgets needed, one per fidelity, got {len(budgets)}")
-    if min(budgets) < 1:
-        raise ValueError(f"every budget must be at least 1, got {budgets}")
     if any(hi > lo for lo, hi in zip(budgets, budgets[1:])):
         raise ValueError(f"budgets must not increase with fidelity, got {budgets}")
     return budgets
@@ -169,8 +165,14 @@ class ResGPModel:
 
     levels: list
     domain: DomainBox
-    input_dim: int
-    output_dim: int
+
+    @property
+    def input_dim(self) -> int:
+        return self.domain.dim
+
+    @property
+    def output_dim(self) -> int:
+        return self.levels[0].output_dim
 
     @property
     def n_fidelities(self) -> int:
@@ -212,21 +214,15 @@ def train(
         fit_level(ds, opt, jitter_rel=jitter_rel, noise=noise, learn_noise=learn_noise)
         for ds in residuals
     ]
-    return ResGPModel(
-        levels=levels,
-        domain=domain,
-        input_dim=data.input_dim,
-        output_dim=data.output_dim,
-    )
+    return ResGPModel(levels=levels, domain=domain)
 
 
 def _accumulate(model: ResGPModel, query, n_levels: int) -> Posterior:
-    q = np.asarray(query, dtype=float)
+    q = np.asarray(query)
     if q.ndim not in (1, 2):
         raise ValueError(f"query must have shape (l,) or (M, l), got {q.shape}")
     single = q.ndim == 1
-    if single:
-        q = q[None, :]
+    q = check_array(q[None, :] if single else q, "query", 2)
     if q.shape[1] != model.input_dim:
         raise ValueError("query dimension does not match model")
     u = model.domain.normalize(q)
@@ -248,12 +244,7 @@ def predict(model: ResGPModel, query) -> Posterior:
 
 def predict_fidelity(model: ResGPModel, query, fidelity: int) -> Posterior:
     """Posterior of the fidelity-f surrogate (partial sum of levels 1..f)."""
-    fidelity = check_integer(fidelity, "fidelity")
-    if not 1 <= fidelity <= model.n_fidelities:
-        raise ValueError(
-            f"fidelity must be in [1, {model.n_fidelities}], got {fidelity}"
-        )
-    return _accumulate(model, query, fidelity)
+    return _accumulate(model, query, check_integer(fidelity, "fidelity", 1, model.n_fidelities))
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -302,34 +293,53 @@ def load_model(path: str) -> ResGPModel:
 
     Cholesky factors and dual weights are recomputed from the stored inputs,
     hyperparameters, and jitter, so loaded predictions match the saved model
-    to tight tolerance; fit_nll is kept as stored. A Gram that does not factor
-    at its stored jitter raises IllConditionedError.
+    to tight tolerance; fit_nll is kept as stored. Every field is read through
+    the checks of kernel.py: a field that is missing or fails its check, shapes
+    that disagree, and stored input_dim or output_dim other than the domain's
+    and the first level's raise one ValueError naming the file and the field. A
+    Gram that does not factor at its stored jitter raises IllConditionedError.
     """
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {payload.get('version')}")
-    domain = DomainBox(
-        np.array(payload["domain"]["lower"]), np.array(payload["domain"]["upper"])
-    )
-    levels = []
-    for entry in payload["levels"]:
-        params = KernelHyperparams(
-            amplitude=entry["amplitude"],
-            weights=np.array(entry["weights"]),
-            noise=entry["noise"],
-        )
-        inputs = np.array(entry["inputs"], dtype=float)
-        centered = np.array(entry["residuals"], dtype=float)
-        means = np.array(entry["column_means"], dtype=float)
-        jitter_rel = entry["jitter"] / params.amplitude
-        lvl = _finalize_level(params, inputs, centered, means, jitter_rel, entry["fit_nll"])
-        levels.append(lvl)
-    return ResGPModel(
-        levels=levels,
-        domain=domain,
-        input_dim=int(payload["input_dim"]),
-        output_dim=int(payload["output_dim"]),
-    )
+    where = "domain: "  # the part of the file being read, for the message of a fault
+    try:
+        domain = DomainBox(payload["domain"]["lower"], payload["domain"]["upper"])
+        where = ""
+        if not (isinstance(payload["levels"], list) and payload["levels"]):
+            raise TypeError(f"levels must be a non-empty list, got {payload['levels']!r}")
+        levels = []
+        for i, entry in enumerate(payload["levels"], start=1):
+            where = f"level {i}: "
+            params = KernelHyperparams(entry["amplitude"], entry["weights"], entry["noise"])
+            inputs = check_array(entry["inputs"], "inputs", 2)
+            centered = check_array(entry["residuals"], "residuals", 2)
+            means = check_array(entry["column_means"], "column_means", 1)
+            jitter = check_real(entry["jitter"], "jitter", "[0, inf)")
+            fit_nll = check_real(entry["fit_nll"], "fit_nll", "(-inf, inf)")
+            d = levels[0].output_dim if levels else centered.shape[1]
+            if (params.dim, inputs.shape[1], centered.shape, means.size) != (
+                domain.dim, domain.dim, (inputs.shape[0], d), d
+            ):
+                raise ValueError(
+                    f"{params.dim} weights, inputs of shape {inputs.shape}, residuals of shape "
+                    f"{centered.shape} and {means.size} column_means do not fit a "
+                    f"{domain.dim}-dimensional domain and {d} output columns"
+                )
+            levels.append(
+                _finalize_level(params, inputs, centered, means, jitter / params.amplitude, fit_nll)
+            )
+        where = ""
+        model = ResGPModel(levels, domain)
+        for key in ("input_dim", "output_dim"):
+            stored, derived = check_integer(payload[key], key, 1), getattr(model, key)
+            if stored != derived:
+                raise ValueError(f"{key} is {stored}, but the domain and levels give {derived}")
+    except KeyError as exc:
+        raise ValueError(f"model file {path}: {where}missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model file {path}: {where}{exc}") from exc
+    return model

@@ -286,9 +286,9 @@ def test_pendulum_benchmark_outputs_both_angles():
 
 
 def test_evaluate_fidelity_out_of_range():
-    with pytest.raises(ValueError, match="fidelities 1..2"):
+    with pytest.raises(ValueError, match=r"fidelity must be in \[1, 2\], got 0"):
         evaluate("currin", 0, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="fidelities 1..2"):
+    with pytest.raises(ValueError, match=r"fidelity must be in \[1, 2\], got 3"):
         evaluate("currin", 3, np.array([0.5, 0.5]))
 
 
@@ -311,6 +311,10 @@ def test_evaluate_rejects_wrong_input_dimension():
 def test_evaluate_rejects_points_outside_domain():
     with pytest.raises(ValueError, match="outside"):
         evaluate("currin", 1, np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match="query must be finite"):
+        evaluate("currin", 1, np.array([math.nan, 0.5]))
+    with pytest.raises(TypeError, match="query must be an array of numbers"):
+        evaluate("currin", 1, ["0.5", "0.5"])
     # corners are inside
     evaluate("currin", 1, np.array([[0.0, 0.0], [1.0, 1.0]]))
 
@@ -472,10 +476,18 @@ def test_metrics_validation():
         metrics(np.zeros(3), np.ones(3), truth)
     with pytest.raises(ValueError, match="one entry per prediction row"):
         metrics(truth, np.ones((2, 1)), truth)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="pred_var must be finite and at least 0"):
         metrics(truth, np.array([1.0, -1.0]), truth)
     with pytest.raises(ValueError, match="zero variance"):
         metrics(truth, np.ones(2), np.array([3.0, 3.0]))
+    with pytest.raises(ValueError, match="truth must be finite"):
+        metrics(truth, np.ones(2), np.array([1.0, math.nan]))
+    with pytest.raises(ValueError, match="pred_mean must be finite"):
+        metrics(np.array([1.0, math.inf]), np.ones(2), truth)
+    with pytest.raises(ValueError, match="pred_var must be finite and at least 0"):
+        metrics(truth, np.array([1.0, math.nan]), truth)
+    with pytest.raises(TypeError, match="pred_mean must be an array of numbers"):
+        metrics(["1", "2"], np.ones(2), truth)
 
 
 # ---------------------------------------------------------------------------

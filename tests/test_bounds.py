@@ -49,7 +49,7 @@ def flat_model(amplitude=1.0, weight=2.0, residual=1.0, n=1):
         ResidualDataset(x, np.full((n, 1), residual)),
         center=False,
     )
-    return ResGPModel([level], UNIT, 1, 1)
+    return ResGPModel([level], UNIT)
 
 
 # --- covering_number_bound --------------------------------------------------
@@ -286,3 +286,6 @@ def test_coverage_length_mismatch():
     )
     with pytest.raises(ValueError):
         empirical_coverage(model, bound_fn, np.zeros((5, 1)), np.zeros(4))
+    # a NaN truth would otherwise count as one point outside the bound
+    with pytest.raises(ValueError, match="truth must be finite"):
+        empirical_coverage(model, bound_fn, np.zeros((2, 1)), [0.0, math.nan])

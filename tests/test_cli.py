@@ -280,13 +280,18 @@ def test_non_boolean_switch_is_usage_error(tmp_path, capsys, command, key, value
     assert f"{key} must be true or false" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [-1, "x", None, True, float("inf")],
-                         ids=["negative", "string", "null", "bool", "inf"])
-def test_bad_noise_is_usage_error(tmp_path, capsys, value):
+@pytest.mark.parametrize(
+    "value, message",
+    [(-1, "noise must be finite and at least 0"), ("x", "noise must be a number"),
+     (None, "noise must be a number"), (True, "noise must be a number"),
+     (float("inf"), "noise must be finite and at least 0")],
+    ids=["negative", "string", "null", "bool", "inf"],
+)
+def test_bad_noise_is_usage_error(tmp_path, capsys, value, message):
     write_dataset_csv(str(tmp_path / "data.csv"), sine_dataset())
     cfg = write_config(tmp_path, "train.json", {"dataset": str(tmp_path / "data.csv"), "noise": value})
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-    assert "noise must be a finite number of at least 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_switches_and_noise_accept_json_values(tmp_path):
@@ -309,7 +314,7 @@ def test_switches_and_noise_accept_json_values(tmp_path):
         ({"seed": -1}, "seed must be at least 0"),
         ({"restarts": 2.5}, "restarts must be an integer"),
         ({"max_iters": 2.5}, "max_iters must be an integer"),
-        ({"grad_tol": float("nan")}, "grad_tol must be finite and positive"),
+        ({"grad_tol": float("nan")}, "grad_tol must be finite and above 0"),
     ],
     ids=["not-an-object", "seed-string", "seed-negative", "restarts-fraction",
          "max-iters-fraction", "grad-tol-nan"],
@@ -560,6 +565,64 @@ def test_predict_bad_query_rows_are_data_errors(trained, tmp_path, capsys, text,
     assert message in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def sine_model_file(tmp_path_factory):
+    """The model file of a two-level, one-input, one-output fit, as a parsed dict."""
+    tmp = tmp_path_factory.mktemp("sine")
+    write_dataset_csv(str(tmp / "data.csv"), sine_dataset())
+    cfg = write_config(tmp, "train.json", {"dataset": str(tmp / "data.csv")})
+    assert main(["train", "--config", cfg, "--out", str(tmp / "run")]) == 0
+    return json.loads((tmp / "run" / "model.json").read_text())
+
+
+def set_level_field(key, value, level=0):
+    def edit(model):
+        model["levels"][level][key] = value
+    return edit
+
+
+def drop_level_field(key, level=0):
+    def edit(model):
+        del model["levels"][level][key]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_level_field("amplitude", None), "level 1: amplitude must be a number, got None"),
+        (set_level_field("jitter", None), "level 1: jitter must be a number, got None"),
+        (lambda m: m.update(levels=5), "levels must be a non-empty list, got 5"),
+        (set_level_field("amplitude", "2"), "level 1: amplitude must be a number, got '2'"),
+        (drop_level_field("noise", level=1), "level 2: missing field 'noise'"),
+        (set_level_field("noise", -1.0, level=1), "level 2: noise must be finite and at least 0"),
+        (set_level_field("weights", [1.0, 1.0]), "level 1: 2 weights, inputs of shape (25, 1)"),
+        (set_level_field("column_means", [0.0, 0.0], level=1),
+         "level 2: 1 weights, inputs of shape (10, 1), residuals of shape (10, 1) and 2 "
+         "column_means do not fit"),
+        (set_level_field("inputs", "x"), "level 1: inputs must be an array of numbers"),
+        (lambda m: m.update(output_dim=3), "output_dim is 3, but the domain and levels give 1"),
+        (lambda m: m.update(input_dim=2), "input_dim is 2, but the domain and levels give 1"),
+        (lambda m: m.pop("input_dim"), "missing field 'input_dim'"),
+        (lambda m: m["domain"].update(lower=[True]), "domain: lower must be an array of numbers"),
+    ],
+    ids=["amplitude-null", "jitter-null", "levels-not-a-list", "amplitude-string",
+         "noise-missing", "noise-negative", "weights-length", "column-means-length",
+         "inputs-string", "output-dim", "input-dim", "input-dim-missing", "domain-bool"],
+)
+def test_predict_with_a_bad_model_field_is_data_error(sine_model_file, tmp_path, capsys, edit,
+                                                       message):
+    model = json.loads(json.dumps(sine_model_file))
+    edit(model)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    write_queries(tmp_path / "q.csv", [[0.3]])
+    argv = ["predict", "--model", str(path), "--queries", str(tmp_path / "q.csv")]
+    assert main([*argv, "--out", str(tmp_path / "pred")]) == 2
+    assert f"data error: model file {path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists()
+
+
 @example(np.array([[-0.0, 5e-324, 1e308], [-1e308, 0.1, -2.2250738585072014e-308]]))
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 3)),
@@ -703,9 +766,9 @@ def test_bounds_bad_grid_points_is_usage_error(univariate_model, tmp_path, capsy
     "key, value, message",
     [
         ("delta", "x", "delta must be a number"),
-        ("delta", 2, "delta must lie strictly between 0 and 1"),
+        ("delta", 2, "delta must be finite and in (0, 1)"),
         ("tau", None, "tau must be a number"),
-        ("l_y", -1, "l_y must be non-negative"),
+        ("l_y", -1, "l_y must be finite and at least 0"),
     ],
     ids=["delta-string", "delta-above-one", "tau-null", "l_y-negative"],
 )

@@ -1,4 +1,4 @@
-"""The demos import only names the package defines, and each runs to exit 0.
+"""The demos import only names the package defines; each, and README's Quick start, runs to exit 0.
 
 The import check names a removed or renamed name directly; the run catches
 everything else, warnings included.
@@ -43,13 +43,26 @@ def test_demo_imports_exist(path):
             assert hasattr(mod, name), f"{path.name}: {module} has no {name}"
 
 
+def run_script(path, cwd):
+    """Run a script as its reader would, warnings as errors, in the directory cwd."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(path)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(path, tmp_path):
     # a demo may write files into its working directory (error_bounds.py writes
     # bound_curve.csv), so each runs in a fresh one
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", str(path)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_script(path, tmp_path)
+
+
+def test_readme_quick_start_runs(tmp_path):
+    section = (ROOT / "README.md").read_text().split("\n## Quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    script = tmp_path / "quick_start.py"
+    script.write_text(code)
+    run_script(script, tmp_path)

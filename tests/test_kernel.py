@@ -10,18 +10,42 @@ from hypothesis.extra.numpy import arrays
 
 from resgp import (
     DEFAULT_JITTER_REL,
+    BoundConfig,
     DomainBox,
     IllConditionedError,
     KernelHyperparams,
+    MultiFidelityData,
+    OptimizerConfig,
+    ResGPModel,
     ResidualDataset,
     ard_eval,
+    build_level,
     cross_vec,
+    design_uniform,
+    evaluate,
+    fill_distance,
+    fit_level,
     gram,
     kernel_lipschitz,
     neg_log_likelihood,
+    nested_subsample,
+    pendulum_solve,
+    predict_fidelity,
+    sequential_construct,
+    sigma_modulus,
+    train,
 )
 from resgp.gp_level import cholesky_with_escalation
-from resgp.kernel import DIST_CUT, _grad_norm_sup, kernel_values, sq_diffs, weighted_sq_dists
+from resgp.kernel import (
+    DIST_CUT,
+    _grad_norm_sup,
+    check_array,
+    check_integer,
+    check_real,
+    kernel_values,
+    sq_diffs,
+    weighted_sq_dists,
+)
 
 
 def params_1d(amplitude=1.0, weight=1.0, noise=0.0):
@@ -293,3 +317,111 @@ def test_kernel_matrices_come_from_one_pairwise_routine(case):
     assert not np.triu(chol, 1).any()
     data = ResidualDataset(x, case["residuals"])
     assert math.isfinite(neg_log_likelihood(p, data, jitter_rel=jitter / p.amplitude))
+
+
+# --- one check per input kind -----------------------------------------------
+
+UNIT1 = DomainBox.unit(1)
+P1 = KernelHyperparams(1.0, [1.0])
+
+
+def two_points():
+    return ResidualDataset([[0.0], [1.0]], [[0.0], [1.0]])
+
+
+def one_level_model():
+    return ResGPModel([build_level(P1, two_points())], UNIT1)
+
+
+# (field, kind, call, value just out of range): call(value) passes value as that
+# field alone. None as the last entry means every finite value is in range.
+NUMBER_FIELDS = {
+    "OptimizerConfig-restarts": ("restarts", int, lambda v: OptimizerConfig(restarts=v), 0),
+    "OptimizerConfig-max_iters": ("max_iters", int, lambda v: OptimizerConfig(max_iters=v), 0),
+    "OptimizerConfig-seed": ("seed", int, lambda v: OptimizerConfig(seed=v), -1),
+    "OptimizerConfig-grad_tol": ("grad_tol", float, lambda v: OptimizerConfig(grad_tol=v), 0.0),
+    "KernelHyperparams-amplitude": ("amplitude", float, lambda v: KernelHyperparams(v, [1.0]), 0.0),
+    "KernelHyperparams-noise": ("noise", float, lambda v: KernelHyperparams(1.0, [1.0], v), -1e-300),
+    "BoundConfig-delta": ("delta", float, lambda v: BoundConfig(v, 1e-3, 1.0, UNIT1), 1.0),
+    "BoundConfig-tau": ("tau", float, lambda v: BoundConfig(0.05, v, 1.0, UNIT1), 0.0),
+    "BoundConfig-l_y": ("l_y", float, lambda v: BoundConfig(0.05, 1e-3, v, UNIT1), -1e-300),
+    "fit_level-jitter_rel": ("jitter_rel", float, lambda v: fit_level(two_points(), jitter_rel=v),
+                             -1e-300),
+    "fit_level-noise": ("noise", float, lambda v: fit_level(two_points(), noise=v), -1e-300),
+    "train-jitter_rel": ("jitter_rel", float,
+                         lambda v: train(MultiFidelityData([[[0.0], [1.0]]], [[[0.0], [1.0]]]),
+                                         jitter_rel=v), -1e-300),
+    "train-noise": ("noise", float,
+                    lambda v: train(MultiFidelityData([[[0.0], [1.0]]], [[[0.0], [1.0]]]), noise=v),
+                    -1e-300),
+    "neg_log_likelihood-jitter_rel": ("jitter_rel", float,
+                                      lambda v: neg_log_likelihood(P1, two_points(), v), -1e-300),
+    "gram-jitter": ("jitter", float, lambda v: gram(P1, [[0.0]], v), -1e-300),
+    "design_uniform-n": ("n", int, lambda v: design_uniform(UNIT1, v, 0), 0),
+    "design_uniform-seed": ("seed", int, lambda v: design_uniform(UNIT1, 3, v), -1),
+    "nested_subsample-n_sub": ("n_sub", int, lambda v: nested_subsample(np.zeros((3, 1)), v, 0), 4),
+    "nested_subsample-seed": ("seed", int, lambda v: nested_subsample(np.zeros((3, 1)), 2, v), -1),
+    "sequential_construct-seed": ("seed", int, lambda v: sequential_construct(
+        [[0.0], [1.0]], [2], lambda f, x: x, seed=v), -1),
+    "fill_distance-grid_resolution": ("grid_resolution", int,
+                                      lambda v: fill_distance([[0.5]], UNIT1, v), 1),
+    "pendulum_solve-theta1_0": ("theta1_0", float, lambda v: pendulum_solve(v, dt=1.0), None),
+    "pendulum_solve-dt": ("dt", float, lambda v: pendulum_solve(1.4, dt=v), 5.000000000000001),
+    "predict_fidelity-fidelity": ("fidelity", int,
+                                  lambda v: predict_fidelity(one_level_model(), [[0.5]], v), 2),
+    "evaluate-fidelity": ("fidelity", int, lambda v: evaluate("currin", v, [0.5, 0.5]), 3),
+    "sigma_modulus-r": ("r", float, lambda v: sigma_modulus(one_level_model(), v), -1e-300),
+}
+BAD_VALUES = {"bool": True, "string": "1", "none": None, "nan": math.nan, "inf": math.inf,
+              "-inf": -math.inf, "out-of-range": "out"}
+
+
+@pytest.mark.parametrize(
+    "case, bad",
+    [(case, bad) for case, entry in NUMBER_FIELDS.items() for bad in BAD_VALUES
+     if not (bad == "out-of-range" and entry[3] is None)],
+)
+def test_every_number_field_has_one_check(case, bad):
+    """A bad type is a TypeError, a bad value a ValueError, and the message names the field.
+
+    For an integer field a float, NaN and the infinities included, is a bad type.
+    """
+    field, kind, call, out_of_range = NUMBER_FIELDS[case]
+    value = out_of_range if bad == "out-of-range" else BAD_VALUES[bad]
+    bad_type = isinstance(value, (bool, str, type(None))) or (kind is int and isinstance(value, float))
+    with pytest.raises(TypeError if bad_type else ValueError, match=f"^{field} must be "):
+        call(value)
+
+
+def test_checks_state_their_bounds_in_one_format():
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
+        check_integer(-1, "seed", 0)
+    with pytest.raises(ValueError, match=r"^n_sub must be in \[1, 5\], got 6$"):
+        check_integer(6, "n_sub", 1, 5)
+    with pytest.raises(ValueError, match=r"^noise must be finite and at least 0, got -1.0$"):
+        check_real(-1, "noise", "[0, inf)")
+    with pytest.raises(ValueError, match=r"^tau must be finite and above 0, got 0.0$"):
+        check_real(0, "tau", "(0, inf)")
+    with pytest.raises(ValueError, match=r"^dt must be finite and in \(0, 5\], got 6.0$"):
+        check_real(6, "dt", "(0, 5]")
+    with pytest.raises(ValueError, match=r"^x must be finite, got inf$"):
+        check_real(math.inf, "x", "(-inf, inf)")
+    with pytest.raises(ValueError, match=r"^weights must be finite and above 0$"):
+        check_array([1.0, 0.0], "weights", 1, "(0, inf)")
+    with pytest.raises(ValueError, match=r"^points must be 2-dimensional, got shape \(2,\)$"):
+        check_array([1.0, 0.0], "points", 2)
+    for entries in (["1"], [True], [None]):
+        with pytest.raises(TypeError, match="^a must be an array of numbers"):
+            check_array(entries, "a", 1)
+    with pytest.raises(ValueError, match="^a must be a regular array"):
+        check_array([[1.0], [1.0, 2.0]], "a", 2)
+
+
+def test_checks_keep_numpy_numbers_and_their_values():
+    assert check_integer(np.int64(3), "n", 1) == 3 and type(check_integer(np.int64(3), "n", 1)) is int
+    assert check_real(np.float32(0.5), "x", "(0, 1)") == 0.5
+    assert type(check_real(np.float64(0.1), "x", "(0, 1)")) is float
+    assert check_real(5, "dt", "(0, 5]") == 5.0  # a closed end is in range
+    x = np.array([[0.1, 2.0]])
+    assert check_array(x, "x", 2) is x  # a float array is not copied
+    np.testing.assert_array_equal(check_array([[1, 2]], "x", 2), [[1.0, 2.0]])

@@ -177,7 +177,7 @@ def fixed_model(seed=45, f=3, l=2, d=2, n=12):
         r = rng.normal(size=(x.shape[0], d)) + rng.normal(size=(1, d))
         levels.append(build_level(p, ResidualDataset(x, r)))
         x = x[: max(2, x.shape[0] - 4)]
-    return ResGPModel(levels=levels, domain=DomainBox.unit(l), input_dim=l, output_dim=d)
+    return ResGPModel(levels=levels, domain=DomainBox.unit(l))
 
 
 def test_prediction_is_sum_of_levels():
@@ -203,8 +203,8 @@ def test_prediction_invariant_under_row_permutation():
     perm = rng.permutation(10)
     a = build_level(p, ResidualDataset(x, r))
     b = build_level(p, ResidualDataset(x[perm], r[perm]))
-    model_a = ResGPModel([a], DomainBox.unit(1), 1, 2)
-    model_b = ResGPModel([b], DomainBox.unit(1), 1, 2)
+    model_a = ResGPModel([a], DomainBox.unit(1))
+    model_b = ResGPModel([b], DomainBox.unit(1))
     q = rng.uniform(size=(20, 1))
     pa, pb = predict(model_a, q), predict(model_b, q)
     np.testing.assert_allclose(pa.mean, pb.mean, atol=1e-10)
@@ -268,7 +268,7 @@ def test_two_fidelity_closed_form_oracle():
     lvl2 = build_level(
         p2, ResidualDataset(x2, y2 - y1[1:2]), jitter_rel=0.0, center=False
     )
-    model = ResGPModel([lvl1, lvl2], DomainBox.unit(1), 1, 1)
+    model = ResGPModel([lvl1, lvl2], DomainBox.unit(1))
 
     q = 0.3
     k1 = 1.0 * np.exp(-2.0 * (q - x1[:, 0]) ** 2)
@@ -291,7 +291,7 @@ def test_huge_noise_washes_out_a_level():
     r -= r.mean(axis=0)
     p = KernelHyperparams(1.4, np.array([2.0]), noise=1e12)
     level = build_level(p, ResidualDataset(x, r), jitter_rel=0.0)
-    model = ResGPModel([level], DomainBox.unit(1), 1, 1)
+    model = ResGPModel([level], DomainBox.unit(1))
     post = predict(model, x[:1])
     assert abs(post.mean[0, 0]) < 1e-9
     assert post.var[0] == pytest.approx(1.4, abs=1e-9)
@@ -301,6 +301,20 @@ def test_query_dimension_validation():
     model = fixed_model()
     with pytest.raises(ValueError):
         predict(model, np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_query_must_be_finite(bad):
+    model = fixed_model()
+    with pytest.raises(ValueError, match="query must be finite"):
+        predict(model, [[0.5, bad]])
+    with pytest.raises(ValueError, match="query must be finite"):
+        predict_fidelity(model, [0.5, bad], 1)
+
+
+def test_query_must_hold_numbers():
+    with pytest.raises(TypeError, match="query must be an array of numbers"):
+        predict(fixed_model(), [["0.5", "0.5"]])
 
 
 @pytest.mark.parametrize("shape", [(), (3, 2, 2), (1, 1, 2)], ids=["0-d", "3-d", "3-d-single"])
@@ -331,6 +345,13 @@ def test_save_load_round_trip(tmp_path):
     a, b = predict(model, q), predict(back, q)
     np.testing.assert_allclose(a.mean, b.mean, atol=1e-10)
     np.testing.assert_allclose(a.var, b.var, atol=1e-10)
+
+
+def test_model_dims_come_from_its_domain_and_first_level():
+    level = build_level(KernelHyperparams(1.0, [1.0, 2.0]),
+                        ResidualDataset(np.zeros((1, 2)), np.zeros((1, 3))))
+    model = ResGPModel([level], DomainBox.unit(2))
+    assert (model.input_dim, model.output_dim) == (2, 3)
 
 
 def test_load_rejects_foreign_payload(tmp_path):
