@@ -41,14 +41,13 @@ from .benchmarks import (
 from .bounds import (
     BoundConfig,
     ResourceLimitError,
-    UnsupportedModelError,
     covering_number_bound,
     empirical_coverage,
     uniform_bound,
 )
 from .gp_level import IllConditionedError, OptimizerConfig
 from .kernel import DEFAULT_JITTER_REL, DomainBox, check_integer, check_real
-from .model import NestingError, _atomic_write_text, check_budgets, load_model, predict, save_model, train
+from .model import _atomic_write_text, check_budgets, load_model, predict, save_model, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,11 +77,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 def _jsonable(value):
     """Replace non-finite floats with explicit string sentinels for JSON."""
     if isinstance(value, dict):
@@ -105,6 +99,47 @@ def _jsonable(value):
 
 def _write_json(path: str, payload: dict) -> None:
     _atomic_write_text(path, json.dumps(_jsonable(payload), sort_keys=True, indent=1) + "\n")
+
+
+# the columns of bench's results table, in order
+_BENCH_COLUMNS = ("benchmark", "budgets", "repeat", "seed", *Metrics._fields, "raw_rmse", "raw_r2",
+                  "joint_nll")
+
+
+def _write_record(command: str, config: dict, out_dir: str, fields: dict, t0=None) -> dict:
+    """Write command's run record into out_dir and return it: the command, the SHA-256 of the
+    canonical config JSON, fields and, timed from the perf_counter reading t0, wall_time_s."""
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    record = {"command": command, "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
+              **fields}
+    if t0 is not None:
+        record["wall_time_s"] = time.perf_counter() - t0
+    name = {"bench": "summary.json", "bounds": "bounds.json"}.get(command, "record.json")
+    _write_json(os.path.join(out_dir, name), record)
+    return record
+
+
+def _write_table(out_dir: str, name: str, fmt: str, payload: dict, header, rows) -> str:
+    """Write payload to name.json (--format structured) or header and rows to name.csv."""
+    if fmt == "structured":
+        path = os.path.join(out_dir, f"{name}.json")
+        _write_json(path, payload)
+    else:
+        path = os.path.join(out_dir, f"{name}.csv")
+        write_csv(path, header, rows)
+    return path
+
+
+def _fit_fields(model, standardize: bool, scored, raw, scale) -> dict:
+    """The record fields of a fitted model and of its scores (all None when it was not scored)."""
+    return {
+        "metrics": None if scored is None else scored._asdict(),
+        "raw_metrics": None if raw is None else raw._asdict(),
+        "standardize": standardize,
+        "scale": scale,
+        "per_fidelity_nll": [lvl.fit_nll for lvl in model.levels],
+        "joint_nll": model.joint_nll,
+    }
 
 
 @contextlib.contextmanager
@@ -163,8 +198,9 @@ def _flag(config: dict, key: str, default: bool) -> bool:
     return value
 
 
-def _budgets(raw, spec) -> list:
-    """The budgets of a config for spec, as check_budgets accepts them."""
+def _budgets(source: dict, key: str, spec) -> list:
+    """source[key] (spec's DEFAULT_BUDGETS without it) as budgets for spec; a list is required."""
+    raw = source.get(key, DEFAULT_BUDGETS[spec.name])
     if not isinstance(raw, list):
         raise TypeError(f"budgets for {spec.name} must be a list of integers")
     return check_budgets(raw, spec.n_fidelities)
@@ -173,6 +209,17 @@ def _budgets(raw, spec) -> list:
 def _seed(config: dict, override) -> int:
     """The run seed: the --seed flag, else the config's seed, else 0."""
     return check_integer(config.get("seed", 0) if override is None else override, "seed", 0)
+
+
+def _jitter_rel(config: dict) -> float:
+    """The relative jitter of every fit, DEFAULT_JITTER_REL unless the config sets it."""
+    return check_real(config.get("jitter_rel", DEFAULT_JITTER_REL), "jitter_rel", "[0, inf)")
+
+
+def _held_out(config: dict) -> tuple[int, bool]:
+    """(test_points, standardize) of a run scored on a benchmark's held-out points."""
+    return (check_integer(config.get("test_points", 1000), "test_points", 1),
+            _flag(config, "standardize", True))
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +231,13 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
     with _config_faults():
         run_seed = _seed(config, seed)
         opt = _optimizer(config, run_seed)
-        jitter_rel = check_real(config.get("jitter_rel", DEFAULT_JITTER_REL), "jitter_rel",
-                                "[0, inf)")
+        jitter_rel = _jitter_rel(config)
         if ("benchmark" in config) == ("dataset" in config):
             raise ValueError("config must name exactly one of 'benchmark' or 'dataset'")
         if "benchmark" in config:
             spec = _benchmark(config["benchmark"])
-            budgets = _budgets(config.get("budgets", DEFAULT_BUDGETS[spec.name]), spec)
-            standardize = _flag(config, "standardize", True)
-            test_points = check_integer(config.get("test_points", 1000), "test_points", 1)
+            budgets = _budgets(config, "budgets", spec)
+            test_points, standardize = _held_out(config)
         else:
             spec = None
             dataset_path = _path(config, "dataset")
@@ -234,29 +279,15 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
             post = predict(model, test.inputs[-1])
             scored, raw, scale = score(post, test.outputs[-1], data, standardize)
 
-    residual_rms = [
-        float(np.sqrt(np.mean((lvl.residuals + lvl.column_means) ** 2)))
-        for lvl in model.levels
-    ]
-
     save_model(model, model_path)
-    record = {
-        "command": "train",
-        "config_hash": _config_hash(config),
+    return _write_record("train", config, out_dir, {
         "seed": run_seed,
         "counts": data.counts,
-        "metrics": None if scored is None else scored._asdict(),
-        "raw_metrics": None if raw is None else raw._asdict(),
-        "standardize": standardize,
-        "scale": scale,
-        "per_fidelity_nll": [lvl.fit_nll for lvl in model.levels],
-        "joint_nll": model.joint_nll,
-        "residual_rms": residual_rms,
+        **_fit_fields(model, standardize, scored, raw, scale),
+        "residual_rms": [float(np.sqrt(np.mean((lvl.residuals + lvl.column_means) ** 2)))
+                         for lvl in model.levels],
         "model_path": model_path,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    _write_json(os.path.join(out_dir, "record.json"), record)
-    return record
+    }, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +310,9 @@ def cmd_predict(model_path: str, query_file: str, out_dir: str = ".", fmt: str =
     queries = _read_query_csv(query_file, model.input_dim)
     os.makedirs(out_dir, exist_ok=True)
     post = predict(model, queries)
-    if fmt == "structured":
-        out_path = os.path.join(out_dir, "predictions.json")
-        _write_json(
-            out_path,
-            {"means": post.mean.tolist(), "variances": post.var.tolist()},
-        )
-        return out_path
-    out_path = os.path.join(out_dir, "predictions.csv")
-    write_csv(
-        out_path,
-        [f"y{j + 1}" for j in range(model.output_dim)] + ["variance"],
-        np.column_stack([post.mean, post.var]),
-    )
-    return out_path
+    return _write_table(out_dir, "predictions", fmt, {"means": post.mean, "variances": post.var},
+                        [f"y{j + 1}" for j in range(model.output_dim)] + ["variance"],
+                        np.column_stack([post.mean, post.var]))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +326,7 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
         if "benchmark" not in config:
             raise ValueError("active config must name a 'benchmark'")
         spec = _benchmark(config["benchmark"])
-        budgets = _budgets(config.get("budgets", DEFAULT_BUDGETS[spec.name]), spec)
+        budgets = _budgets(config, "budgets", spec)
         pool_size = check_integer(config.get("pool_size", 200), "pool_size", 1)
         if budgets[0] > pool_size:
             raise ValueError(f"lowest-fidelity budget {budgets[0]} exceeds pool_size {pool_size}")
@@ -314,10 +334,8 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
         if strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}")
         opt = _optimizer(config, run_seed)
-        jitter_rel = check_real(config.get("jitter_rel", DEFAULT_JITTER_REL), "jitter_rel",
-                                "[0, inf)")
-        test_points = check_integer(config.get("test_points", 1000), "test_points", 1)
-        standardize = _flag(config, "standardize", True)
+        jitter_rel = _jitter_rel(config)
+        test_points, standardize = _held_out(config)
     os.makedirs(out_dir, exist_ok=True)
     audit_path = os.path.join(out_dir, "audit.jsonl")
     t0 = time.perf_counter()
@@ -345,27 +363,17 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
     save_model(model, model_path)
 
     held_out = score_held_out(spec, model, result.data, run_seed, test_points, standardize)
-
-    record = {
-        "command": "active",
-        "config_hash": _config_hash(config),
+    return _write_record("active", config, out_dir, {
         "seed": run_seed,
         "strategy": strategy,
         "budgets": budgets,
         "pool_size": pool_size,
-        "metrics": held_out["metrics"]._asdict(),
-        "raw_metrics": held_out["raw_metrics"]._asdict(),
-        "standardize": standardize,
-        "scale": held_out["scale"],
-        "per_fidelity_nll": [lvl.fit_nll for lvl in model.levels],
-        "joint_nll": model.joint_nll,
+        **_fit_fields(model, standardize, held_out["metrics"], held_out["raw_metrics"],
+                      held_out["scale"]),
         "audit_path": audit_path,
         "model_path": model_path,
         "acquisitions": len(result.audit),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    _write_json(os.path.join(out_dir, "record.json"), record)
-    return record
+    }, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +412,10 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
 
     coverage = None
     if truth_path is not None:
-        truth_data = read_dataset_csv(truth_path)
-        tx = truth_data.inputs[-1]
-        ty = truth_data.outputs[-1]
-        coverage = empirical_coverage(model, bound_fn, tx, ty)
+        truth = read_dataset_csv(truth_path)
+        coverage = empirical_coverage(model, bound_fn, truth.inputs[-1], truth.outputs[-1])
 
-    report = {
-        "command": "bounds",
-        "config_hash": _config_hash(config),
+    return _write_record("bounds", config, out_dir, {
         "beta": bound.beta,
         "gamma": bound.gamma,
         "l_mu": bound.l_mu,
@@ -423,9 +427,7 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
         "l_y": cfg.l_y,
         "coverage": coverage,
         "curve_path": curve_path,
-    }
-    _write_json(os.path.join(out_dir, "bounds.json"), report)
-    return report
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +442,7 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
         if not isinstance(names, list):
             raise TypeError(f"bench benchmarks must be a list of benchmark names, got {names!r}")
         repeats = check_integer(config.get("repeats", 1), "repeats", 1)
-        test_points = check_integer(config.get("test_points", 1000), "test_points", 1)
-        standardize = _flag(config, "standardize", True)
+        test_points, standardize = _held_out(config)
         budgets_override = config.get("budgets", {})
         if not isinstance(budgets_override, dict):
             raise TypeError("bench budgets must map benchmark names to budget lists")
@@ -450,68 +451,42 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
             spec = _benchmark(name)
             if spec.name in runs:
                 raise ValueError(f"bench benchmarks name {spec.name!r} twice")
-            given = budgets_override.get(spec.name, DEFAULT_BUDGETS[spec.name])
-            runs[spec.name] = _budgets(given, spec)
+            runs[spec.name] = _budgets(budgets_override, spec.name, spec)
         for key in budgets_override:
             if key not in runs:
                 raise ValueError(f"bench budgets name {key!r}, which is not a benchmark of this run")
         opts = [_optimizer(config, run_seed + rep) for rep in range(repeats)]
+        jitter_rel = _jitter_rel(config)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
 
     rows = []
     for name, budgets in runs.items():
         for rep, opt in enumerate(opts):
-            s = run_seed + rep
             case = run_benchmark_case(
-                name, budgets=budgets, seed=s, opt=opt, test_points=test_points,
-                standardize=standardize,
+                name, budgets=budgets, seed=run_seed + rep, opt=opt, test_points=test_points,
+                standardize=standardize, jitter_rel=jitter_rel,
             )
-            rows.append({
-                "benchmark": name,
-                "budgets": budgets,
-                "repeat": rep,
-                "seed": s,
-                **case["metrics"]._asdict(),
-                "raw_rmse": case["raw_metrics"].rmse,
-                "raw_r2": case["raw_metrics"].r2,
-                "joint_nll": case["model"].joint_nll,
-            })
+            raw = case["raw_metrics"]
+            values = (name, budgets, rep, run_seed + rep, *case["metrics"], raw.rmse, raw.r2,
+                      case["model"].joint_nll)
+            rows.append(dict(zip(_BENCH_COLUMNS, values)))
 
-    header = ["benchmark", "budgets", "repeat", "seed", "rmse", "r2", "mnll", "nrmse"]
-    header += ["raw_rmse", "raw_r2", "joint_nll"]
-    if fmt == "structured":
-        results_path = os.path.join(out_dir, "results.json")
-        _write_json(results_path, {"rows": rows})
-    else:
-        results_path = os.path.join(out_dir, "results.csv")
-        write_csv(
-            results_path,
-            header,
-            [
-                [row["benchmark"], "-".join(str(b) for b in row["budgets"])]
-                + [row[k] for k in header[2:]]
-                for row in rows
-            ],
-        )
-
-    summary = {}
-    for name in runs:
-        sub = [r for r in rows if r["benchmark"] == name]
-        summary[name] = {k: float(np.mean([r[k] for r in sub])) for k in Metrics._fields}
-        summary[name]["repeats"] = len(sub)
-    _write_json(
-        os.path.join(out_dir, "summary.json"),
-        {
-            "command": "bench",
-            "config_hash": _config_hash(config),
-            "seed": run_seed,
-            "standardize": standardize,
-            "benchmarks": summary,
-            "results_path": results_path,
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
+    results_path = _write_table(out_dir, "results", fmt, {"rows": rows}, _BENCH_COLUMNS, [
+        ["-".join(map(str, v)) if k == "budgets" else v for k, v in row.items()] for row in rows
+    ])
+    summary = {
+        name: {"repeats": repeats,
+               **{k: float(np.mean([r[k] for r in rows if r["benchmark"] == name]))
+                  for k in Metrics._fields}}
+        for name in runs
+    }
+    _write_record("bench", config, out_dir, {
+        "seed": run_seed,
+        "standardize": standardize,
+        "benchmarks": summary,
+        "results_path": results_path,
+    }, t0)
     return rows
 
 
@@ -521,66 +496,57 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
 
 @functools.cache  # main only reads the parser, so one per process serves every call
 def _build_parser() -> _Parser:
+    seed, out, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))  # shared options
+    seed.add_argument("--seed", type=int, default=None)
+    out.add_argument("--out", default=".")
+    fmt.add_argument("--format", choices=["csv", "structured"], default="csv")
     parser = _Parser(prog="resgp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train a model from a config")
+    p_train = sub.add_parser("train", help="train a model from a config", parents=[seed, out])
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--out", default=".")
 
-    p_pred = sub.add_parser("predict", help="predict at query points")
+    p_pred = sub.add_parser("predict", help="predict at query points", parents=[out, fmt])
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--queries", required=True)
-    p_pred.add_argument("--out", default=".")
-    p_pred.add_argument("--format", choices=["csv", "structured"], default="csv")
 
-    p_act = sub.add_parser("active", help="sequential design on a benchmark")
+    p_act = sub.add_parser("active", help="sequential design on a benchmark", parents=[seed, out])
     p_act.add_argument("--config", required=True)
-    p_act.add_argument("--seed", type=int, default=None)
-    p_act.add_argument("--out", default=".")
 
-    p_bnd = sub.add_parser("bounds", help="uniform error bound for a saved model")
+    p_bnd = sub.add_parser("bounds", help="uniform error bound for a saved model",
+                           parents=[seed, out])
     p_bnd.add_argument("--model", required=True)
     p_bnd.add_argument("--config", required=True)
-    p_bnd.add_argument("--seed", type=int, default=None)
-    p_bnd.add_argument("--out", default=".")
 
-    p_bench = sub.add_parser("bench", help="run the benchmark suite")
+    p_bench = sub.add_parser("bench", help="run the benchmark suite", parents=[seed, out, fmt])
     p_bench.add_argument("--config", default=None)
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--out", default=".")
-    p_bench.add_argument("--format", choices=["csv", "structured"], default="csv")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        config = _load_config(args.config) if getattr(args, "config", None) else {}
         if args.command == "train":
-            cmd_train(_load_config(args.config), args.out, args.seed)
+            cmd_train(config, args.out, args.seed)
         elif args.command == "predict":
             cmd_predict(args.model, args.queries, args.out, args.format)
         elif args.command == "active":
-            cmd_active(_load_config(args.config), args.out, args.seed)
+            cmd_active(config, args.out, args.seed)
         elif args.command == "bounds":
-            cmd_bounds(args.model, _load_config(args.config), args.out, args.seed)
-        elif args.command == "bench":
-            config = _load_config(args.config) if args.config else {}
+            cmd_bounds(args.model, config, args.out, args.seed)
+        else:
             cmd_bench(config, args.out, args.seed, args.format)
         return EXIT_OK
     except (UsageError, ResourceLimitError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetFormatError, NestingError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (OracleError, IllConditionedError, np.linalg.LinAlgError, OverflowError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, KeyError, OSError, UnsupportedModelError) as exc:
+    # DatasetFormatError, NestingError and UnsupportedModelError are ValueErrors
+    except (ValueError, KeyError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,10 +247,10 @@ def predict_fidelity(model: ResGPModel, query, fidelity: int) -> Posterior:
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x")  # a new file, made as open() makes one, so the umask sets its mode
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -303,8 +302,9 @@ def load_model(path: str) -> ResGPModel:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
-    if payload.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {payload.get('version')}")
+    version = payload.get("version")
+    if type(version) is not int or version != MODEL_VERSION:  # true and 1.0 equal 1 in Python
+        raise ValueError(f"unsupported model version {version}")
     where = "domain: "  # the part of the file being read, for the message of a fault
     try:
         domain = DomainBox(payload["domain"]["lower"], payload["domain"]["upper"])

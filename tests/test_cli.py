@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import re
+import stat
 import subprocess
 import sys
 
@@ -887,3 +890,166 @@ def test_module_invocation_round_trip(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "record.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("train", {"--config", "--seed", "--out"}),
+     ("predict", {"--model", "--queries", "--out", "--format"}),
+     ("active", {"--config", "--seed", "--out"}),
+     ("bounds", {"--model", "--config", "--seed", "--out"}),
+     ("bench", {"--config", "--seed", "--out", "--format"})],
+)
+def test_help_lists_each_commands_flags(command, flags):
+    proc = subprocess.run([sys.executable, "-m", "resgp.cli", command, "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(re.findall(r"--[a-z]+", proc.stdout)) == flags | {"--help"}
+
+
+# ---------------------------------------------------------------------------
+# run records and output files
+
+
+METRIC_FIELDS = {"rmse", "r2", "mnll", "nrmse"}
+FIT_FIELDS = {"command", "config_hash", "seed", "metrics", "raw_metrics", "standardize", "scale",
+              "per_fidelity_nll", "joint_nll", "model_path", "wall_time_s"}
+
+
+def run_each_command(tmp_path):
+    """Run train (benchmark and dataset), predict, active, bounds and bench once; their --out dirs."""
+    write_dataset_csv(str(tmp_path / "data.csv"), sine_dataset())
+    write_dataset_csv(str(tmp_path / "truth.csv"), sine_dataset(n_low=12, n_high=12))
+    write_queries(tmp_path / "q.csv", [[0.3], [2.0]])
+    configs = {
+        "train": {"benchmark": "currin", "budgets": [8, 3], "test_points": 20},
+        "dataset": {"dataset": str(tmp_path / "data.csv"), "test_dataset": str(tmp_path / "truth.csv")},
+        "active": {"benchmark": "currin", "budgets": [6, 2], "pool_size": 20, "test_points": 20},
+        "bounds": {"delta": 0.05, "tau": 1e-3, "l_y": 10.0, "grid_points": 8,
+                   "truth": str(tmp_path / "truth.csv")},
+        "bench": {"benchmarks": ["currin"], "test_points": 20, "budgets": {"currin": [8, 3]}},
+    }
+    cfg = {name: write_config(tmp_path, f"{name}.json", payload) for name, payload in configs.items()}
+    out = {name: tmp_path / name for name in (*configs, "predict")}
+    model = str(out["dataset"] / "model.json")
+    for argv in (["train", "--config", cfg["train"]], ["train", "--config", cfg["dataset"]],
+                 ["predict", "--model", model, "--queries", str(tmp_path / "q.csv")],
+                 ["active", "--config", cfg["active"]],
+                 ["bounds", "--model", model, "--config", cfg["bounds"]],
+                 ["bench", "--config", cfg["bench"]]):
+        name = "dataset" if argv[2] == cfg["dataset"] else argv[0]
+        assert main([*argv, "--out", str(out[name])]) == 0, argv
+    return out
+
+
+@pytest.fixture(scope="module")
+def command_outputs(tmp_path_factory):
+    return run_each_command(tmp_path_factory.mktemp("commands"))
+
+
+def test_each_command_writes_exactly_its_files(command_outputs):
+    files = {name: sorted(p.name for p in out.iterdir()) for name, out in command_outputs.items()}
+    assert files == {
+        "train": ["dataset.csv", "dataset_meta.json", "model.json", "record.json"],
+        "dataset": ["model.json", "record.json"],
+        "predict": ["predictions.csv"],
+        "active": ["audit.jsonl", "model.json", "record.json"],
+        "bounds": ["bounds.json", "curve.csv"],
+        "bench": ["results.csv", "summary.json"],
+    }
+
+
+@pytest.mark.parametrize("name", ["train", "dataset"])
+def test_train_record_fields(command_outputs, name):
+    record = json.loads((command_outputs[name] / "record.json").read_text())
+    assert set(record) == FIT_FIELDS | {"counts", "residual_rms"}
+    assert record["command"] == "train"
+    assert set(record["metrics"]) == set(record["raw_metrics"]) == METRIC_FIELDS
+
+
+def test_active_record_fields(command_outputs):
+    record = json.loads((command_outputs["active"] / "record.json").read_text())
+    assert set(record) == FIT_FIELDS | {"strategy", "budgets", "pool_size", "audit_path",
+                                        "acquisitions"}
+    assert record["command"] == "active"
+    assert set(record["metrics"]) == set(record["raw_metrics"]) == METRIC_FIELDS
+
+
+def test_bounds_record_fields(command_outputs):
+    report = json.loads((command_outputs["bounds"] / "bounds.json").read_text())
+    assert set(report) == {"command", "config_hash", "beta", "gamma", "l_mu", "omega_coeff",
+                           "covering", "covering_consistent", "delta", "tau", "l_y", "coverage",
+                           "curve_path"}
+    assert report["command"] == "bounds"
+
+
+def test_bench_summary_fields(command_outputs):
+    summary = json.loads((command_outputs["bench"] / "summary.json").read_text())
+    assert set(summary) == {"command", "config_hash", "seed", "standardize", "benchmarks",
+                            "results_path", "wall_time_s"}
+    assert summary["command"] == "bench"
+    assert set(summary["benchmarks"]["currin"]) == METRIC_FIELDS | {"repeats"}
+
+
+def test_bench_structured_rows_carry_the_csv_columns(command_outputs, tmp_path):
+    header = read_csv_rows(command_outputs["bench"] / "results.csv")[0]
+    cfg = write_config(tmp_path, "bench.json",
+                       {"benchmarks": ["currin"], "test_points": 20, "budgets": {"currin": [8, 3]}})
+    out = tmp_path / "run"
+    assert main(["bench", "--config", cfg, "--out", str(out), "--format", "structured"]) == 0
+    rows = json.loads((out / "results.json").read_text())["rows"]
+    assert [set(row) for row in rows] == [set(header)]
+
+
+def test_written_files_take_their_mode_from_the_umask(tmp_path):
+    plain = tmp_path / "plain.txt"
+    old = os.umask(0o022)
+    try:
+        plain.write_text("")
+        write_dataset_csv(str(tmp_path / "data.csv"), sine_dataset())
+        cfg = write_config(tmp_path, "train.json", {"dataset": str(tmp_path / "data.csv")})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(plain.stat().st_mode)
+    assert mode == 0o644
+    for name in ("model.json", "record.json"):
+        assert stat.S_IMODE((tmp_path / "run" / name).stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("value", ["x", -1, None], ids=["string", "negative", "null"])
+def test_bench_bad_jitter_rel_is_usage_error(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, "bench.json", {"benchmarks": ["currin"], "test_points": 20,
+                                                "budgets": {"currin": [6, 2]}, "jitter_rel": value})
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "jitter_rel must be" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_bench_passes_jitter_rel_to_each_case(tmp_path, monkeypatch):
+    import resgp.cli as cli_mod
+
+    seen = []
+    real = cli_mod.run_benchmark_case
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("jitter_rel"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "run_benchmark_case", recording)
+    cfg = write_config(tmp_path, "bench.json", {"benchmarks": ["currin"], "repeats": 2, "test_points": 20,
+                                                "budgets": {"currin": [6, 2]}, "jitter_rel": 1e-6})
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert seen == [1e-6, 1e-6]
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None, 2], ids=["true", "float", "string", "null", "2"])
+def test_predict_with_a_model_version_other_than_integer_1_is_data_error(sine_model_file, tmp_path,
+                                                                        capsys, version):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**sine_model_file, "version": version}))
+    write_queries(tmp_path / "q.csv", [[0.3]])
+    argv = ["predict", "--model", str(path), "--queries", str(tmp_path / "q.csv")]
+    assert main([*argv, "--out", str(tmp_path / "pred")]) == 2
+    assert f"data error: unsupported model version {version}" in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists()
