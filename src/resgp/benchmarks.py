@@ -1,9 +1,10 @@
 """Multi-fidelity benchmark functions, designs, metrics, and dataset files.
 
 Every benchmark exposes fidelities 1 (cheapest) .. F (target) over a fixed
-input box. The analytic functions are vectorized over query rows; the double
-pendulum integrates its equations of motion with a fixed-step RK4 whose step
-size sets the fidelity.
+input box. Each fidelity is one formula of the input columns, vectorized over
+query rows; the double pendulum integrates its equations of motion with a
+fixed-step RK4 whose step size sets the fidelity. BENCHMARKS holds one row per
+benchmark.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, count
 from typing import NamedTuple
 
@@ -40,10 +42,10 @@ class DatasetFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# analytic benchmark functions
+# analytic benchmark functions: each maps its input columns to one value per row
 
 
-def _currin_high_vals(x1, x2):
+def _currin_high(x1, x2):
     with np.errstate(divide="ignore"):
         damp = 1.0 - np.exp(-1.0 / (2.0 * x2))
     num = 2300.0 * x1**3 + 1900.0 * x1**2 + 2092.0 * x1 + 60.0
@@ -51,77 +53,46 @@ def _currin_high_vals(x1, x2):
     return damp * num / den
 
 
-def _currin_high(x):
-    return _currin_high_vals(x[:, 0], x[:, 1])[:, None]
-
-
-def _currin_low(x):
-    x1, x2 = x[:, 0], x[:, 1]
+def _currin_low(x1, x2):
     up = x2 + 0.05
     dn = np.maximum(0.0, x2 - 0.05)
-    vals = (
-        _currin_high_vals(x1 + 0.05, up)
-        + _currin_high_vals(x1 + 0.05, dn)
-        + _currin_high_vals(x1 - 0.05, up)
-        + _currin_high_vals(x1 - 0.05, dn)
+    return (
+        _currin_high(x1 + 0.05, up)
+        + _currin_high(x1 + 0.05, dn)
+        + _currin_high(x1 - 0.05, up)
+        + _currin_high(x1 - 0.05, dn)
     ) / 4.0
-    return vals[:, None]
 
 
-def _park_high_vals(x1, x2, x3, x4):
+def _park_high(x1, x2, x3, x4):
     first = 0.5 * x1 * (np.sqrt(1.0 + (x2 + x3**2) * x4 / x1**2) - 1.0)
     second = (x1 + 3.0 * x4) * np.exp(1.0 + np.sin(x3))
     return first + second
 
 
-def _park_high(x):
-    return _park_high_vals(x[:, 0], x[:, 1], x[:, 2], x[:, 3])[:, None]
+def _park_low(x1, x2, x3, x4):
+    high = _park_high(x1, x2, x3, x4)
+    return (1.0 + np.sin(x1) / 10.0) * high - 2.0 * x1 + x2**2 + x3**2 + 0.5
 
 
-def _park_low(x):
-    x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    high = _park_high_vals(x1, x2, x3, x4)
-    vals = (1.0 + np.sin(x1) / 10.0) * high - 2.0 * x1 + x2**2 + x3**2 + 0.5
-    return vals[:, None]
-
-
-def _borehole_frac(x, top_coef, base):
-    rw, r, tu, hu, tl, hl, length, kw = (x[:, i] for i in range(8))
+def _borehole(top_coef, base, rw, r, tu, hu, tl, hl, length, kw):
     logratio = np.log(r / rw)
     bracket = base + 2.0 * length * tu / (logratio * rw**2 * kw) + tu / tl
     return top_coef * tu * (hu - hl) / (logratio * bracket)
 
 
-def _borehole_high(x):
-    return _borehole_frac(x, 2.0 * np.pi, 1.0)[:, None]
-
-
-def _borehole_low(x):
-    return _borehole_frac(x, 5.0, 1.5)[:, None]
-
-
-def _branin_vals(x1, x2):
+def _branin_high(x1, x2):
     quad = -1.275 * x1**2 / math.pi**2 + 5.0 * x1 / math.pi + x2 - 6.0
     return quad**2 + (10.0 - 5.0 / (4.0 * math.pi)) * np.cos(x1) + 10.0
 
 
-def _branin_high(x):
-    return _branin_vals(x[:, 0], x[:, 1])[:, None]
-
-
-def _branin_mid_vals(x1, x2):
-    inner = _branin_vals(x1 - 2.0, x2 - 2.0)
+def _branin_mid(x1, x2):
+    inner = _branin_high(x1 - 2.0, x2 - 2.0)
     return 10.0 * np.sqrt(inner) + 2.0 * (x1 - 0.5) - 3.0 * (3.0 * x2 - 1.0) - 1.0
 
 
-def _branin_mid(x):
-    return _branin_mid_vals(x[:, 0], x[:, 1])[:, None]
-
-
-def _branin_low(x):
-    x1, x2 = x[:, 0], x[:, 1]
-    vals = _branin_mid_vals(1.2 * (x1 + 2.0), 1.2 * (x2 + 2.0)) - 3.0 * x2 + 1.0
-    return vals[:, None]
+def _branin_low(x1, x2):
+    return _branin_mid(1.2 * (x1 + 2.0), 1.2 * (x2 + 2.0)) - 3.0 * x2 + 1.0
 
 
 _HARTMANN_A = np.array(
@@ -139,19 +110,13 @@ _HARTMANN_ALPHA = np.array([1.0, 1.2, 3.0, 3.2])
 _HARTMANN_SHIFT = np.array([0.01, -0.01, -0.1, 0.1])
 
 
-def _hartmann_vals(x, alpha):
-    diff = x[:, None, :] - _HARTMANN_P[None, :, :]
-    expo = np.einsum("nij,ij->ni", diff * diff, _HARTMANN_A)
-    return np.exp(-expo) @ alpha
-
-
-def _hartmann_level(f):
+def _hartmann(f, *cols):
+    """Fidelity f of 3, whose weights shift away from the standard ones as f falls."""
     alpha = _HARTMANN_ALPHA + (3 - f) * _HARTMANN_SHIFT
-
-    def fn(x):
-        return _hartmann_vals(x, alpha)[:, None]
-
-    return fn
+    diff = np.stack(cols, axis=1)[:, None, :] - _HARTMANN_P[None, :, :]
+    expo = np.einsum("nij,ij->ni", diff * diff, _HARTMANN_A)
+    # a row sum, not `@ alpha`: BLAS sums a lone row in another order than the rows of a batch
+    return (np.exp(-expo) * alpha).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +201,10 @@ def pendulum_energy(states) -> np.ndarray:
     return kinetic + potential
 
 
-def _pendulum_level(dt):
-    def fn(x):
-        state = _pendulum_integrate(x[:, 0], dt)
-        return np.stack([state[0], state[1]], axis=1)
-
-    return fn
+def _pendulum(dt, theta1_0):
+    """Angles (theta1, theta2) at t=5, one row per release angle, integrated at step dt."""
+    state = _pendulum_integrate(theta1_0, dt)
+    return np.stack([state[0], state[1]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,40 +229,37 @@ class BenchmarkSpec:
         return self.domain.dim
 
 
-def _make_registry() -> dict:
-    unit2 = DomainBox(np.zeros(2), np.ones(2))
-    unit3 = DomainBox(np.zeros(3), np.ones(3))
-    unit4 = DomainBox(np.zeros(4), np.ones(4))
-    borehole_box = DomainBox(
-        np.array([0.05, 100.0, 63070.0, 990.0, 63.1, 700.0, 1120.0, 9855.0]),
-        np.array([0.15, 50000.0, 115600.0, 1110.0, 116.0, 820.0, 1680.0, 12045.0]),
-    )
-    branin_box = DomainBox(np.array([-5.0, 0.0]), np.array([10.0, 15.0]))
-    pend_box = DomainBox(np.array([1.25]), np.array([1.57]))
-    return {
-        "currin": BenchmarkSpec("currin", unit2, 1, (_currin_low, _currin_high)),
-        "park": BenchmarkSpec("park", unit4, 1, (_park_low, _park_high)),
-        "borehole": BenchmarkSpec(
-            "borehole", borehole_box, 1, (_borehole_low, _borehole_high)
-        ),
-        "branin3": BenchmarkSpec(
-            "branin3", branin_box, 1, (_branin_low, _branin_mid, _branin_high)
-        ),
-        "hartmann3": BenchmarkSpec(
-            "hartmann3", unit3, 1, tuple(_hartmann_level(f) for f in (1, 2, 3))
-        ),
-        "pendulum": BenchmarkSpec(
-            "pendulum", pend_box, 2, (_pendulum_level(0.1), _pendulum_level(0.01))
-        ),
-    }
+def _rows(formula, x):
+    """formula of the columns of an (M, l) array x, as an (M, d) array."""
+    out = formula(*x.T)
+    return out if out.ndim == 2 else out[:, None]
 
 
-BENCHMARKS = _make_registry()
+# one row per benchmark: name, input box, output dimension, fidelity formulas coarsest first
+BENCHMARKS = {
+    name: BenchmarkSpec(name, domain, output_dim, tuple(partial(_rows, f) for f in formulas))
+    for name, domain, output_dim, formulas in [
+        ("currin", DomainBox.unit(2), 1, [_currin_low, _currin_high]),
+        ("park", DomainBox.unit(4), 1, [_park_low, _park_high]),
+        ("borehole",
+         DomainBox(np.array([0.05, 100.0, 63070.0, 990.0, 63.1, 700.0, 1120.0, 9855.0]),
+                   np.array([0.15, 50000.0, 115600.0, 1110.0, 116.0, 820.0, 1680.0, 12045.0])),
+         1, [partial(_borehole, 5.0, 1.5), partial(_borehole, 2.0 * np.pi, 1.0)]),
+        ("branin3", DomainBox(np.array([-5.0, 0.0]), np.array([10.0, 15.0])), 1,
+         [_branin_low, _branin_mid, _branin_high]),
+        ("hartmann3", DomainBox.unit(3), 1, [partial(_hartmann, f) for f in (1, 2, 3)]),
+        ("pendulum", DomainBox(np.array([1.25]), np.array([1.57])), 2,
+         [partial(_pendulum, 0.1), partial(_pendulum, 0.01)]),
+    ]
+}
 
 
 def get_benchmark(bench) -> BenchmarkSpec:
+    """The spec bench names, or bench itself when it is a BenchmarkSpec."""
     if isinstance(bench, BenchmarkSpec):
         return bench
+    if not isinstance(bench, str):
+        raise TypeError(f"benchmark must be a name or a BenchmarkSpec, got {bench!r}")
     try:
         return BENCHMARKS[bench]
     except KeyError:

@@ -24,7 +24,6 @@ from .benchmarks import (
     DEFAULT_BUDGETS,
     POOL_SEED_OFFSET,
     TEST_SEED_OFFSET,
-    BenchmarkSpec,
     DatasetFormatError,
     Metrics,
     design_uniform,
@@ -163,13 +162,6 @@ def _optimizer(config: dict, seed: int) -> OptimizerConfig:
         return OptimizerConfig(**{"seed": seed, **sub})
 
 
-def _benchmark(name) -> BenchmarkSpec:
-    """The benchmark a config names; get_benchmark rejects a name that is not known."""
-    if not isinstance(name, str):
-        raise TypeError(f"benchmark must be a name, got {name!r}")
-    return get_benchmark(name)
-
-
 def _domain(config: dict) -> DomainBox | None:
     """The domain object of a config, or None without one; lower and upper list JSON numbers."""
     if "domain" not in config:
@@ -235,7 +227,7 @@ def cmd_train(config: dict, out_dir: str = ".", seed=None) -> dict:
         if ("benchmark" in config) == ("dataset" in config):
             raise ValueError("config must name exactly one of 'benchmark' or 'dataset'")
         if "benchmark" in config:
-            spec = _benchmark(config["benchmark"])
+            spec = get_benchmark(config["benchmark"])
             budgets = _budgets(config, "budgets", spec)
             test_points, standardize = _held_out(config)
         else:
@@ -325,7 +317,7 @@ def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
         run_seed = _seed(config, seed)
         if "benchmark" not in config:
             raise ValueError("active config must name a 'benchmark'")
-        spec = _benchmark(config["benchmark"])
+        spec = get_benchmark(config["benchmark"])
         budgets = _budgets(config, "budgets", spec)
         pool_size = check_integer(config.get("pool_size", 200), "pool_size", 1)
         if budgets[0] > pool_size:
@@ -448,7 +440,7 @@ def cmd_bench(config: dict, out_dir: str = ".", seed=None, fmt: str = "csv") -> 
             raise TypeError("bench budgets must map benchmark names to budget lists")
         runs = {}  # benchmark name -> budgets
         for name in names:
-            spec = _benchmark(name)
+            spec = get_benchmark(name)
             if spec.name in runs:
                 raise ValueError(f"bench benchmarks name {spec.name!r} twice")
             runs[spec.name] = _budgets(budgets_override, spec.name, spec)
@@ -541,6 +533,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (UsageError, ResourceLimitError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # an array too large to allocate, such as a huge grid_points
+        print(f"usage error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OracleError, IllConditionedError, np.linalg.LinAlgError, OverflowError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -302,11 +302,10 @@ def load_model(path: str) -> ResGPModel:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
-    version = payload.get("version")
-    if type(version) is not int or version != MODEL_VERSION:  # true and 1.0 equal 1 in Python
-        raise ValueError(f"unsupported model version {version}")
-    where = "domain: "  # the part of the file being read, for the message of a fault
+    where = ""  # the part of the file being read, for the message of a fault
     try:
+        check_integer(payload["version"], "version", MODEL_VERSION, MODEL_VERSION)
+        where = "domain: "
         domain = DomainBox(payload["domain"]["lower"], payload["domain"]["upper"])
         where = ""
         if not (isinstance(payload["levels"], list) and payload["levels"]):

@@ -67,6 +67,12 @@ def test_get_benchmark_passthrough_and_unknown():
         get_benchmark("rosenbrock")
 
 
+@pytest.mark.parametrize("bench", [["currin"], 5, None], ids=["list", "number", "null"])
+def test_get_benchmark_names_input_that_is_neither_a_name_nor_a_spec(bench):
+    with pytest.raises(TypeError, match="benchmark must be a name or a BenchmarkSpec, got"):
+        get_benchmark(bench)
+
+
 def test_spec_is_frozen():
     spec = get_benchmark("park")
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -90,7 +96,87 @@ def test_seed_offsets_are_distinct_primes():
 
 
 # ---------------------------------------------------------------------------
+# the benchmark table
+
+FIDELITIES = [(name, f) for name, spec in sorted(BENCHMARKS.items())
+              for f in range(1, spec.n_fidelities + 1)]
+
+# evaluate(spec, f, fixed_points(spec)) for every benchmark and fidelity f, as literals, so an
+# edit to a formula that changes its values cannot pass unnoticed
+PINNED = {
+    "borehole": [
+        [[41.6655284225547], [53.3576719549651], [100.76079944288537]],
+        [[52.3585286548769], [67.0513947144034], [126.62045560088477]],
+    ],
+    "branin3": [
+        [[-66.8476680797445], [-35.31441259809236], [-12.186218357070295]],
+        [[24.445749204665425], [-31.32731281966162], [45.03367431392895]],
+        [[16.604729568442863], [74.55233674783938], [11.13754287366136]],
+    ],
+    "currin": [
+        [[9.468947362462249], [5.734299292230318], [10.09729448235258]],
+        [[9.540053288670281], [5.710062894295583], [10.204301867733403]],
+    ],
+    "hartmann3": [
+        [[0.9696262577718344], [2.977391079802416], [0.502027280809862]],
+        [[0.9813777575596225], [2.9024800723785735], [0.4971208743951079]],
+        [[0.9931292573474103], [2.8275690649547314], [0.49221446798035373]],
+    ],
+    "park": [
+        [[13.101174739883787], [7.217543282372811], [7.601832666075255]],
+        [[12.273034994902957], [6.183822763906358], [8.095159216491187]],
+    ],
+    "pendulum": [
+        [[-1.3149352776297711, 6.010164097259704], [0.02540915648135378, 8.750224770848625],
+         [-0.17661443185155984, 7.812305768879621]],
+        [[-1.3111611920529993, 6.121246595999942], [0.09164359964524053, 8.758942013205857],
+         [-0.07020713357244587, 7.8592130722256455]],
+    ],
+}
+
+
+def fixed_points(spec):
+    """Three points inside spec's box, each coordinate at its own fraction of the width."""
+    k = np.arange(3)[:, None]
+    j = np.arange(spec.input_dim)[None, :]
+    frac = 0.05 + (0.2 + 0.3 * k + 0.17 * j) % 0.9
+    return spec.domain.lower + frac * spec.domain.width
+
+
+@pytest.mark.parametrize("name, fidelity", FIDELITIES)
+def test_each_fidelity_maps_rows_to_output_rows(name, fidelity):
+    spec = get_benchmark(name)
+    x = design_uniform(spec.domain, 7, 5)
+    out = spec.funcs[fidelity - 1](x)
+    assert out.shape == (7, spec.output_dim)
+    batch = evaluate(spec, fidelity, x)
+    for i in range(len(x)):
+        single = evaluate(spec, fidelity, x[i])
+        assert single.shape == (spec.output_dim,)
+        assert single.tobytes() == batch[i].tobytes()
+
+
+@pytest.mark.parametrize("name, fidelity", FIDELITIES)
+def test_each_fidelity_matches_its_pinned_values(name, fidelity):
+    spec = get_benchmark(name)
+    got = evaluate(spec, fidelity, fixed_points(spec))
+    np.testing.assert_allclose(got, PINNED[name][fidelity - 1], rtol=1e-13, atol=0)
+
+
+# ---------------------------------------------------------------------------
 # analytic functions
+
+
+def test_currin_high_matches_reference_formula():
+    # Currin et al. (1991): f(x) = [1 - exp(-1/(2 x2))] (2300 x1^3 + 1900 x1^2 + 2092 x1 + 60)
+    #                              / (100 x1^3 + 500 x1^2 + 4 x1 + 20)
+    rng = np.random.default_rng(5)
+    x1, x2 = rng.uniform(0.01, 1.0, size=(2, 30))
+    num = 2300.0 * x1**3 + 1900.0 * x1**2 + 2092.0 * x1 + 60.0
+    den = 100.0 * x1**3 + 500.0 * x1**2 + 4.0 * x1 + 20.0
+    high = (1.0 - np.exp(-1.0 / (2.0 * x2))) * num / den
+    np.testing.assert_allclose(evaluate("currin", 2, np.column_stack([x1, x2]))[:, 0], high,
+                               rtol=1e-13)
 
 
 def test_currin_high_center_value():

@@ -95,6 +95,19 @@ def test_unknown_benchmark_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.count("unknown benchmark 'nope'") == 3
 
 
+@pytest.mark.parametrize("value", [5, ["currin"]], ids=["number", "list"])
+def test_benchmark_that_is_not_a_name_is_usage_error(tmp_path, capsys, value):
+    train_cfg = currin_config(tmp_path, benchmark=value)
+    assert main(["train", "--config", train_cfg, "--out", str(tmp_path / "t")]) == 1
+    active_cfg = write_config(tmp_path, "active.json", {"benchmark": value, "pool_size": 20})
+    assert main(["active", "--config", active_cfg, "--out", str(tmp_path / "a")]) == 1
+    bench_cfg = write_config(tmp_path, "bench.json", {"benchmarks": ["currin", value]})
+    assert main(["bench", "--config", bench_cfg, "--out", str(tmp_path / "b")]) == 1
+    message = f"usage error: benchmark must be a name or a BenchmarkSpec, got {value!r}"
+    assert capsys.readouterr().err.count(message) == 3
+    assert not any((tmp_path / out).exists() for out in "tab")
+
+
 def test_bench_benchmarks_not_a_list_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "bench.json", {"benchmarks": "currin"})
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
@@ -171,6 +184,28 @@ def test_numerical_failure_is_numeric_error(tmp_path, capsys, monkeypatch):
     cfg = currin_config(tmp_path)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_an_allocation_that_fails_is_usage_error(tmp_path, capsys, monkeypatch):
+    import resgp.cli as cli_mod
+
+    model_path = tmp_path / "trained" / "model.json"
+    assert main(["train", "--config", currin_config(tmp_path, budgets=[6, 2], test_points=20),
+                 "--out", str(model_path.parent)]) == 0
+
+    def exhausted(*args, **kwargs):  # numpy's message for grid_points 1e12 on a 2-D model
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                          "(1000000000000, 2) and data type float64")
+
+    monkeypatch.setattr(cli_mod, "design_uniform", exhausted)
+    active_cfg = write_config(tmp_path, "active.json",
+                              {"benchmark": "currin", "budgets": [6, 2], "pool_size": 20})
+    assert main(["active", "--config", active_cfg, "--out", str(tmp_path / "a")]) == 1
+    bounds_cfg = write_config(tmp_path, "bounds.json", {"delta": 0.05, "tau": 1e-3, "l_y": 36.0})
+    assert main(["bounds", "--model", str(model_path), "--config", bounds_cfg,
+                 "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("usage error: not enough memory: Unable to allocate 14.6 TiB") == 2
 
 
 def test_zero_repeats_is_usage_error(tmp_path, capsys):
@@ -1051,5 +1086,9 @@ def test_predict_with_a_model_version_other_than_integer_1_is_data_error(sine_mo
     write_queries(tmp_path / "q.csv", [[0.3]])
     argv = ["predict", "--model", str(path), "--queries", str(tmp_path / "q.csv")]
     assert main([*argv, "--out", str(tmp_path / "pred")]) == 2
-    assert f"data error: unsupported model version {version}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if version == 2:
+        assert f"data error: model file {path}: version must be in [1, 1], got 2" in err
+    else:
+        assert f"data error: model file {path}: version must be an integer, got {version!r}" in err
     assert not (tmp_path / "pred").exists()
