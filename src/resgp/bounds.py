@@ -40,18 +40,21 @@ class BoundConfig:
     """User inputs for the uniform bound.
 
     delta is the failure probability, tau the grid constant of the covering,
-    l_y a Lipschitz constant of the true function on the domain (raw units).
+    l_y a Lipschitz constant of the true function on the domain (raw units),
+    domain a hypercube (None stands for the model's own box).
     """
 
     delta: float
     tau: float
     l_y: float
-    domain: DomainBox
+    domain: DomainBox | None
 
     def __post_init__(self):
         self.delta = check_real(self.delta, "delta", "(0, 1)")
         self.tau = check_real(self.tau, "tau", "(0, inf)")
         self.l_y = check_real(self.l_y, "l_y", "[0, inf)")
+        if self.domain is not None:  # the model's own box is checked when the bound is built
+            _require_hypercube(self.domain)
 
 
 @dataclass
@@ -64,15 +67,14 @@ class UniformBound:
     omega_coeff: float
     covering: int
 
+    def envelope(self, var):
+        """sqrt(beta) * sigma + gamma for posterior variances var = sigma^2."""
+        return math.sqrt(self.beta) * np.sqrt(np.asarray(var, dtype=float)) + self.gamma
 
-def _raw_params(model: ResGPModel, level) -> KernelHyperparams:
-    """Level hyperparameters re-expressed in raw (unnormalized) coordinates."""
-    width = model.domain.width
-    return KernelHyperparams(
-        amplitude=level.params.amplitude,
-        weights=level.params.weights / width**2,
-        noise=level.params.noise,
-    )
+
+def _require_hypercube(domain: DomainBox) -> None:
+    if not domain.is_hypercube(1e-12):
+        raise ValueError("covering bound requires a hypercubic domain (equal edge lengths)")
 
 
 def _require_univariate(model: ResGPModel) -> None:
@@ -82,29 +84,25 @@ def _require_univariate(model: ResGPModel) -> None:
         )
 
 
+def _level_constants(model: ResGPModel, domain: DomainBox) -> tuple[float, float]:
+    """(L_mu, omega coefficient) summed over the levels in one pass, with each level's kernel
+    Lipschitz constant L_k computed once in raw coordinates; |K^-1|_2 = 1 / sigma_min(L)^2."""
+    l_mu = coeff = 0.0
+    for lvl in model.levels:
+        p = lvl.params
+        raw = KernelHyperparams(p.amplitude, p.weights / model.domain.width**2, p.noise)
+        l_k = kernel_lipschitz(raw, domain)
+        l_mu += l_k * math.sqrt(lvl.n_points) * float(np.linalg.norm(lvl.alpha))
+        inv_norm = 1.0 / float(np.min(svdvals(lvl.chol))) ** 2
+        coeff += 2.0 * l_k * (1.0 + lvl.n_points * p.amplitude * inv_norm)
+    return l_mu, coeff
+
+
 def mean_lipschitz_bound(model: ResGPModel, domain: DomainBox | None = None) -> float:
     """Lipschitz constant of the posterior mean: sum over levels of
     L_k * sqrt(N) * |dual weights|."""
     _require_univariate(model)
-    if domain is None:
-        domain = model.domain
-    total = 0.0
-    for lvl in model.levels:
-        raw = _raw_params(model, lvl)
-        l_k = kernel_lipschitz(raw, domain)
-        total += l_k * math.sqrt(lvl.n_points) * float(np.linalg.norm(lvl.alpha))
-    return total
-
-
-def _modulus_coefficient(model: ResGPModel, domain: DomainBox) -> float:
-    coeff = 0.0
-    for lvl in model.levels:
-        raw = _raw_params(model, lvl)
-        l_k = kernel_lipschitz(raw, domain)
-        sigma_min = float(np.min(svdvals(lvl.chol))) ** 2
-        inv_norm = 1.0 / sigma_min
-        coeff += 2.0 * l_k * (1.0 + lvl.n_points * lvl.params.amplitude * inv_norm)
-    return coeff
+    return _level_constants(model, domain or model.domain)[0]
 
 
 def sigma_modulus(model: ResGPModel, r: float, domain: DomainBox | None = None) -> float:
@@ -112,9 +110,7 @@ def sigma_modulus(model: ResGPModel, r: float, domain: DomainBox | None = None) 
     omega(r)^2 = sum over levels of 2 L_k (1 + N * max_k * |K^-1|_2) * r."""
     _require_univariate(model)
     r = check_real(r, "r", "[0, inf)")
-    if domain is None:
-        domain = model.domain
-    return math.sqrt(_modulus_coefficient(model, domain) * r)
+    return math.sqrt(_level_constants(model, domain or model.domain)[1] * r)
 
 
 def covering_number_bound(domain: DomainBox, tau: float) -> int:
@@ -122,10 +118,7 @@ def covering_number_bound(domain: DomainBox, tau: float) -> int:
     hypercube with edge length e."""
     if tau != math.inf:  # an infinite radius covers the box with one ball
         tau = check_real(tau, "tau", "(0, inf)")
-    if not domain.is_hypercube(1e-12):
-        raise ValueError(
-            "covering bound requires a hypercubic domain (equal edge lengths)"
-        )
+    _require_hypercube(domain)
     edge = float(domain.width[0])
     value = (1.0 + edge / tau) ** domain.dim
     if not math.isfinite(value):
@@ -170,21 +163,11 @@ def uniform_bound(model: ResGPModel, cfg: BoundConfig):
         raise ValueError("config domain dimension does not match model")
     m_cov = covering_number_bound(cfg.domain, cfg.tau)
     beta = 2.0 * (math.log(m_cov) - math.log(cfg.delta))
-    l_mu = mean_lipschitz_bound(model, cfg.domain)
-    omega_coeff = _modulus_coefficient(model, cfg.domain)
+    l_mu, omega_coeff = _level_constants(model, cfg.domain)
     omega_tau = math.sqrt(omega_coeff * cfg.tau)
     gamma = (l_mu + cfg.l_y) * cfg.tau + math.sqrt(beta) * omega_tau
-    result = UniformBound(
-        beta=beta, gamma=gamma, l_mu=l_mu, omega_coeff=omega_coeff, covering=m_cov
-    )
-    sqrt_beta = math.sqrt(beta)
-
-    def bound_fn(query):
-        post = predict(model, query)
-        sigma = np.sqrt(np.asarray(post.var, dtype=float))
-        return sqrt_beta * sigma + gamma
-
-    return result, bound_fn
+    bound = UniformBound(beta=beta, gamma=gamma, l_mu=l_mu, omega_coeff=omega_coeff, covering=m_cov)
+    return bound, lambda query: bound.envelope(predict(model, query).var)
 
 
 def empirical_coverage(model: ResGPModel, bound_fn, query, truth) -> float:

@@ -393,7 +393,7 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
         grid = design_uniform(cfg.domain, grid_points, run_seed)
     post = predict(model, grid)
     sigma = np.sqrt(np.asarray(post.var))
-    g = math.sqrt(bound.beta) * sigma + bound.gamma  # bound_fn(grid), without a second predict
+    g = bound.envelope(post.var)  # bound_fn(grid), without a second predict
 
     curve_path = os.path.join(out_dir, "curve.csv")
     write_csv(

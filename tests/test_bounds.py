@@ -16,9 +16,11 @@ from resgp import (
     ResidualDataset,
     ResourceLimitError,
     UnsupportedModelError,
+    bounds,
     build_level,
     covering_number_bound,
     empirical_coverage,
+    evaluate,
     fill_distance,
     kernel_lipschitz,
     mean_lipschitz_bound,
@@ -241,6 +243,56 @@ def test_bound_fn_vectorized_and_positive():
     g = np.asarray(bound_fn(grid))
     assert g.shape == (64,)
     assert np.all(g > 0)
+
+
+def branin3_slice_model():
+    """Criterion 7's model: branin3 at x2 = 7.5 on nested designs [30, 15, 8] in x1."""
+    x1 = np.sort(np.random.default_rng(0).uniform(-5.0, 10.0, 30))
+    designs = [x1[:, None], x1[:15][:, None], x1[:8][:, None]]
+    outputs = [
+        evaluate("branin3", f, np.column_stack([d[:, 0], np.full(len(d), 7.5)]))
+        for f, d in enumerate(designs, start=1)
+    ]
+    return train(
+        MultiFidelityData(designs, outputs),
+        OptimizerConfig(seed=0),
+        domain=DomainBox(np.array([-5.0]), np.array([10.0])),
+    )
+
+
+BRANIN3_BOUND = BoundConfig(
+    delta=0.05, tau=1e-3, l_y=200.0, domain=DomainBox(np.array([-5.0]), np.array([10.0]))
+)
+
+
+def test_bound_constants_are_pinned():
+    bound, _ = uniform_bound(branin3_slice_model(), BRANIN3_BOUND)
+    assert bound.covering == 15001
+    np.testing.assert_allclose(
+        [bound.beta, bound.gamma, bound.l_mu, bound.omega_coeff],
+        [25.22320883616576, 343200.0351952375, 847385.5037787927, 4646720430022.788],
+        rtol=1e-12,
+    )
+
+
+def test_uniform_bound_takes_each_level_lipschitz_constant_once(monkeypatch):
+    model = branin3_slice_model()
+    calls = []
+
+    def counting(params, domain):
+        calls.append(params)
+        return kernel_lipschitz(params, domain)
+
+    monkeypatch.setattr(bounds, "kernel_lipschitz", counting)
+    uniform_bound(model, BRANIN3_BOUND)
+    assert len(calls) == len(model.levels) == 3
+
+
+def test_config_domain_must_be_a_hypercube():
+    rect = DomainBox(np.zeros(2), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="requires a hypercubic domain"):
+        BoundConfig(delta=0.05, tau=1e-3, l_y=1.0, domain=rect)
+    assert BoundConfig(delta=0.05, tau=1e-3, l_y=1.0, domain=None).domain is None
 
 
 def test_config_validation():

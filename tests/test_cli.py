@@ -404,6 +404,15 @@ def test_bounds_config_fault_wins_over_missing_model(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
+def test_bounds_domain_that_is_not_a_hypercube_is_a_config_fault(tmp_path, capsys):
+    domain = {"lower": [0.0, 0.0], "upper": [1.0, 2.0]}
+    cfg = write_config(tmp_path, "bounds.json", {"delta": 0.05, "tau": 1e-3, "l_y": 10.0, "domain": domain})
+    argv = ["bounds", "--model", str(tmp_path / "absent.json"), "--config", cfg, "--out", str(tmp_path / "b")]
+    assert main(argv) == 1
+    assert "usage error: covering bound requires a hypercubic domain" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 def test_train_config_fault_wins_over_bad_dataset(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("x1,y1,fidelity\n0.0,oops,1\n")

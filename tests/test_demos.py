@@ -1,4 +1,5 @@
-"""The demos import only names the package defines; each, and README's Quick start, runs to exit 0.
+"""The demos import only names the package defines; each, and README's Quick start and Command
+line blocks, runs to exit 0.
 
 The import check names a removed or renamed name directly; the run catches
 everything else, warnings included.
@@ -7,11 +8,14 @@ everything else, warnings included.
 import ast
 import importlib
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from resgp.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -66,3 +70,33 @@ def test_readme_quick_start_runs(tmp_path):
     script = tmp_path / "quick_start.py"
     script.write_text(code)
     run_script(script, tmp_path)
+
+
+# the files README's table lists for each command, as the Command line block runs it
+README_COMMAND_FILES = {
+    "train": {"model.json", "record.json", "dataset.csv", "dataset_meta.json"},
+    "predict": {"predictions.csv"},
+    "active": {"model.json", "record.json", "audit.jsonl"},
+    "bounds": {"bounds.json", "curve.csv"},
+    "bench": {"summary.json", "results.csv"},
+}
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    lines = iter(section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines())
+    monkeypatch.chdir(tmp_path)
+    commands = []
+    for line in lines:
+        if line.startswith("cat > "):  # a heredoc: cat > name <<'EOF' ... EOF
+            body = "".join(f"{text}\n" for text in iter(lines.__next__, "EOF"))
+            (tmp_path / line.split()[2]).write_text(body)
+        elif line.startswith("resgp "):
+            argv = shlex.split(line)[1:]
+            assert main(argv) == 0, line
+            out = tmp_path / argv[argv.index("--out") + 1]
+            assert README_COMMAND_FILES[argv[0]] <= {p.name for p in out.iterdir()}, line
+            commands.append(argv[0])
+        else:
+            assert line == "" or line.startswith("#"), line
+    assert commands == list(README_COMMAND_FILES)
