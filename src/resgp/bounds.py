@@ -155,15 +155,17 @@ def fill_distance(design, domain: DomainBox, grid_resolution: int = 101) -> floa
 def uniform_bound(model: ResGPModel, cfg: BoundConfig):
     """Assemble the envelope constants and the pointwise bound function.
 
-    Returns (UniformBound, bound_fn) with bound_fn(x) = sqrt(beta) * sigma(x)
-    + gamma for raw-coordinate queries, vectorized over rows.
+    The box is cfg.domain, or the model's own box when that is None. Returns
+    (UniformBound, bound_fn) with bound_fn(x) = sqrt(beta) * sigma(x) + gamma
+    for raw-coordinate queries, vectorized over rows.
     """
     _require_univariate(model)
-    if cfg.domain.dim != model.input_dim:
+    domain = cfg.domain or model.domain
+    if domain.dim != model.input_dim:
         raise ValueError("config domain dimension does not match model")
-    m_cov = covering_number_bound(cfg.domain, cfg.tau)
+    m_cov = covering_number_bound(domain, cfg.tau)
     beta = 2.0 * (math.log(m_cov) - math.log(cfg.delta))
-    l_mu, omega_coeff = _level_constants(model, cfg.domain)
+    l_mu, omega_coeff = _level_constants(model, domain)
     omega_tau = math.sqrt(omega_coeff * cfg.tau)
     gamma = (l_mu + cfg.l_y) * cfg.tau + math.sqrt(beta) * omega_tau
     bound = UniformBound(beta=beta, gamma=gamma, l_mu=l_mu, omega_coeff=omega_coeff, covering=m_cov)

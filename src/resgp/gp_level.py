@@ -2,9 +2,10 @@
 
 One level owns an ARD kernel, a set of training inputs, and a matrix of
 residual outputs sharing that kernel across all output columns. Fitting
-maximizes the marginal likelihood over log-hyperparameters with a quasi-Newton
-method and analytic gradients; the resulting Cholesky factor and dual weights
-are cached for prediction.
+maximizes the marginal likelihood with the amplitude profiled out, over log
+weights (and a relative nugget), by a quasi-Newton method with analytic
+gradients; the resulting Cholesky factor and dual weights are cached for
+prediction.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemm, dgemv, dtrmm
+from scipy.linalg.blas import ddot, dgemm, dgemv, dtrmm
 from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.optimize._lbfgsb import setulb
 
@@ -33,6 +34,8 @@ from .kernel import (
 
 # optimization runs in log-parameter space, clipped to this symmetric box
 LOG_BOUND = 10.0
+# the profiled amplitude of a constant residual column (S = 0), which has no maximizer
+AMP_FLOOR = math.exp(-LOG_BOUND)
 LOG2PI = math.log(2.0 * math.pi)
 EPS = float(np.finfo(float).eps)
 # random restarts lie within this factor either way of the moment-matched start
@@ -113,10 +116,12 @@ class TrainedLevel:
     """Frozen state of one fitted residual GP.
 
     residuals holds the column-centered residual matrix actually regressed on;
-    column_means restores the raw residuals at prediction time. chol is the
-    lower Cholesky factor of the Gram plus (noise + jitter) diagonal, alpha the
-    dual weights solving K alpha = residuals, and jitter the absolute diagonal
-    shift, jitter_rel * amplitude. fit_nll is neg_log_likelihood there, bit for bit.
+    column_means restores the raw residuals at prediction time. chol is a lower
+    Cholesky factor of K, the Gram plus (noise + jitter) diagonal: sqrt(amplitude)
+    times the factor of the unit-amplitude matrix the likelihood core factors.
+    alpha holds the dual weights solving K alpha = residuals, and jitter the
+    absolute diagonal shift, jitter_rel * amplitude. fit_nll is neg_log_likelihood
+    there, bit for bit.
     """
 
     params: KernelHyperparams
@@ -156,19 +161,26 @@ def _cholesky(K: np.ndarray, shift: float) -> np.ndarray | None:
     return chol
 
 
-def cholesky_with_escalation(
-    params: KernelHyperparams, points: np.ndarray, jitter: float
-) -> np.ndarray:
-    """Lower Cholesky factor of the Gram plus the absolute jitter and the noise.
+def _shift(params: KernelHyperparams, jitter_rel: float) -> float:
+    """Diagonal of a level's unit-amplitude matrix: jitter_rel plus noise / amplitude."""
+    return jitter_rel + params.noise / params.amplitude
 
-    A Gram that does not factor there raises IllConditionedError. The name is
-    older than the single jitter; it stays because bench/layers.py times this
-    function as the gp_level.cholesky layer.
+
+def cholesky_with_escalation(params: KernelHyperparams, points: np.ndarray, jitter_rel: float):
+    """Lower Cholesky factor of the Gram plus jitter_rel * amplitude and the noise.
+
+    It is sqrt(amplitude) times the factor of the unit-amplitude matrix _nll_core
+    factors at the same params, so both agree on whether it exists; where it does
+    not, IllConditionedError. The name is older than the single jitter; it stays
+    because bench/layers.py times this function as the gp_level.cholesky layer.
     """
-    chol = _cholesky(gram(params, points, jitter), jitter + params.noise)
+    s = _shift(params, jitter_rel)
+    chol = _cholesky(gram(KernelHyperparams(1.0, params.weights), points, s), s)
     if chol is None:
-        raise IllConditionedError(f"Gram matrix not positive definite at jitter {jitter:.3e} "
-                                  f"(amplitude {params.amplitude:.3e})", params=params)
+        raise IllConditionedError(f"Gram matrix not positive definite at jitter_rel "
+                                  f"{jitter_rel:.3e} (amplitude {params.amplitude:.3e})",
+                                  params=params)
+    chol *= math.sqrt(params.amplitude)
     return chol
 
 
@@ -181,95 +193,96 @@ def _residual_factor(residuals: np.ndarray) -> np.ndarray:
     return np.linalg.qr(residuals.T, mode="r").T
 
 
-def _nll_core(
-    *,
-    amplitude: float,
-    weights: np.ndarray,
-    shift: float,
-    sq_diffs: np.ndarray,
-    factor: np.ndarray,
-    n_outputs: int,
-) -> tuple[float, np.ndarray]:
-    """NLL and its gradient for K = C + shift I, C the kernel matrix behind sq_diffs.
+def _nll_core(*, weights, shift, sq_diffs, factor, n_outputs, amplitude=None):
+    """NLL, gradient and amplitude a for the Gram a (C + shift I), C at unit amplitude.
 
-    sq_diffs is kernel.sq_diffs of the inputs with themselves, and
-    C = kernel_values(amplitude, weighted_sq_dists(sq_diffs, weights)). shift is the
-    absolute diagonal (noise plus jitter); K's upper triangle, the one factored,
-    is the one gram returns at the same shift. factor is an (N, r) matrix F with
-    F F^T = R R^T for the centered residual matrix R (see _residual_factor), so
-    r = min(N, d) bounds the cost per call whatever the number of output
-    columns. The gradient is taken with respect to [log amplitude,
-    log w_1 .. log w_l, shift]: the amplitude component holds the kernel term
-    only, and _level_objective maps the last component onto noise and jitter. A
-    K that is not positive definite gives (inf, zeros). Every product runs in
-    scipy's BLAS, none of them in numpy's.
+    C = kernel_values(1, weighted_sq_dists(sq_diffs, weights)), sq_diffs that of
+    the inputs with themselves; shift is jitter_rel plus noise / a. The upper
+    triangle of K = C + shift I, the one factored, is gram's at unit amplitude.
+    factor is an (N, r) F with F F^T = R R^T for the centered residuals R (see
+    _residual_factor), r = min(N, d). With S = tr(F^T K^-1 F) the NLL is
+    (N d / 2) log a + (d / 2) log|K| + S / (2 a) + (N d / 2) log 2pi. amplitude
+    None profiles a out: S / (N d), or AMP_FLOOR where that is not positive. grad
+    is over [log a, log w_1 .. log w_l, shift]: N d / 2 - S / (2 a), then
+    0.5 tr(B dK) with B = d K^-1 - alpha alpha^T / a, alpha = K^-1 F. At the
+    profiled a the weight and shift components are the profiled NLL's gradient
+    (the envelope theorem). A K that is not positive definite, or an S that is
+    not finite, gives (inf, zeros, amplitude). Every product runs in scipy's BLAS.
     """
     n = sq_diffs.shape[0]
     d = n_outputs
-    C = kernel_values(amplitude, weighted_sq_dists(sq_diffs, weights))
+    C = kernel_values(1.0, weighted_sq_dists(sq_diffs, weights))
     K = C.copy()
     K.ravel()[:: n + 1] += shift
     chol = _cholesky(K, shift)
     if chol is None:
-        return np.inf, np.zeros(weights.size + 2)
+        return np.inf, np.zeros(weights.size + 2), amplitude
     logdet = 2.0 * float(np.log(chol.diagonal()).sum())
     linv, _ = dtrtri(chol, lower=1, overwrite_c=1)  # L^-1, written over chol
     # K^-1 = L^-T L^-1 as a triangular product; linv's upper triangle is zero, so
     # the full K^-1 comes out
     kinv = dtrmm(1.0, linv, linv, lower=1, trans_a=1)
     alpha = dgemm(1.0, kinv, factor)  # K^-1 F
-    nll = 0.5 * d * logdet + 0.5 * float((factor * alpha).sum()) + 0.5 * n * d * LOG2PI
-    # B = d K^-1 - alpha alpha^T = d K^-1 - K^-1 R R^T K^-1, written over kinv
-    B = dgemm(-1.0, alpha, alpha, beta=float(d), c=kinv, trans_b=1, overwrite_c=1)
-    # each component is 0.5 tr(B dK) = 0.5 sum(B^T * dK), with dK = C for the
-    # amplitude, -w_i sq_diffs[..., i] * C for weight i and I for the shift;
-    # B^T is the C-ordered view of the Fortran-ordered B
+    # a BLAS dot product, which unlike numpy's products overflows without a warning
+    S = ddot(factor.ravel("F"), alpha.ravel("F"))
+    if not math.isfinite(S):
+        return np.inf, np.zeros(weights.size + 2), amplitude
+    if amplitude is None:
+        amplitude = S / (n * d) if S / (n * d) > 0 else AMP_FLOOR
+    nll = 0.5 * (n * d * math.log(amplitude) + d * logdet + S / amplitude + n * d * LOG2PI)
+    # B = d K^-1 - u u^T, u = alpha / sqrt(a) (alpha alpha^T can overflow), over kinv
+    u = alpha * (1.0 / math.sqrt(amplitude))
+    B = dgemm(-1.0, u, u, beta=float(d), c=kinv, trans_b=1, overwrite_c=1)
+    # 0.5 tr(B dK) = 0.5 sum(B^T * dK), dK = -w_i sq_diffs[..., i] * C for weight i
+    # and I for the shift; B^T is the C-ordered view of the Fortran-ordered B
     bc = B.T
     grad = np.empty(weights.size + 2)
+    grad[0] = 0.5 * (n * d - S / amplitude)
     grad[-1] = 0.5 * bc.trace()
     bc *= C
-    grad[0] = 0.5 * bc.sum()
     grad[1:-1] = -0.5 * weights * dgemv(1.0, sq_diffs.reshape(n * n, -1).T, bc.ravel())
-    return nll, grad
+    return nll, grad, amplitude
 
 
-def _level_objective(amplitude, weights, noise, jitter, sq, factor, n_outputs, learn_noise):
-    """NLL and gradient over [log amplitude, log w_1 .. log w_l (, log noise)].
+def _level_objective(x, sq, factor, n_outputs, jitter_rel, nugget, learn_nugget):
+    """fit_level's objective: profiled NLL, gradient over [log w (, log g)], amplitude.
 
-    The one map from hyperparameters to a level's NLL, for the fit's search,
-    its fit_nll and neg_log_likelihood alike: _nll_core at shift jitter + noise,
-    with the jitter proportional to the amplitude. The log-noise component is
-    there with learn_noise. A K that is not positive definite gives (inf, zeros).
+    _nll_core at the profiled amplitude and shift jitter_rel + g, the nugget g
+    relative to the amplitude: exp(x[-1]) with learn_nugget, nugget otherwise.
     """
-    nll, grad = _nll_core(amplitude=amplitude, weights=weights, shift=jitter + noise,
-                          sq_diffs=sq, factor=factor, n_outputs=n_outputs)
-    # the jitter is amplitude-proportional, so its derivative folds into log amplitude
-    grad[0] += jitter * grad[-1]
-    if learn_noise:
-        grad[-1] *= noise
-        return nll, grad
-    return nll, grad[:-1]
+    g = math.exp(x[-1]) if learn_nugget else nugget
+    nll, grad, amplitude = _nll_core(weights=np.exp(x[: sq.shape[2]]), shift=jitter_rel + g,
+                                     sq_diffs=sq, factor=factor, n_outputs=n_outputs)
+    if not learn_nugget:
+        return nll, grad[1:-1], amplitude
+    grad[-1] *= g
+    return nll, grad[1:], amplitude
 
 
-def _nll_at(params: KernelHyperparams, inputs: np.ndarray, residuals: np.ndarray,
-            jitter_rel: float):
-    """_level_objective at fixed params and jitter_rel * amplitude, where K must factor."""
+def _nll_at(params: KernelHyperparams, inputs: np.ndarray, residuals: np.ndarray, jitter_rel):
+    """NLL and gradient over [log amplitude, log w (, log noise)] at fixed params.
+
+    _nll_core at params.amplitude and _shift(params, jitter_rel); the noise is
+    absolute, so its share of the shift falls as the amplitude grows. A Gram
+    that does not factor raises IllConditionedError.
+    """
     jitter_rel = check_real(jitter_rel, "jitter_rel", "[0, inf)")
     if inputs.shape[1] != params.dim:
         raise ValueError("data dimension does not match kernel weights")
-    sq, factor = sq_diffs(inputs, inputs), _residual_factor(residuals)
-    nll, grad = _level_objective(params.amplitude, params.weights, params.noise,
-                                 jitter_rel * params.amplitude, sq, factor,
-                                 residuals.shape[1], params.noise > 0)
+    nll, grad, _ = _nll_core(weights=params.weights, shift=_shift(params, jitter_rel),
+                             sq_diffs=sq_diffs(inputs, inputs), factor=_residual_factor(residuals),
+                             n_outputs=residuals.shape[1], amplitude=params.amplitude)
     if not math.isfinite(nll):
         raise IllConditionedError(f"Gram matrix not positive definite at jitter_rel "
                                   f"{jitter_rel:.3e}", params=params)
+    if params.noise == 0:
+        return nll, grad[:-1]
+    grad[-1] *= params.noise / params.amplitude
+    grad[0] -= grad[-1]
     return nll, grad
 
 
-def neg_log_likelihood(
-    params: KernelHyperparams, data: ResidualDataset, jitter_rel: float = 0.0
-) -> float:
+def neg_log_likelihood(params: KernelHyperparams, data: ResidualDataset, jitter_rel=0.0) -> float:
     """Negative log marginal likelihood of the residual matrix under the level GP.
 
     Equals the sum over output columns of the negated Gaussian log-density:
@@ -280,42 +293,25 @@ def neg_log_likelihood(
     return float(_nll_at(params, data.inputs, data.residuals, jitter_rel)[0])
 
 
-def nll_gradient(
-    params: KernelHyperparams, data: ResidualDataset, jitter_rel: float = 0.0
-) -> np.ndarray:
+def nll_gradient(params: KernelHyperparams, data: ResidualDataset, jitter_rel=0.0) -> np.ndarray:
     """Gradient of neg_log_likelihood with respect to log-hyperparameters.
 
     Component order is [log amplitude, log w_1 .. log w_l] with a trailing
-    log-noise component when params.noise > 0. The jitter scales with the
-    amplitude, so its derivative is part of the log-amplitude component; this is
-    the gradient fit_level's objective hands L-BFGS-B.
+    log-noise component when params.noise > 0. The noise stays fixed as the
+    amplitude moves, and the jitter scales with it. fit_level profiles the
+    amplitude out; at its optimum the weight components are its objective's.
     """
     return _nll_at(params, data.inputs, data.residuals, jitter_rel)[1]
 
 
-def _finalize_level(
-    params: KernelHyperparams,
-    inputs: np.ndarray,
-    centered: np.ndarray,
-    means: np.ndarray,
-    jitter_rel: float,
-    fit_nll: float,
-) -> TrainedLevel:
+def _finalize_level(params: KernelHyperparams, inputs, centered, means, jitter_rel: float,
+                    fit_nll: float) -> TrainedLevel:
     """Factor the Gram at jitter_rel * amplitude and solve for alpha; fit_nll is the caller's."""
-    j = jitter_rel * params.amplitude
-    chol = cholesky_with_escalation(params, inputs, j)
+    chol = cholesky_with_escalation(params, inputs, jitter_rel)
     white = solve_triangular(chol, centered, lower=True)
     alpha = solve_triangular(chol, white, lower=True, trans="T")
-    return TrainedLevel(
-        params=params,
-        inputs=np.array(inputs, dtype=float, copy=True),
-        residuals=centered,
-        column_means=means,
-        chol=chol,
-        alpha=alpha,
-        jitter=j,
-        fit_nll=fit_nll,
-    )
+    return TrainedLevel(params, np.array(inputs, dtype=float, copy=True), centered, means, chol,
+                        alpha, jitter_rel * params.amplitude, fit_nll)
 
 
 def build_level(
@@ -338,7 +334,7 @@ class LbfgsResult:
     fun is the objective at the last point evaluated. That is x itself except
     after an abnormal line-search stop (success False below the iteration cap),
     where setulb restores x to the previous iterate; fun then is not f(x).
-    fit_level takes fit_nll from one more objective call at the x it keeps.
+    fit_level profiles the amplitude and takes fit_nll at the x it keeps.
     """
 
     x: np.ndarray
@@ -430,16 +426,16 @@ def fit_level(
     """Fit hyperparameters by maximum likelihood and cache prediction state.
 
     Residual columns are centered before fitting; the means are stored on the
-    level and restored by level_predict. The search runs over [log amplitude,
-    log w_1 .. log w_l (, log noise)] in [-LOG_BOUND, LOG_BOUND] from the starts
-    of _start_points: init (a warm start, such as the previous fit's params),
-    the moment-matched centre (amplitude at the mean squared residual, every
+    level and restored by level_predict. The amplitude is profiled out (see
+    _nll_core), so the search runs over [log w_1 .. log w_l (, log g)] in
+    [-LOG_BOUND, LOG_BOUND] from the starts of _start_points: init (a warm
+    start, such as the previous fit's params), the moment-matched centre (every
     weight at the inverse median pairwise squared distance), the unit start and
     draws around the centre. Each runs L-BFGS-B to LOOSE_FTOL and LOOSE_GTOL;
-    the best is polished to a projected-gradient norm of opt.grad_tol. noise
-    fixes the observation variance; with learn_noise it is searched too, from
-    noise (or 1e-3 of the mean squared residual when noise is 0) and, in the warm
-    start, from init.noise when that is positive. The jitter stays at
+    the best is polished to a projected-gradient norm of opt.grad_tol. noise is
+    a nugget g relative to the amplitude (params.noise is g * amplitude), fixed
+    unless learn_noise searches it from noise, or 1e-3 when noise is 0, and from
+    a positive init.noise / init.amplitude in the warm start. The jitter stays at
     jitter_rel * amplitude: when no start reaches a Gram that factors there, the
     fit raises IllConditionedError.
     """
@@ -455,31 +451,25 @@ def fit_level(
     centered = data.residuals - means
     factor = _residual_factor(centered)
     sq = sq_diffs(data.inputs, data.inputs)
-    amp0 = float(np.mean(centered**2))
 
-    unit = np.zeros(l + 2 if learn_noise else l + 1)
+    unit = np.zeros(l + 1 if learn_noise else l)
     if learn_noise:
-        tau0 = noise if noise > 0 else max(1e-6, 1e-3 * amp0)
-        unit[-1] = np.clip(math.log(tau0), -LOG_BOUND, LOG_BOUND)
+        unit[-1] = np.clip(math.log(noise if noise > 0 else 1e-3), -LOG_BOUND, LOG_BOUND)
     centre = unit.copy()
     med = float(np.median(sq.sum(axis=2)[np.triu_indices(n, k=1)])) if n > 1 else 0.0
-    if amp0 > 0 and med > 0:
-        centre[0], centre[1 : 1 + l] = math.log(amp0), math.log(1.0 / med)
+    if med > 0:
+        centre[:l] = math.log(1.0 / med)
     warm = None
     if init is not None:
         warm = unit.copy()
-        warm[: 1 + l] = np.log([init.amplitude, *init.weights])
+        warm[:l] = np.log(init.weights)
         if learn_noise and init.noise > 0:
-            warm[-1] = math.log(init.noise)
+            warm[-1] = math.log(init.noise / init.amplitude)
 
-    def unpack(logvec: np.ndarray):
-        tau = math.exp(logvec[-1]) if learn_noise else noise
-        return math.exp(logvec[0]), np.exp(logvec[1 : 1 + l]), tau
-
-    def objective(logvec: np.ndarray):
-        amp, w, tau = unpack(logvec)
-        nll, grad = _level_objective(amp, w, tau, jitter_rel * amp, sq, factor, d, learn_noise)
-        return (nll, grad) if math.isfinite(nll) else (NOT_PD_NLL, grad)
+    def objective(x: np.ndarray):
+        # a Gram that does not factor gives NOT_PD_NLL with a zero gradient
+        nll, grad, _ = _level_objective(x, sq, factor, d, jitter_rel, noise, learn_noise)
+        return min(nll, NOT_PD_NLL), grad
 
     def descend(x0: np.ndarray, ftol: float, gtol: float) -> LbfgsResult:
         return minimize(objective, x0, ftol=ftol, gtol=gtol, maxiter=opt.max_iters)
@@ -493,8 +483,10 @@ def fit_level(
         )
     best_x = descend(best.x, POLISH_FTOL, opt.grad_tol).x
 
-    params = KernelHyperparams(*unpack(best_x))
-    return _finalize_level(params, data.inputs, centered, means, jitter_rel, objective(best_x)[0])
+    amplitude = _level_objective(best_x, sq, factor, d, jitter_rel, noise, learn_noise)[2]
+    g = math.exp(best_x[-1]) if learn_noise else noise
+    params = KernelHyperparams(amplitude, np.exp(best_x[:l]), g * amplitude)
+    return build_level(params, data, jitter_rel)
 
 
 def level_predict(level: TrainedLevel, query):

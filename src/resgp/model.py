@@ -195,7 +195,8 @@ def train(
 
     Inputs are normalized onto [0, 1]^l using domain (default: the bounding box
     of the lowest-fidelity inputs) before any kernel evaluation; nesting is
-    checked on normalized coordinates.
+    checked on normalized coordinates. noise and learn_noise go to every
+    level's fit_level: a nugget relative to the level's amplitude.
     """
     if opt is None:
         opt = OptimizerConfig()

@@ -270,9 +270,18 @@ def test_bound_constants_are_pinned():
     assert bound.covering == 15001
     np.testing.assert_allclose(
         [bound.beta, bound.gamma, bound.l_mu, bound.omega_coeff],
-        [25.22320883616576, 343200.0351952375, 847385.5037787927, 4646720430022.788],
+        [25.22320883616576, 343190.6664831025, 847338.4781434592, 4646467388565.436],
         rtol=1e-12,
     )
+
+
+def test_uniform_bound_without_a_domain_takes_the_model_box():
+    model = univariate_model()
+    implicit, implicit_fn = uniform_bound(model, BoundConfig(0.05, 1e-3, 1.0, None))
+    explicit, explicit_fn = uniform_bound(model, BoundConfig(0.05, 1e-3, 1.0, model.domain))
+    assert implicit == explicit
+    q = np.linspace(0.0, 1.0, 11)[:, None]
+    np.testing.assert_array_equal(implicit_fn(q), explicit_fn(q))
 
 
 def test_uniform_bound_takes_each_level_lipschitz_constant_once(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from scipy.linalg.lapack import dpotrf
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -227,7 +227,8 @@ def test_fixed_params_reject_bad_jitter(at_params, jitter_rel):
 
 
 def dense_nll_reference(amplitude, weights, shift, sq_diffs, factor, n_outputs):
-    """NLL and gradient from slogdet, an explicit inverse and one dK per parameter.
+    """NLL and gradient of K = amplitude (C + shift I) from slogdet, an explicit inverse
+    and one dK per parameter.
 
     The residual factor F enters through R R^T = F F^T. Gradient order is
     [log amplitude, log w_1 .. log w_l, shift], each component
@@ -235,14 +236,15 @@ def dense_nll_reference(amplitude, weights, shift, sq_diffs, factor, n_outputs):
     """
     n, d, sq = len(sq_diffs), n_outputs, sq_diffs
     outer = factor @ factor.T
-    C = amplitude * np.exp(-sq @ weights)
-    K = C + shift * np.eye(n)
+    C = np.exp(-sq @ weights)
+    K = amplitude * (C + shift * np.eye(n))
     sign, logdet = np.linalg.slogdet(K)
     assert sign > 0
     kinv = np.linalg.inv(K)
     nll = 0.5 * d * logdet + 0.5 * np.trace(kinv @ outer) + d * n * HALF_LOG_2PI
     B = d * kinv - kinv @ outer @ kinv
-    dKs = [C] + [-w * sq[:, :, i] * C for i, w in enumerate(weights)] + [np.eye(n)]
+    dKs = [K] + [-amplitude * w * sq[:, :, i] * C for i, w in enumerate(weights)]
+    dKs.append(amplitude * np.eye(n))
     return nll, np.array([0.5 * np.trace(B @ dK) for dK in dKs])
 
 
@@ -256,7 +258,7 @@ def core_case(n, d, seed=0):
     return dict(
         amplitude=1.7,
         weights=np.array([3.0, 0.8]),
-        shift=0.085,
+        shift=0.05,
         sq_diffs=sq_diffs(x, x),
         factor=r,
         n_outputs=d,
@@ -270,10 +272,29 @@ def test_nll_core_matches_dense_reference(n, d_of_n):
 
     kw = core_case(n, d_of_n(n))
     ref_nll, ref_grad = dense_nll_reference(**kw)
-    nll, grad = _nll_core(**kw)
+    nll, grad, amplitude = _nll_core(**kw)
+    assert amplitude == kw["amplitude"]
     assert nll == pytest.approx(ref_nll, rel=1e-9)
     # components can cancel to near zero, so they are compared on the gradient's scale
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref_grad)))
+
+
+@pytest.mark.parametrize("n", [2, 10, 80])
+@pytest.mark.parametrize("d", [1, 3])
+def test_nll_core_profiles_the_amplitude(n, d):
+    # amplitude None takes S / (N d), where the NLL is least and its log-amplitude
+    # component vanishes; the other components are the joint gradient there
+    from resgp.gp_level import _nll_core
+
+    kw = core_case(n, d, seed=5)
+    del kw["amplitude"]
+    nll, grad, amplitude = _nll_core(**kw)
+    ref_nll, ref_grad = dense_nll_reference(amplitude=amplitude, **kw)
+    assert nll == pytest.approx(ref_nll, rel=1e-9)
+    assert abs(grad[0]) <= 1e-9 * n * d
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref_grad)))
+    for step in (-1e-3, 1e-3):
+        assert _nll_core(**kw, amplitude=amplitude * math.exp(step))[0] > nll
 
 
 @pytest.mark.parametrize("n", [10, 80])
@@ -284,8 +305,8 @@ def test_residual_factor_gives_same_nll_as_full_residuals(n, d_of_n):
     kw = core_case(n, d_of_n(n), seed=3)
     factor = _residual_factor(kw["factor"])
     assert factor.shape == (n, min(n, kw["n_outputs"]))
-    nll, grad = _nll_core(**kw)
-    nll_f, grad_f = _nll_core(**{**kw, "factor": factor})
+    nll, grad, _ = _nll_core(**kw)
+    nll_f, grad_f, _ = _nll_core(**{**kw, "factor": factor})
     assert nll_f == pytest.approx(nll, rel=1e-10)
     np.testing.assert_allclose(grad_f, grad, rtol=1e-10)
 
@@ -308,13 +329,13 @@ def test_no_subnormal_kernel_values_at_short_length_scales():
     kw = dict(
         amplitude=p.amplitude,
         weights=p.weights,
-        shift=0.085,
+        shift=0.05,
         sq_diffs=sq_diffs(x, x),
         factor=r - r.mean(axis=0),
         n_outputs=1,
     )
     ref_nll, ref_grad = dense_nll_reference(**kw)
-    nll, grad = _nll_core(**kw)
+    nll, grad, _ = _nll_core(**kw)
     assert nll == pytest.approx(ref_nll, rel=1e-9)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref_grad)))
 
@@ -331,7 +352,7 @@ def permuted_core_cases(draw):
     return dict(
         amplitude=amplitude,
         weights=np.exp(draw(arrays(np.float64, l, elements=st.floats(-5.0, 5.0)))),
-        shift=amplitude * draw(st.floats(1e-2, 1.0)),
+        shift=draw(st.floats(1e-2, 1.0)),
         x=draw(arrays(np.float64, (n, l), elements=st.floats(0.0, 1.0))),
         residuals=r - r.mean(axis=0),
         perm=np.array(draw(st.permutations(range(n)))),
@@ -351,7 +372,7 @@ def test_nll_core_is_invariant_under_row_permutation(case):
             sq_diffs=sq_diffs(x, x),
             factor=r,
             n_outputs=r.shape[1],
-        )
+        )[:2]
 
     perm = case["perm"]
     nll, grad = core(case["x"], case["residuals"])
@@ -369,7 +390,7 @@ def test_nll_core_not_positive_definite_is_inf(points, shift):
     from resgp.gp_level import _nll_core
 
     x = np.array(points)
-    nll, grad = _nll_core(
+    nll, grad, _ = _nll_core(
         amplitude=1.0,
         weights=np.array([1.0, 2.0]),
         shift=shift,
@@ -438,51 +459,54 @@ def test_learned_noise_warm_start_maps_init_noise(monkeypatch):
     cold = fit_level(noisy, OptimizerConfig(seed=0), learn_noise=True)
     calls = record_start_points(monkeypatch)
     warm_opt = OptimizerConfig(seed=0, restarts=1)
-    # a zero init.noise, which has no log, takes the unit start's noise entry; a
-    # positive one is the warm start's noise entry. Warnings fail the suite.
+    # a zero init.noise, which has no log, takes the unit start's nugget entry; a
+    # positive one, over init.amplitude, is the warm start's. Warnings fail the suite.
     p = cold.params
     for init in (KernelHyperparams(p.amplitude, p.weights), p):
         level = fit_level(noisy, warm_opt, learn_noise=True, init=init)
         assert np.isfinite(level.fit_nll) and level.params.noise > 0
     (unit, _, _, zero_starts), (_, _, _, starts) = calls
-    np.testing.assert_array_equal(zero_starts[0], [*np.log([p.amplitude, *p.weights]), unit[-1]])
-    np.testing.assert_array_equal(starts[0], [*np.log([p.amplitude, *p.weights]), math.log(p.noise)])
+    np.testing.assert_array_equal(zero_starts[0], [*np.log(p.weights), unit[-1]])
+    np.testing.assert_array_equal(starts[0], [*np.log(p.weights), math.log(p.noise / p.amplitude)])
 
 
 def test_start_recipe_draws_around_the_clipped_centre(monkeypatch):
     ds, _ = smooth_1d_sample(seed=27)
-    big = ResidualDataset(ds.inputs, 1e5 * ds.residuals)
+    close = ResidualDataset(1e-3 * ds.inputs, ds.residuals)
     calls = record_start_points(monkeypatch)
     opt = OptimizerConfig(seed=0)
-    fit_level(big, opt, init=KernelHyperparams(1.0, [2.0]))
+    fit_level(close, opt, init=KernelHyperparams(1.0, [2.0]))
     [(unit, centre, _, starts)] = calls
     bound, spread = gp_level.LOG_BOUND, math.log(gp_level.START_SPREAD)
-    # the moment-matched log amplitude lies above the box
+    # the moment-matched log weight, at inputs 1e-3 apart, lies above the box
     assert centre[0] > bound
     clipped = np.clip(centre, -bound, bound)
     assert len(starts) == 3 + opt.restarts - 1
-    np.testing.assert_array_equal(starts[0], np.log([1.0, 2.0]))
+    np.testing.assert_array_equal(starts[0], np.log([2.0]))
     np.testing.assert_array_equal(starts[1], clipped)
     np.testing.assert_array_equal(starts[2], unit)
     assert all(np.all(np.abs(x) <= bound) for x in starts)
     draws = np.array(starts[3:])
     assert np.all(np.abs(draws - clipped) <= spread)
-    # draws around the unclipped centre would all put log amplitude on the ceiling
+    # draws around the unclipped centre would all put the log weight on the ceiling
     assert np.any(draws[:, 0] < bound)
 
 
 def test_fit_gradient_small_at_interior_optimum():
     # first-order condition of the objective the optimizer actually minimized,
-    # whose diagonal jitter scales with the amplitude parameter
+    # the NLL with the amplitude profiled out, and of the joint NLL there
     ds, _ = smooth_1d_sample(seed=22, n=15, weight=30.0, d=2, regular=True)
     level = fit_level(ds, OptimizerConfig(seed=0))
     centered = ds.residuals - ds.residuals.mean(axis=0)
     p = level.params
-    _, g = gp_level._level_objective(
-        p.amplitude, p.weights, 0.0, 1e-8 * p.amplitude, sq_diffs(ds.inputs, ds.inputs),
-        centered, centered.shape[1], False,
+    _, g, amplitude = gp_level._level_objective(
+        np.log(p.weights), sq_diffs(ds.inputs, ds.inputs), centered, centered.shape[1],
+        DEFAULT_JITTER_REL, 0.0, False,
     )
+    assert amplitude == pytest.approx(p.amplitude, rel=1e-9)
     assert np.linalg.norm(g) < 1e-3
+    own = ResidualDataset(level.inputs, level.residuals)
+    assert np.linalg.norm(nll_gradient(p, own, DEFAULT_JITTER_REL)) < 1e-3
 
 
 def benchmark_level(name, seed, level):
@@ -516,6 +540,135 @@ def test_fit_reaches_multistart_optimum_on_benchmark_levels(name, seed, level):
     level_fit = fit_level(ds)
     reference = fit_level(ds, OptimizerConfig(restarts=60, seed=1))
     assert level_fit.fit_nll <= reference.fit_nll + 1e-2
+
+
+# --- the profiled likelihood: derivatives, warnings and invariances ----------
+
+
+@st.composite
+def profiled_cases(draw):
+    """A level problem for _level_objective, its log-parameter point and its nugget.
+
+    The nugget, fixed or learned, is at least 1e-3 of the amplitude, so the
+    unit-amplitude matrix stays well conditioned even with repeated rows."""
+    n, l, d = draw(st.integers(1, 15)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    x = draw(arrays(np.float64, (n, l), elements=st.floats(0.0, 1.0)))
+    r = draw(arrays(np.float64, (n, d), elements=st.floats(-10.0, 10.0)))
+    r = (r - r.mean(axis=0)) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    learn = draw(st.booleans())
+    point = draw(arrays(np.float64, l + learn, elements=st.floats(-3.0, 3.0)))
+    if learn:
+        point[-1] = draw(st.floats(math.log(1e-3), 0.0))
+    return dict(x=x, residuals=r, point=point, learn=learn,
+                nugget=0.0 if learn else draw(st.floats(1e-3, 1.0)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(profiled_cases())
+def test_profiled_objective_matches_central_differences(case):
+    # the amplitude is profiled out of the NLL, so its gradient over [log w (, log g)]
+    # is the joint gradient at the profiled amplitude (the envelope theorem)
+    x, r = case["x"], case["residuals"]
+    sq, factor = sq_diffs(x, x), gp_level._residual_factor(r)
+
+    def objective(point):
+        return gp_level._level_objective(point, sq, factor, r.shape[1], DEFAULT_JITTER_REL,
+                                         case["nugget"], case["learn"])
+
+    nll, grad, amplitude = objective(case["point"])
+    assert math.isfinite(nll) and amplitude > 0
+    step = 1e-5
+    fd = np.empty_like(grad)
+    for i in range(grad.size):
+        hi, lo = case["point"].copy(), case["point"].copy()
+        hi[i] += step
+        lo[i] -= step
+        fd[i] = (objective(hi)[0] - objective(lo)[0]) / (2.0 * step)
+    np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6 * max(1.0, np.max(np.abs(fd))))
+
+
+@st.composite
+def near_singular_cases(draw):
+    """Rows repeated up to an offset as small as 1e-16, log-parameters anywhere in the
+    box, no jitter or the default one, and residuals of any scale up to 1e170."""
+    n, l, d = draw(st.integers(2, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    head = draw(arrays(np.float64, (draw(st.integers(1, n - 1)), l), elements=st.floats(0.0, 1.0)))
+    offset = 10.0 ** draw(st.floats(-16.0, -2.0)) * draw(st.sampled_from([0.0, 1.0]))
+    tail = head[np.arange(n - len(head)) % len(head)] + offset
+    r = draw(arrays(np.float64, (n, d), elements=st.floats(-1.0, 1.0)))
+    learn = draw(st.booleans())
+    return dict(
+        x=np.vstack([head, tail]),
+        residuals=(r - r.mean(axis=0)) * 10.0 ** draw(st.floats(-170.0, 170.0)),
+        point=draw(arrays(np.float64, l + learn, elements=st.floats(-10.0, 10.0))),
+        jitter_rel=draw(st.sampled_from([0.0, DEFAULT_JITTER_REL])),
+        learn=learn,
+    )
+
+
+# S is finite near 1e307 while alpha alpha^T overflows
+@example(dict(x=np.array([[0.0], [0.5], [1.0]]), residuals=3e153 * np.array([[1.0], [-2.0], [1.0]]),
+              point=np.array([1.0]), jitter_rel=DEFAULT_JITTER_REL, learn=False))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(near_singular_cases())
+def test_profiled_objective_is_finite_or_not_positive_definite_without_warnings(case):
+    # warnings fail the suite: an S that overflows takes the not-positive-definite path
+    x, r = case["x"], case["residuals"]
+    nll, grad, amplitude = gp_level._level_objective(
+        case["point"], sq_diffs(x, x), gp_level._residual_factor(r), r.shape[1],
+        case["jitter_rel"], 0.0, case["learn"],
+    )
+    assert grad.shape == case["point"].shape
+    if nll == math.inf:
+        assert not grad.any()
+    else:
+        assert math.isfinite(nll) and np.isfinite(grad).all() and 0 < amplitude < math.inf
+
+
+# every level of the Table-2 protocol at seed 0, as (benchmark, seed, level)
+SEED0_LEVELS = [("currin", 0, 1), ("currin", 0, 2), ("park", 0, 1), ("park", 0, 2),
+                ("borehole", 0, 1), ("borehole", 0, 2), ("branin3", 0, 1), ("branin3", 0, 2),
+                ("branin3", 0, 3), ("hartmann3", 0, 1), ("hartmann3", 0, 2), ("hartmann3", 0, 3)]
+
+
+# with the amplitude searched on the log box rather than profiled out, this scale
+# moved currin's low-fidelity mean by 30% of its largest value
+@example(case=("currin", 0, 1), scale=1e4)
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(case=st.sampled_from(SEED0_LEVELS),
+       scale=st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-4.0, 4.0)))
+def test_fit_is_invariant_under_output_units(case, scale):
+    # residuals y -> c y give mean c mu and variance c^2 sigma^2: the amplitude is
+    # profiled, and the jitter and the nugget are relative to it
+    ds = benchmark_level(*case)
+    base = fit_level(ds)
+    scaled = fit_level(ResidualDataset(ds.inputs, scale * ds.residuals))
+    q = np.random.default_rng(0).uniform(size=(200, ds.input_dim))
+    mean, var = level_predict(base, q)
+    mean_c, var_c = level_predict(scaled, q)
+    np.testing.assert_allclose(mean_c, scale * mean, rtol=1e-6,
+                               atol=1e-6 * np.max(np.abs(scale * mean)))
+    np.testing.assert_allclose(var_c, scale**2 * var, rtol=1e-6,
+                               atol=1e-6 * scale**2 * base.params.amplitude)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(case=st.tuples(st.sampled_from(["currin", "park", "borehole", "branin3", "hartmann3"]),
+                      st.integers(0, 9), st.integers(1, 3)),
+       perm_seed=st.integers(0, 2**32 - 1))
+def test_fit_is_invariant_under_row_permutation(case, perm_seed):
+    # the likelihood the fit reaches moves by at most 1e-7 (over the Table-2 levels at
+    # seeds 0-9 the largest move measured was 8.2e-9). Predictions are not compared: on
+    # a flat ridge, such as currin seed 7 level 2, two permutations reach the same NLL
+    # to 1e-10 at weights 1.5% apart
+    name, seed, level = case
+    levels = 3 if name in ("branin3", "hartmann3") else 2
+    assume(level <= levels)
+    ds = benchmark_level(name, seed, level)
+    perm = np.random.default_rng(perm_seed).permutation(ds.n_points)
+    base = fit_level(ds)
+    permuted = fit_level(ResidualDataset(ds.inputs[perm], ds.residuals[perm]))
+    assert permuted.fit_nll == pytest.approx(base.fit_nll, abs=1e-7)
 
 
 def fit_against_scipy(monkeypatch, ds, opt=None, **kwargs):
@@ -553,11 +706,13 @@ def test_lbfgsb_driver_matches_scipy_on_currin_level(monkeypatch):
     assert level.fit_nll == pytest.approx(runs[-1].fun, rel=1e-9)
 
 
-def test_lbfgsb_driver_matches_scipy_with_amplitude_on_the_box(monkeypatch):
-    level, runs = fit_against_scipy(monkeypatch, benchmark_level("borehole", 0, 1))
+def test_lbfgsb_driver_matches_scipy_with_weights_on_the_box(monkeypatch):
+    # park seed 0 level 2 switches its first and third inputs off: both weights end
+    # on the box's floor
+    level, runs = fit_against_scipy(monkeypatch, benchmark_level("park", 0, 2))
     assert len(runs) == 14
-    assert runs[-1].x[0] == gp_level.LOG_BOUND
-    assert math.log(level.params.amplitude) == pytest.approx(gp_level.LOG_BOUND)
+    assert runs[-1].x[0] == runs[-1].x[2] == -gp_level.LOG_BOUND
+    np.testing.assert_allclose(np.log(level.params.weights[[0, 2]]), -gp_level.LOG_BOUND)
 
 
 def test_lbfgsb_driver_matches_scipy_with_learned_noise(monkeypatch):
@@ -567,8 +722,8 @@ def test_lbfgsb_driver_matches_scipy_with_learned_noise(monkeypatch):
     )
     _, runs = fit_against_scipy(monkeypatch, noisy, OptimizerConfig(seed=0), learn_noise=True)
     assert len(runs) == 14
-    # log amplitude, log weight and log noise
-    assert all(r.x.size == 3 for r in runs)
+    # log weight and log nugget; the amplitude is profiled out
+    assert all(r.x.size == 2 for r in runs)
 
 
 def test_lbfgsb_driver_stops_at_the_iteration_cap_like_scipy(monkeypatch):
@@ -611,18 +766,19 @@ def test_fit_nll_matches_recomputation():
 
 
 def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypatch):
-    # rows 1e-4 apart make the Gram singular to rounding at long length scales;
-    # with no jitter some trial points there fail to factor, and the objective
-    # hands L-BFGS-B a huge value with a zero gradient
+    # rows 1e-4 apart make the Gram singular to rounding at long length scales,
+    # where a linear response draws the search; with no jitter some trial points
+    # there fail to factor, and the objective hands L-BFGS-B a huge value with a
+    # zero gradient
     x = np.array([0.1, 0.1 + 1e-4, 0.5, 0.9, 0.9 + 1e-4])
-    ds = scalar_dataset(x, np.sin(6.0 * x))
+    ds = scalar_dataset(x, x)
     core, driver = gp_level._nll_core, gp_level.minimize
     core_nlls, objective_values = [], []
 
     def recording_core(**kwargs):
-        nll, grad = core(**kwargs)
+        nll, grad, amplitude = core(**kwargs)
         core_nlls.append(nll)
-        return nll, grad
+        return nll, grad, amplitude
 
     def recording_driver(objective, x0, **kwargs):
         def recorded(x):
@@ -635,8 +791,8 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
     monkeypatch.setattr(gp_level, "_nll_core", recording_core)
     monkeypatch.setattr(gp_level, "minimize", recording_driver)
     level = fit_level(ds, OptimizerConfig(seed=0), jitter_rel=0.0)
-    # the core's last call is fit_nll's, after the search
-    searched = core_nlls[:-1]
+    # the core's last two calls, after the search, profile the amplitude and give fit_nll
+    searched = core_nlls[:-2]
     assert len(searched) == len(objective_values)
     assert math.inf in searched and any(map(math.isfinite, searched))
     assert [f == gp_level.NOT_PD_NLL and not g.any() for f, g in objective_values] == [
@@ -651,18 +807,20 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
 
 
 def test_fit_rejects_a_factor_of_a_singular_gram():
-    # with repeated rows dpotrf factors the exactly singular Gram at zero jitter by
-    # rounding; the pivot rule rejects that factor, so building the level raises (a
-    # fit here raises too: test_fit_raises_when_no_start_reaches_a_gram_that_factors)
-    x = [0.1, 0.1, 0.5, 0.9, 0.9]
+    # with a repeated row after another one, dpotrf factors the exactly singular
+    # Gram at zero jitter by rounding; the pivot rule rejects that factor, so building
+    # the level raises (a fit on repeated rows raises too:
+    # test_fit_raises_when_no_start_reaches_a_gram_that_factors)
+    x = [0.17, 0.39, 0.39, 0.75]
     ds = scalar_dataset(x, np.sin(6.0 * np.array(x)))
-    # the fit's moment-matched start
-    p = KernelHyperparams(float(np.mean((ds.residuals - ds.residuals.mean()) ** 2)), np.array([6.25]))
-    assert dpotrf(gram(p, ds.inputs), lower=1)[1] == 0
+    # the fit's moment-matched start, at the inverse median squared distance; the
+    # level factors the unit-amplitude matrix
+    p = KernelHyperparams(float(np.mean((ds.residuals - ds.residuals.mean()) ** 2)), [1.0 / 0.089])
+    assert dpotrf(gram(KernelHyperparams(1.0, p.weights), ds.inputs), lower=1)[1] == 0
     with pytest.raises(IllConditionedError, match="jitter_rel 0.000e"):
         build_level(p, ds, jitter_rel=0.0)
     # the finalize factorization applies the same rule
-    with pytest.raises(IllConditionedError, match="jitter 0.000e"):
+    with pytest.raises(IllConditionedError, match=r"jitter_rel 0.000e\+00 \(amplitude"):
         gp_level.cholesky_with_escalation(p, ds.inputs, 0.0)
 
 
