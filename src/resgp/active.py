@@ -144,10 +144,14 @@ def sequential_construct(
     levels: list[TrainedLevel] = []
     selected: dict = {}
     for f in range(1, len(budgets) + 1):
-        source = list(range(pool.size)) if f == 1 else selected[f - 1]
-        pick, mode, gain = source[int(rng.integers(len(source)))], "seed", None
+        source = np.arange(pool.size) if f == 1 else np.array(selected[f - 1])
+        # free[k]: source[k] is still a candidate
+        free = np.ones(len(source), dtype=bool)
+        k, mode, gain = int(rng.integers(len(source))), "seed", None
         chosen, rows, level = [], [], None
         while True:
+            pick = int(source[k])
+            free[k] = False
             y = simulate(f, pick)
             rows.append(y if f == 1 else y - outputs[f - 1, pick])
             chosen.append(pick)
@@ -155,7 +159,7 @@ def sequential_construct(
             record = {
                 "fidelity": f,
                 "step": len(chosen),
-                "pool_index": int(pick),
+                "pool_index": pick,
                 "point": raw[pick].tolist(),
                 "mode": mode,
                 "gain": gain,
@@ -174,13 +178,12 @@ def sequential_construct(
             record["nll"] = level.fit_nll
             if len(chosen) == budgets[f - 1]:
                 break
-            taken = set(chosen)
-            remaining = [i for i in source if i not in taken]
+            remaining = np.flatnonzero(free)  # positions in source, in source order
             if strategy == "variance":
-                local, gain = select_next(level, unit[remaining])
-                pick, mode = remaining[local], "argmax"
+                local, gain = select_next(level, unit[source[remaining]])
+                k, mode = remaining[local], "argmax"
             else:
-                pick, mode = remaining[int(rng.integers(len(remaining)))], "random"
+                k, mode = remaining[int(rng.integers(len(remaining)))], "random"
         levels.append(level)
         selected[f] = chosen
 

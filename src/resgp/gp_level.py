@@ -259,19 +259,21 @@ def _level_objective(x, sq, factor, n_outputs, jitter_rel, nugget, learn_nugget)
     return nll, grad[1:], amplitude
 
 
-def _nll_at(params: KernelHyperparams, inputs: np.ndarray, residuals: np.ndarray, jitter_rel):
+def _nll_at(params: KernelHyperparams, sq: np.ndarray, factor: np.ndarray, n_outputs: int,
+            jitter_rel):
     """NLL and gradient over [log amplitude, log w (, log noise)] at fixed params.
 
-    _nll_core at params.amplitude and _shift(params, jitter_rel); the noise is
-    absolute, so its share of the shift falls as the amplitude grows. A Gram
-    that does not factor raises IllConditionedError.
+    _nll_core at params.amplitude and _shift(params, jitter_rel), on the sq_diffs
+    tensor sq of the inputs and the residual factor (see _residual_factor); the
+    noise is absolute, so its share of the shift falls as the amplitude grows. A
+    Gram that does not factor raises IllConditionedError.
     """
     jitter_rel = check_real(jitter_rel, "jitter_rel", "[0, inf)")
-    if inputs.shape[1] != params.dim:
+    if sq.shape[2] != params.dim:
         raise ValueError("data dimension does not match kernel weights")
     nll, grad, _ = _nll_core(weights=params.weights, shift=_shift(params, jitter_rel),
-                             sq_diffs=sq_diffs(inputs, inputs), factor=_residual_factor(residuals),
-                             n_outputs=residuals.shape[1], amplitude=params.amplitude)
+                             sq_diffs=sq, factor=factor, n_outputs=n_outputs,
+                             amplitude=params.amplitude)
     if not math.isfinite(nll):
         raise IllConditionedError(f"Gram matrix not positive definite at jitter_rel "
                                   f"{jitter_rel:.3e}", params=params)
@@ -282,6 +284,12 @@ def _nll_at(params: KernelHyperparams, inputs: np.ndarray, residuals: np.ndarray
     return nll, grad
 
 
+def _data_nll_at(params: KernelHyperparams, data: ResidualDataset, jitter_rel):
+    """_nll_at on a dataset's own inputs and residuals."""
+    return _nll_at(params, sq_diffs(data.inputs, data.inputs), _residual_factor(data.residuals),
+                   data.output_dim, jitter_rel)
+
+
 def neg_log_likelihood(params: KernelHyperparams, data: ResidualDataset, jitter_rel=0.0) -> float:
     """Negative log marginal likelihood of the residual matrix under the level GP.
 
@@ -290,7 +298,7 @@ def neg_log_likelihood(params: KernelHyperparams, data: ResidualDataset, jitter_
     plus (noise + jitter) diagonal and the jitter jitter_rel * amplitude, as in
     fit_level. A K that does not factor raises IllConditionedError.
     """
-    return float(_nll_at(params, data.inputs, data.residuals, jitter_rel)[0])
+    return float(_data_nll_at(params, data, jitter_rel)[0])
 
 
 def nll_gradient(params: KernelHyperparams, data: ResidualDataset, jitter_rel=0.0) -> np.ndarray:
@@ -301,7 +309,7 @@ def nll_gradient(params: KernelHyperparams, data: ResidualDataset, jitter_rel=0.
     amplitude moves, and the jitter scales with it. fit_level profiles the
     amplitude out; at its optimum the weight components are its objective's.
     """
-    return _nll_at(params, data.inputs, data.residuals, jitter_rel)[1]
+    return _data_nll_at(params, data, jitter_rel)[1]
 
 
 def _finalize_level(params: KernelHyperparams, inputs, centered, means, jitter_rel: float,
@@ -323,7 +331,8 @@ def build_level(
     """Construct a TrainedLevel with fixed hyperparameters, no optimization."""
     means = data.residuals.mean(axis=0) if center else np.zeros(data.output_dim)
     centered = data.residuals - means
-    fit_nll = _nll_at(params, data.inputs, centered, jitter_rel)[0]
+    fit_nll = _nll_at(params, sq_diffs(data.inputs, data.inputs), _residual_factor(centered),
+                      data.output_dim, jitter_rel)[0]
     return _finalize_level(params, data.inputs, centered, means, jitter_rel, fit_nll)
 
 
@@ -401,7 +410,8 @@ def _start_points(
     [-LOG_BOUND, LOG_BOUND] box. warm is left out when None, and the centre
     when it is the unit start (the data give no moment match).
     """
-    rng = np.random.default_rng(opt.seed)
+    # a warm refit (restarts 1) makes no draws, so it constructs no generator
+    rng = np.random.default_rng(opt.seed) if opt.restarts > 1 else None
     centre = np.clip(centre, -LOG_BOUND, LOG_BOUND)
     spread = math.log(START_SPREAD)
     draws = [
@@ -437,7 +447,10 @@ def fit_level(
     unless learn_noise searches it from noise, or 1e-3 when noise is 0, and from
     a positive init.noise / init.amplitude in the warm start. The jitter stays at
     jitter_rel * amplitude: when no start reaches a Gram that factors there, the
-    fit raises IllConditionedError.
+    fit raises IllConditionedError, as it does for residuals whose squares sum
+    beyond the float range. The objective remembers its last evaluation, so the
+    polish's first point (the best start's last) and the amplitude at the
+    polish's end cost no likelihood evaluation of their own; fit_nll costs one.
     """
     if opt is None:
         opt = OptimizerConfig()
@@ -450,6 +463,14 @@ def fit_level(
     means = data.residuals.mean(axis=0)
     centered = data.residuals - means
     factor = _residual_factor(centered)
+    # where the sum of the squared residuals, tr(F^T F), overflows, S = tr(F^T K^-1 F)
+    # overflows at nearly every point, which the search cannot tell from a Gram that
+    # does not factor (ddot, unlike numpy, overflows without a warning)
+    if not math.isfinite(ddot(factor.ravel("F"), factor.ravel("F"))):
+        raise IllConditionedError(
+            "the residuals overflow: the sum of their squares exceeds the largest float "
+            f"({np.finfo(float).max:.3e}); rescale the outputs"
+        )
     sq = sq_diffs(data.inputs, data.inputs)
 
     unit = np.zeros(l + 1 if learn_noise else l)
@@ -466,27 +487,40 @@ def fit_level(
         if learn_noise and init.noise > 0:
             warm[-1] = math.log(init.noise / init.amplitude)
 
-    def objective(x: np.ndarray):
-        # a Gram that does not factor gives NOT_PD_NLL with a zero gradient
-        nll, grad, _ = _level_objective(x, sq, factor, d, jitter_rel, noise, learn_noise)
-        return min(nll, NOT_PD_NLL), grad
+    latest = None  # the last evaluation: (x as a list, (f, grad), amplitude)
 
-    def descend(x0: np.ndarray, ftol: float, gtol: float) -> LbfgsResult:
-        return minimize(objective, x0, ftol=ftol, gtol=gtol, maxiter=opt.max_iters)
+    def objective(x: np.ndarray):
+        # a Gram that does not factor gives NOT_PD_NLL with a zero gradient; a point
+        # equal to the last one evaluated is not evaluated again
+        nonlocal latest
+        point = x.tolist()
+        if latest is None or point != latest[0]:
+            nll, grad, amplitude = _level_objective(x, sq, factor, d, jitter_rel, noise, learn_noise)
+            latest = point, (min(nll, NOT_PD_NLL), grad), amplitude
+        return latest[1]
+
+    def descend(x0: np.ndarray, ftol: float, gtol: float):
+        """One L-BFGS-B run and the last evaluation it made."""
+        result = minimize(objective, x0, ftol=ftol, gtol=gtol, maxiter=opt.max_iters)
+        return result, latest
 
     starts = _start_points(opt, unit, centre, warm)
-    best = min((descend(x0, LOOSE_FTOL, LOOSE_GTOL) for x0 in starts), key=lambda r: r.fun)
+    best, latest = min((descend(x0, LOOSE_FTOL, LOOSE_GTOL) for x0 in starts),
+                       key=lambda run: run[0].fun)
     if best.fun >= NOT_PD_NLL:  # L-BFGS-B only descends, so no start left that value
         raise IllConditionedError(
             f"no start of the fit reached a positive definite Gram matrix at jitter_rel "
             f"{jitter_rel:.3e}; a design with repeated rows needs jitter_rel above 0"
         )
-    best_x = descend(best.x, POLISH_FTOL, opt.grad_tol).x
-
-    amplitude = _level_objective(best_x, sq, factor, d, jitter_rel, noise, learn_noise)[2]
-    g = math.exp(best_x[-1]) if learn_noise else noise
-    params = KernelHyperparams(amplitude, np.exp(best_x[:l]), g * amplitude)
-    return build_level(params, data, jitter_rel)
+    # the polish starts where the best start stopped, which that start evaluated last
+    # (unless its line search stopped abnormally: see LbfgsResult)
+    polish, latest = descend(best.x, POLISH_FTOL, opt.grad_tol)
+    objective(polish.x)  # evaluates only after an abnormal stop of the polish
+    amplitude = latest[2]
+    g = math.exp(polish.x[-1]) if learn_noise else noise
+    params = KernelHyperparams(amplitude, np.exp(polish.x[:l]), g * amplitude)
+    fit_nll = _nll_at(params, sq, factor, d, jitter_rel)[0]
+    return _finalize_level(params, data.inputs, centered, means, jitter_rel, fit_nll)
 
 
 def level_predict(level: TrainedLevel, query):

@@ -164,10 +164,17 @@ def sq_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b), l) tensor of squared per-coordinate differences of row pairs.
 
     This is the one pairwise routine: every kernel matrix is
-    kernel_values(amplitude, weighted_sq_dists(sq_diffs(a, b), weights)).
+    kernel_values(amplitude, weighted_sq_dists(sq_diffs(a, b), weights)). a and
+    b are float arrays of any memory order; the result is a new C-ordered array,
+    equal bit for bit to np.square(a[:, None, :] - b[None, :, :]).
     """
-    diff = a[:, None, :] - b[None, :, :]
-    return np.square(diff, out=diff)
+    m, (n, l) = a.shape[0], b.shape
+    # each row of a repeated N times, then b's flattened rows subtracted from every
+    # contiguous block of N l values: one pass with a long inner loop, where the
+    # broadcast a[:, None, :] - b[None, :, :] runs an inner loop of length l
+    out = np.repeat(a, n, axis=0).reshape(m, n * l)
+    out -= b.reshape(n * l)
+    return np.square(out, out=out).reshape(m, n, l)
 
 
 def weighted_sq_dists(sq: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -188,6 +188,14 @@ def test_exhaustive_low_budget_consumes_pool():
     assert abs(post.mean[0, 0] - y[0]) <= 1e-4 * (1.0 + abs(y[0]))
 
 
+@pytest.mark.parametrize("strategy", ["variance", "random"])
+def test_exhaustive_budgets_take_every_candidate_once(strategy):
+    # each pick leaves the candidates, so budgets equal to the pool use all of it
+    res = sequential_construct(small_pool(seed=13, size=8), [8, 8], currin_oracle,
+                               OptimizerConfig(seed=0), seed=5, strategy=strategy)
+    assert sorted(res.selected[1]) == sorted(res.selected[2]) == list(range(8))
+
+
 def test_construction_preserves_nesting():
     res = sequential_construct(
         small_pool(seed=8), [10, 4], currin_oracle, OptimizerConfig(seed=0), seed=1
@@ -358,3 +366,36 @@ def test_empty_audit_round_trip(tmp_path):
     path = tmp_path / "audit.jsonl"
     write_audit([], str(path))
     assert read_audit(str(path)) == []
+
+
+# hartmann3 at [12, 5, 3] from a 200-point pool, seed 0: the pool indices each
+# fidelity chose and each audit line's (nll, gain). Neither the candidate bookkeeping
+# nor the refits' evaluation reuse may move them
+PINNED_PICKS = {1: [170, 37, 2, 8, 0, 11, 129, 67, 178, 116, 65, 22], 2: [67, 65, 170, 37, 116],
+                3: [170, 37, 67]}
+PINNED_AUDIT = [
+    (-4.081061461795327, None), (4.124212497791367, 3.972682483398625e-05),
+    (5.636913536558897, 3.6194982866411762), (6.943013451198549, 2.509454205013436),
+    (6.852840515402942, 1.8844380301124903), (8.395936634912381, 1.6755622574458693),
+    (9.45575832916195, 0.7056349729621654), (10.197877747674275, 0.6109774485255455),
+    (11.104445726796593, 0.24352683180059498), (13.700296648026097, 0.13259795180205347),
+    (14.901639088135635, 1.19480882886464), (15.720837728759737, 0.7947257792323077),
+    (-4.081061461795327, None), (-10.95780178627081, 3.8256193347287495e-05),
+    (-5.687905218157416, 1.020029649778625e-06), (-8.560000413316867, 0.0013204088063988055),
+    (-11.081087338666478, 0.0011135134073561963), (-4.081061461795327, None),
+    (-3.6748774003028384, 3.972682483398625e-05), (-6.419302310050806, 0.001484385381798228),
+]
+
+
+def test_hartmann3_construction_is_pinned():
+    spec = BENCHMARKS["hartmann3"]
+    res = sequential_construct(
+        design_uniform(spec.domain, 200, seed=0), [12, 5, 3],
+        lambda f, x: spec.funcs[f - 1](np.atleast_2d(x))[0], OptimizerConfig(seed=0), 0,
+        domain=spec.domain,
+    )
+    assert res.selected == PINNED_PICKS
+    assert len(res.audit) == len(PINNED_AUDIT)
+    for rec, (nll, gain) in zip(res.audit, PINNED_AUDIT):
+        assert rec["nll"] == pytest.approx(nll, rel=1e-12, abs=0)
+        assert rec["gain"] == (None if gain is None else pytest.approx(gain, rel=1e-12, abs=0))

@@ -156,6 +156,17 @@ def test_train_on_repeated_rows_at_zero_jitter_is_numeric_error(tmp_path, capsys
     assert not (tmp_path / "run" / "model.json").exists()
 
 
+def test_train_on_outputs_whose_squares_overflow_is_numeric_error(tmp_path, capsys):
+    x = np.array([[0.0], [0.5], [1.0]])
+    y = 1e155 * np.array([[1.0], [-2.0], [1.0]])
+    write_dataset_csv(str(tmp_path / "data.csv"), MultiFidelityData([x], [y]))
+    cfg = write_config(tmp_path, "train.json", {"dataset": str(tmp_path / "data.csv")})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "the residuals overflow" in err
+    assert not (tmp_path / "run" / "model.json").exists()
+
+
 def test_predict_with_a_model_jitter_its_gram_does_not_factor_at_is_numeric_error(tmp_path, capsys):
     # repeated rows fit at the default jitter; at zero jitter their Gram is singular,
     # and loading the model factors each level at the jitter the file holds

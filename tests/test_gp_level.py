@@ -773,7 +773,7 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
     x = np.array([0.1, 0.1 + 1e-4, 0.5, 0.9, 0.9 + 1e-4])
     ds = scalar_dataset(x, x)
     core, driver = gp_level._nll_core, gp_level.minimize
-    core_nlls, objective_values = [], []
+    core_nlls, runs = [], []  # runs: the objective's (f, g) values, one list per L-BFGS-B run
 
     def recording_core(**kwargs):
         nll, grad, amplitude = core(**kwargs)
@@ -781,9 +781,12 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
         return nll, grad, amplitude
 
     def recording_driver(objective, x0, **kwargs):
+        values = []
+        runs.append(values)
+
         def recorded(x):
             f, g = objective(x)
-            objective_values.append((f, g.copy()))
+            values.append((f, g.copy()))
             return f, g
 
         return driver(recorded, x0, **kwargs)
@@ -791,13 +794,20 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
     monkeypatch.setattr(gp_level, "_nll_core", recording_core)
     monkeypatch.setattr(gp_level, "minimize", recording_driver)
     level = fit_level(ds, OptimizerConfig(seed=0), jitter_rel=0.0)
-    # the core's last two calls, after the search, profile the amplitude and give fit_nll
-    searched = core_nlls[:-2]
+    # the polish's first point is where the best start stopped, which that start
+    # evaluated last: the objective hands back that value, and the core is not called.
+    # The core's last call, after the search, gives fit_nll; the amplitude is the
+    # polish's last evaluation's
+    *starts, polish = runs
+    assert polish[0][0] == min(run[-1][0] for run in starts)
+    objective_values = [value for run in starts for value in run] + polish[1:]
+    searched = core_nlls[:-1]
     assert len(searched) == len(objective_values)
     assert math.inf in searched and any(map(math.isfinite, searched))
     assert [f == gp_level.NOT_PD_NLL and not g.any() for f, g in objective_values] == [
         nll == math.inf for nll in searched
     ]
+    assert core_nlls[-1] == level.fit_nll
     # the search steps back to shorter length scales, where the Gram factors
     assert np.isfinite(level.fit_nll)
     recomputed = neg_log_likelihood(
@@ -846,6 +856,98 @@ def test_fit_raises_when_no_start_reaches_a_gram_that_factors(y):
         fit_level(ds, OptimizerConfig(seed=0), jitter_rel=0.0)
     # the same design fits at the default jitter
     assert np.isfinite(fit_level(ds, OptimizerConfig(seed=0)).fit_nll)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e155])
+def test_fit_names_residuals_whose_squares_overflow(scale):
+    # the sum of the squared residuals, 6 scale^2, is above the largest float, so S
+    # overflows at every start; the fit says so rather than blaming the Gram
+    ds = scalar_dataset([0.0, 0.5, 1.0], scale * np.array([1.0, -2.0, 1.0]))
+    with pytest.raises(IllConditionedError, match="the residuals overflow"):
+        fit_level(ds, OptimizerConfig(seed=0))
+
+
+def test_fit_takes_residuals_whose_squares_stay_finite():
+    ds = scalar_dataset([0.0, 0.5, 1.0], 1e150 * np.array([1.0, -2.0, 1.0]))
+    level = fit_level(ds, OptimizerConfig(seed=0))
+    assert level.params.amplitude == pytest.approx(2e300, rel=1e-6)
+    assert np.isfinite(level.fit_nll)
+
+
+def count_evaluations(monkeypatch):
+    """Patch the likelihood core and the L-BFGS-B driver to count their calls.
+
+    Returns a dict: "core" counts _nll_core calls, "objective" the calls the
+    driver makes to the fit's objective.
+    """
+    counts = {"core": 0, "objective": 0}
+    core, driver = gp_level._nll_core, gp_level.minimize
+
+    def counting_core(**kwargs):
+        counts["core"] += 1
+        return core(**kwargs)
+
+    def counting_driver(objective, x0, **kwargs):
+        def counted(x):
+            counts["objective"] += 1
+            return objective(x)
+
+        return driver(counted, x0, **kwargs)
+
+    monkeypatch.setattr(gp_level, "_nll_core", counting_core)
+    monkeypatch.setattr(gp_level, "minimize", counting_driver)
+    return counts
+
+
+def test_a_fit_calls_the_likelihood_core_once_per_point(monkeypatch):
+    # the polish starts at the best start's last point, whose evaluation is reused
+    # (-1); the amplitude comes from the polish's last evaluation, and fit_nll takes
+    # one core call (+1)
+    ds = benchmark_level("currin", 0, 1)
+    counts = count_evaluations(monkeypatch)
+    cold = fit_level(ds, OptimizerConfig(seed=0))
+    assert counts["core"] == counts["objective"] - 1 + 1
+    counts.update(core=0, objective=0)
+    fit_level(ds, OptimizerConfig(seed=0, restarts=1), init=cold.params)
+    assert counts["core"] == counts["objective"] - 1 + 1
+
+
+def test_a_warm_refit_constructs_no_generator(monkeypatch):
+    ds = benchmark_level("currin", 0, 1)
+    cold = fit_level(ds, OptimizerConfig(seed=0))
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was constructed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    level = fit_level(ds, OptimizerConfig(seed=0, restarts=1), init=cold.params)
+    assert np.isfinite(level.fit_nll)
+
+
+def test_a_run_that_stops_away_from_its_last_evaluation_is_evaluated_again(monkeypatch):
+    # after an abnormal line-search stop the driver's x is not the last point it
+    # evaluated (see LbfgsResult); the polish's start and the amplitude are then
+    # evaluated where the runs stopped, and the fit is the same bit for bit
+    ds = benchmark_level("currin", 0, 1)
+    reference = fit_level(ds, OptimizerConfig(seed=0))
+    driver = gp_level.minimize
+
+    def stray_driver(objective, x0, **kwargs):
+        result = driver(objective, x0, **kwargs)
+        objective(result.x + 0.5)
+        return result
+
+    monkeypatch.setattr(gp_level, "minimize", stray_driver)
+    counts = count_evaluations(monkeypatch)
+    level = fit_level(ds, OptimizerConfig(seed=0))
+    # no objective call is served from an earlier evaluation, since the polish's start
+    # is evaluated again; after the search the core profiles the amplitude at the
+    # polish's end and gives fit_nll
+    assert counts["core"] == counts["objective"] + 2
+    np.testing.assert_array_equal(level.params.weights, reference.params.weights)
+    assert (level.params.amplitude, level.fit_nll) == (reference.params.amplitude, reference.fit_nll)
+    np.testing.assert_array_equal(level.chol, reference.chol)
+    np.testing.assert_array_equal(level.alpha, reference.alpha)
 
 
 def test_fit_rejects_negative_noise():

@@ -319,6 +319,34 @@ def test_kernel_matrices_come_from_one_pairwise_routine(case):
     assert math.isfinite(neg_log_likelihood(p, data, jitter_rel=jitter / p.amplitude))
 
 
+@st.composite
+def pairwise_inputs(draw):
+    """Two float arrays of l columns, M and N rows from 0 to 60, each C-ordered,
+    Fortran-ordered or a column slice of a wider array."""
+    l = draw(st.integers(1, 8))
+    values = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+    def one(rows):
+        layout = draw(st.sampled_from(["C", "F", "sliced"]))
+        if layout == "sliced":
+            wide = draw(arrays(np.float64, (rows, 2 * l + 1), elements=values))
+            return wide[:, 1::2]
+        return np.asarray(draw(arrays(np.float64, (rows, l), elements=values)), order=layout)
+
+    return one(draw(st.integers(0, 60))), one(draw(st.integers(0, 60)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pairwise_inputs())
+def test_sq_diffs_is_the_broadcast_square_in_c_order(ab):
+    a, b = ab
+    sq = sq_diffs(a, b)
+    np.testing.assert_array_equal(sq, np.square(a[:, None, :] - b[None, :, :]), strict=True)
+    # weighted_sq_dists reads the tensor through a reshape that must not copy; the
+    # broadcast gives a Fortran-ordered tensor for Fortran-ordered inputs
+    assert sq.flags.c_contiguous and sq.shape == (len(a), len(b), a.shape[1])
+
+
 # --- one check per input kind -----------------------------------------------
 
 UNIT1 = DomainBox.unit(1)
