@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import ddot, dgemm, dgemv, dtrmm
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 from scipy.optimize._lbfgsb import setulb
 
 from .kernel import (
@@ -27,9 +27,8 @@ from .kernel import (
     check_real,
     cross_vec,
     gram,
-    kernel_values,
     sq_diffs,
-    weighted_sq_dists,
+    unit_kernel,
 )
 
 # optimization runs in log-parameter space, clipped to this symmetric box
@@ -118,10 +117,17 @@ class TrainedLevel:
     residuals holds the column-centered residual matrix actually regressed on;
     column_means restores the raw residuals at prediction time. chol is a lower
     Cholesky factor of K, the Gram plus (noise + jitter) diagonal: sqrt(amplitude)
-    times the factor of the unit-amplitude matrix the likelihood core factors.
-    alpha holds the dual weights solving K alpha = residuals, and jitter the
-    absolute diagonal shift, jitter_rel * amplitude. fit_nll is neg_log_likelihood
-    there, bit for bit.
+    times the factor of the unit-amplitude matrix the likelihood core factors. A
+    fitted level takes it from the search's last likelihood evaluation, a built one
+    from its own likelihood evaluation and a loaded one from
+    cholesky_with_escalation. alpha holds the dual weights solving K alpha =
+    residuals, and jitter the absolute diagonal shift, jitter_rel * amplitude.
+    fit_nll is neg_log_likelihood there. All three are bit for bit those of the
+    level built at params, with one exception: the search factors the diagonal
+    1 + (jitter_rel + g) for its relative nugget g, the built level
+    1 + (jitter_rel + (g * amplitude) / amplitude), and for a g that is not small
+    next to 1 the two can round one unit apart, which moves chol, alpha and fit_nll
+    by about as much.
     """
 
     params: KernelHyperparams
@@ -171,8 +177,10 @@ def cholesky_with_escalation(params: KernelHyperparams, points: np.ndarray, jitt
 
     It is sqrt(amplitude) times the factor of the unit-amplitude matrix _nll_core
     factors at the same params, so both agree on whether it exists; where it does
-    not, IllConditionedError. The name is older than the single jitter; it stays
-    because bench/layers.py times this function as the gp_level.cholesky layer.
+    not, IllConditionedError. load_model factors through it, as it evaluates no
+    likelihood; a fit and build_level keep the factor of their own last likelihood
+    evaluation instead. The name is older than the single jitter; it stays because
+    bench/layers.py times this function as the gp_level.cholesky layer.
     """
     s = _shift(params, jitter_rel)
     chol = _cholesky(gram(KernelHyperparams(1.0, params.weights), points, s), s)
@@ -194,12 +202,13 @@ def _residual_factor(residuals: np.ndarray) -> np.ndarray:
 
 
 def _nll_core(*, weights, shift, sq_diffs, factor, n_outputs, amplitude=None):
-    """NLL, gradient and amplitude a for the Gram a (C + shift I), C at unit amplitude.
+    """NLL, gradient, amplitude a and factor L for the Gram a (C + shift I).
 
-    C = kernel_values(1, weighted_sq_dists(sq_diffs, weights)), sq_diffs that of
-    the inputs with themselves; shift is jitter_rel plus noise / a. The upper
-    triangle of K = C + shift I, the one factored, is gram's at unit amplitude.
-    factor is an (N, r) F with F F^T = R R^T for the centered residuals R (see
+    C = unit_kernel(sq_diffs, weights), sq_diffs that of the inputs with
+    themselves; shift is jitter_rel plus noise / a. The upper triangle of
+    K = C + shift I, the one factored, is gram's at unit amplitude, and L is its
+    lower Cholesky factor (see _cholesky): sqrt(a) L factors the Gram. factor is
+    an (N, r) F with F F^T = R R^T for the centered residuals R (see
     _residual_factor), r = min(N, d). With S = tr(F^T K^-1 F) the NLL is
     (N d / 2) log a + (d / 2) log|K| + S / (2 a) + (N d / 2) log 2pi. amplitude
     None profiles a out: S / (N d), or AMP_FLOOR where that is not positive. grad
@@ -207,18 +216,19 @@ def _nll_core(*, weights, shift, sq_diffs, factor, n_outputs, amplitude=None):
     0.5 tr(B dK) with B = d K^-1 - alpha alpha^T / a, alpha = K^-1 F. At the
     profiled a the weight and shift components are the profiled NLL's gradient
     (the envelope theorem). A K that is not positive definite, or an S that is
-    not finite, gives (inf, zeros, amplitude). Every product runs in scipy's BLAS.
+    not finite, gives (inf, zeros, amplitude, None). Every product runs in
+    scipy's BLAS.
     """
     n = sq_diffs.shape[0]
     d = n_outputs
-    C = kernel_values(1.0, weighted_sq_dists(sq_diffs, weights))
+    C = unit_kernel(sq_diffs, weights)
     K = C.copy()
     K.ravel()[:: n + 1] += shift
     chol = _cholesky(K, shift)
     if chol is None:
-        return np.inf, np.zeros(weights.size + 2), amplitude
+        return np.inf, np.zeros(weights.size + 2), amplitude, None
     logdet = 2.0 * float(np.log(chol.diagonal()).sum())
-    linv, _ = dtrtri(chol, lower=1, overwrite_c=1)  # L^-1, written over chol
+    linv, _ = dtrtri(chol, lower=1)  # L^-1, in a new array: the fit keeps L
     # K^-1 = L^-T L^-1 as a triangular product; linv's upper triangle is zero, so
     # the full K^-1 comes out
     kinv = dtrmm(1.0, linv, linv, lower=1, trans_a=1)
@@ -226,62 +236,68 @@ def _nll_core(*, weights, shift, sq_diffs, factor, n_outputs, amplitude=None):
     # a BLAS dot product, which unlike numpy's products overflows without a warning
     S = ddot(factor.ravel("F"), alpha.ravel("F"))
     if not math.isfinite(S):
-        return np.inf, np.zeros(weights.size + 2), amplitude
+        return np.inf, np.zeros(weights.size + 2), amplitude, None
     if amplitude is None:
         amplitude = S / (n * d) if S / (n * d) > 0 else AMP_FLOOR
     nll = 0.5 * (n * d * math.log(amplitude) + d * logdet + S / amplitude + n * d * LOG2PI)
-    # B = d K^-1 - u u^T, u = alpha / sqrt(a) (alpha alpha^T can overflow), over kinv
-    u = alpha * (1.0 / math.sqrt(amplitude))
-    B = dgemm(-1.0, u, u, beta=float(d), c=kinv, trans_b=1, overwrite_c=1)
+    # B = d K^-1 - u u^T over kinv, with alpha scaled in place to u = alpha / sqrt(a)
+    # (alpha alpha^T can overflow)
+    alpha *= 1.0 / math.sqrt(amplitude)
+    B = dgemm(-1.0, alpha, alpha, beta=float(d), c=kinv, trans_b=1, overwrite_c=1)
     # 0.5 tr(B dK) = 0.5 sum(B^T * dK), dK = -w_i sq_diffs[..., i] * C for weight i
     # and I for the shift; B^T is the C-ordered view of the Fortran-ordered B
     bc = B.T
+    flat = bc.ravel()
     grad = np.empty(weights.size + 2)
     grad[0] = 0.5 * (n * d - S / amplitude)
-    grad[-1] = 0.5 * bc.trace()
+    grad[-1] = 0.5 * flat[:: n + 1].sum()
     bc *= C
-    grad[1:-1] = -0.5 * weights * dgemv(1.0, sq_diffs.reshape(n * n, -1).T, bc.ravel())
-    return nll, grad, amplitude
+    # -0.5 w_i v_i: scaling the product by -0.5 afterwards rounds the same
+    np.multiply(weights, dgemv(1.0, sq_diffs.reshape(n * n, -1).T, flat), out=grad[1:-1])
+    grad[1:-1] *= -0.5
+    return nll, grad, amplitude, chol
 
 
 def _level_objective(x, sq, factor, n_outputs, jitter_rel, nugget, learn_nugget):
-    """fit_level's objective: profiled NLL, gradient over [log w (, log g)], amplitude.
+    """fit_level's objective: profiled NLL, gradient over [log w (, log g)], amplitude, L.
 
     _nll_core at the profiled amplitude and shift jitter_rel + g, the nugget g
-    relative to the amplitude: exp(x[-1]) with learn_nugget, nugget otherwise.
+    relative to the amplitude: exp(x[-1]) with learn_nugget, nugget otherwise. L
+    is the core's unit-amplitude factor, None where the Gram does not factor.
     """
     g = math.exp(x[-1]) if learn_nugget else nugget
-    nll, grad, amplitude = _nll_core(weights=np.exp(x[: sq.shape[2]]), shift=jitter_rel + g,
-                                     sq_diffs=sq, factor=factor, n_outputs=n_outputs)
+    nll, grad, amplitude, chol = _nll_core(weights=np.exp(x[: sq.shape[2]]), shift=jitter_rel + g,
+                                           sq_diffs=sq, factor=factor, n_outputs=n_outputs)
     if not learn_nugget:
-        return nll, grad[1:-1], amplitude
+        return nll, grad[1:-1], amplitude, chol
     grad[-1] *= g
-    return nll, grad[1:], amplitude
+    return nll, grad[1:], amplitude, chol
 
 
 def _nll_at(params: KernelHyperparams, sq: np.ndarray, factor: np.ndarray, n_outputs: int,
             jitter_rel):
-    """NLL and gradient over [log amplitude, log w (, log noise)] at fixed params.
+    """NLL, gradient over [log amplitude, log w (, log noise)] and L at fixed params.
 
     _nll_core at params.amplitude and _shift(params, jitter_rel), on the sq_diffs
     tensor sq of the inputs and the residual factor (see _residual_factor); the
-    noise is absolute, so its share of the shift falls as the amplitude grows. A
-    Gram that does not factor raises IllConditionedError.
+    noise is absolute, so its share of the shift falls as the amplitude grows. L
+    is the core's unit-amplitude factor. A Gram that does not factor raises
+    IllConditionedError.
     """
     jitter_rel = check_real(jitter_rel, "jitter_rel", "[0, inf)")
     if sq.shape[2] != params.dim:
         raise ValueError("data dimension does not match kernel weights")
-    nll, grad, _ = _nll_core(weights=params.weights, shift=_shift(params, jitter_rel),
-                             sq_diffs=sq, factor=factor, n_outputs=n_outputs,
-                             amplitude=params.amplitude)
+    nll, grad, _, chol = _nll_core(weights=params.weights, shift=_shift(params, jitter_rel),
+                                   sq_diffs=sq, factor=factor, n_outputs=n_outputs,
+                                   amplitude=params.amplitude)
     if not math.isfinite(nll):
         raise IllConditionedError(f"Gram matrix not positive definite at jitter_rel "
                                   f"{jitter_rel:.3e}", params=params)
     if params.noise == 0:
-        return nll, grad[:-1]
+        return nll, grad[:-1], chol
     grad[-1] *= params.noise / params.amplitude
     grad[0] -= grad[-1]
-    return nll, grad
+    return nll, grad, chol
 
 
 def _data_nll_at(params: KernelHyperparams, data: ResidualDataset, jitter_rel):
@@ -313,11 +329,18 @@ def nll_gradient(params: KernelHyperparams, data: ResidualDataset, jitter_rel=0.
 
 
 def _finalize_level(params: KernelHyperparams, inputs, centered, means, jitter_rel: float,
-                    fit_nll: float) -> TrainedLevel:
-    """Factor the Gram at jitter_rel * amplitude and solve for alpha; fit_nll is the caller's."""
-    chol = cholesky_with_escalation(params, inputs, jitter_rel)
-    white = solve_triangular(chol, centered, lower=True)
-    alpha = solve_triangular(chol, white, lower=True, trans="T")
+                    fit_nll: float, chol: np.ndarray) -> TrainedLevel:
+    """The level whose Gram, at jitter_rel * amplitude, has the lower Cholesky factor chol.
+
+    chol is the caller's, Fortran-ordered as LAPACK returns it: fit_level's comes
+    from its search, build_level's from its likelihood evaluation and load_model's
+    from cholesky_with_escalation.
+    alpha comes from two LAPACK triangular solves (dtrtrs, which solve_triangular
+    calls on such a factor); chol's diagonal is positive, so neither can fail.
+    fit_nll is the caller's too.
+    """
+    white, _ = dtrtrs(chol, centered, lower=1)
+    alpha, _ = dtrtrs(chol, white, lower=1, trans=1, overwrite_b=1)
     return TrainedLevel(params, np.array(inputs, dtype=float, copy=True), centered, means, chol,
                         alpha, jitter_rel * params.amplitude, fit_nll)
 
@@ -328,12 +351,17 @@ def build_level(
     jitter_rel: float = DEFAULT_JITTER_REL,
     center: bool = True,
 ) -> TrainedLevel:
-    """Construct a TrainedLevel with fixed hyperparameters, no optimization."""
+    """Construct a TrainedLevel with fixed hyperparameters, no optimization.
+
+    One likelihood evaluation at params gives fit_nll and, scaled by
+    sqrt(amplitude), the Cholesky factor cholesky_with_escalation would return.
+    """
     means = data.residuals.mean(axis=0) if center else np.zeros(data.output_dim)
     centered = data.residuals - means
-    fit_nll = _nll_at(params, sq_diffs(data.inputs, data.inputs), _residual_factor(centered),
-                      data.output_dim, jitter_rel)[0]
-    return _finalize_level(params, data.inputs, centered, means, jitter_rel, fit_nll)
+    fit_nll, _, chol = _nll_at(params, sq_diffs(data.inputs, data.inputs),
+                               _residual_factor(centered), data.output_dim, jitter_rel)
+    chol *= math.sqrt(params.amplitude)
+    return _finalize_level(params, data.inputs, centered, means, jitter_rel, fit_nll, chol)
 
 
 @dataclass
@@ -449,8 +477,11 @@ def fit_level(
     jitter_rel * amplitude: when no start reaches a Gram that factors there, the
     fit raises IllConditionedError, as it does for residuals whose squares sum
     beyond the float range. The objective remembers its last evaluation, so the
-    polish's first point (the best start's last) and the amplitude at the
-    polish's end cost no likelihood evaluation of their own; fit_nll costs one.
+    polish's first point (the best start's last) costs no likelihood evaluation
+    of its own, and the level is finished from the evaluation at the polish's
+    end: its amplitude, its NLL as fit_nll and its Cholesky factor, scaled by
+    sqrt(amplitude), with alpha from two triangular solves. The fit builds no
+    Gram and calls no cholesky_with_escalation.
     """
     if opt is None:
         opt = OptimizerConfig()
@@ -487,7 +518,8 @@ def fit_level(
         if learn_noise and init.noise > 0:
             warm[-1] = math.log(init.noise / init.amplitude)
 
-    latest = None  # the last evaluation: (x as a list, (f, grad), amplitude)
+    # the last evaluation: (x as a list, (f, grad), (nll, amplitude, unit-amplitude factor))
+    latest = None
 
     def objective(x: np.ndarray):
         # a Gram that does not factor gives NOT_PD_NLL with a zero gradient; a point
@@ -495,8 +527,9 @@ def fit_level(
         nonlocal latest
         point = x.tolist()
         if latest is None or point != latest[0]:
-            nll, grad, amplitude = _level_objective(x, sq, factor, d, jitter_rel, noise, learn_noise)
-            latest = point, (min(nll, NOT_PD_NLL), grad), amplitude
+            nll, grad, amplitude, chol = _level_objective(x, sq, factor, d, jitter_rel, noise,
+                                                          learn_noise)
+            latest = point, (min(nll, NOT_PD_NLL), grad), (nll, amplitude, chol)
         return latest[1]
 
     def descend(x0: np.ndarray, ftol: float, gtol: float):
@@ -516,11 +549,13 @@ def fit_level(
     # (unless its line search stopped abnormally: see LbfgsResult)
     polish, latest = descend(best.x, POLISH_FTOL, opt.grad_tol)
     objective(polish.x)  # evaluates only after an abnormal stop of the polish
-    amplitude = latest[2]
+    # the level is that evaluation's: L-BFGS-B only descends from the best start's
+    # finite value, so the Gram at polish.x factored
+    fit_nll, amplitude, chol = latest[2]
+    chol *= math.sqrt(amplitude)
     g = math.exp(polish.x[-1]) if learn_noise else noise
     params = KernelHyperparams(amplitude, np.exp(polish.x[:l]), g * amplitude)
-    fit_nll = _nll_at(params, sq, factor, d, jitter_rel)[0]
-    return _finalize_level(params, data.inputs, centered, means, jitter_rel, fit_nll)
+    return _finalize_level(params, data.inputs, centered, means, jitter_rel, fit_nll, chol)
 
 
 def level_predict(level: TrainedLevel, query):

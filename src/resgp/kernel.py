@@ -164,7 +164,7 @@ def sq_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b), l) tensor of squared per-coordinate differences of row pairs.
 
     This is the one pairwise routine: every kernel matrix is
-    kernel_values(amplitude, weighted_sq_dists(sq_diffs(a, b), weights)). a and
+    amplitude * unit_kernel(sq_diffs(a, b), weights). a and
     b are float arrays of any memory order; the result is a new C-ordered array,
     equal bit for bit to np.square(a[:, None, :] - b[None, :, :]).
     """
@@ -177,25 +177,21 @@ def sq_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.square(out, out=out).reshape(m, n, l)
 
 
-def weighted_sq_dists(sq: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(M, N) weighted squared distances sum_i w_i sq[..., i] of a sq_diffs tensor.
+def unit_kernel(sq: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(M, N) unit-amplitude kernel values exp(-min(sum_i w_i sq[..., i], DIST_CUT)).
 
-    The product runs in scipy's BLAS (dgemv) on the Fortran-ordered (l, M N)
-    view of the C-ordered tensor, so nothing is copied, and the Gram, the
-    cross-covariances and the likelihood core round it the same way.
+    sq is a sq_diffs tensor. One dgemv with alpha -1 on the Fortran-ordered
+    (l, M N) view of the C-ordered tensor, which copies nothing, gives the
+    negated weighted squared distances, and the cap and the exponential are taken
+    over that array in place. The Gram, the cross-covariances and the likelihood
+    core all round the distances this way.
     """
     m, n, l = sq.shape
     if m * n == 0:
         return np.zeros((m, n))
-    return dgemv(1.0, sq.reshape(m * n, l).T, weights, trans=1).reshape(m, n)
-
-
-def kernel_values(amplitude: float, sq_dists: np.ndarray) -> np.ndarray:
-    """amplitude * exp(-min(sq_dists, DIST_CUT)), elementwise, in one new array."""
-    k = np.minimum(sq_dists, DIST_CUT)
-    np.exp(np.negative(k, out=k), out=k)
-    k *= amplitude
-    return k
+    k = dgemv(-1.0, sq.reshape(m * n, l).T, weights, trans=1).reshape(m, n)
+    np.maximum(k, -DIST_CUT, out=k)
+    return np.exp(k, out=k)
 
 
 def ard_eval(params: KernelHyperparams, a, b) -> float:
@@ -217,7 +213,7 @@ def gram(params: KernelHyperparams, points, jitter: float = 0.0) -> np.ndarray:
     if pts.shape[1] != params.dim:
         raise ValueError("point dimension does not match kernel weights")
     jitter = check_real(jitter, "jitter", "[0, inf)")
-    K = kernel_values(params.amplitude, weighted_sq_dists(sq_diffs(pts, pts), params.weights))
+    K = unit_kernel(sq_diffs(pts, pts), params.weights) * params.amplitude
     # mirror the upper triangle, the one the Cholesky factorization reads, so the
     # matrix is exactly symmetric and equal to the likelihood core's
     lower = np.tril_indices_from(K, -1)
@@ -241,7 +237,10 @@ def cross_vec(params: KernelHyperparams, query, points) -> np.ndarray:
         q = q[None, :]
     if q.shape[1] != params.dim or pts.shape[1] != params.dim:
         raise ValueError("point dimension does not match kernel weights")
-    out = kernel_values(params.amplitude, weighted_sq_dists(sq_diffs(q, pts), params.weights))
+    # the product is a new array, allocated once the tensor is freed: with the
+    # tensor still live below it, glibc trims and refaults the heap on every call
+    # at 10,000 x 20 points (1,530 page faults, about 3 ms, per level_predict)
+    out = unit_kernel(sq_diffs(q, pts), params.weights) * params.amplitude
     return out[0] if single else out
 
 

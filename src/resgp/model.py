@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp_level import OptimizerConfig, ResidualDataset, fit_level, level_predict, _finalize_level
+from .gp_level import (
+    OptimizerConfig,
+    ResidualDataset,
+    cholesky_with_escalation,
+    fit_level,
+    level_predict,
+    _finalize_level,
+)
 from .kernel import (
     DEFAULT_JITTER_REL,
     DomainBox,
@@ -335,9 +342,9 @@ def load_model(path: str) -> ResGPModel:
                     f"{centered.shape} and {means.size} column_means do not fit a "
                     f"{domain.dim}-dimensional domain and {d} output columns"
                 )
-            levels.append(
-                _finalize_level(params, inputs, centered, means, jitter / params.amplitude, fit_nll)
-            )
+            jitter_rel = jitter / params.amplitude
+            chol = cholesky_with_escalation(params, inputs, jitter_rel)
+            levels.append(_finalize_level(params, inputs, centered, means, jitter_rel, fit_nll, chol))
         where = ""
         model = ResGPModel(levels, domain)
         for key in ("input_dim", "output_dim"):

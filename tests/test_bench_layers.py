@@ -19,6 +19,7 @@ from resgp import (
     active,
     gp_level,
     load_model,
+    model,
     nested_random_data,
     save_model,
     train,
@@ -59,7 +60,8 @@ def test_active_calls_fit_and_select_through_its_own_names():
 
 def test_each_level_factors_through_the_wrapped_cholesky_once(monkeypatch, tmp_path):
     # gp_level.cholesky.* times gp_level.cholesky_with_escalation; a factorization
-    # made past that name would read 0 there
+    # made past that name would read 0 there. A fit keeps the factor of its search's
+    # last likelihood evaluation, so train makes none; load_model makes one per level
     calls = []
     wrapped = gp_level.cholesky_with_escalation
 
@@ -67,13 +69,15 @@ def test_each_level_factors_through_the_wrapped_cholesky_once(monkeypatch, tmp_p
         calls.append(args)
         return wrapped(*args, **kwargs)
 
-    monkeypatch.setattr(gp_level, "cholesky_with_escalation", counting)
+    # the tracer wraps the function at every module name that holds it
+    for module in (gp_level, model):
+        monkeypatch.setattr(module, "cholesky_with_escalation", counting)
     data = nested_random_data("currin", DEFAULT_BUDGETS["currin"], 0)
-    model = train(data, OptimizerConfig(seed=0))
-    assert len(calls) == len(model.levels) == 2
-    save_model(model, str(tmp_path / "model.json"))
+    trained = train(data, OptimizerConfig(seed=0))
+    assert calls == [] and len(trained.levels) == 2
+    save_model(trained, str(tmp_path / "model.json"))
     load_model(str(tmp_path / "model.json"))
-    assert len(calls) == 2 * len(model.levels)
+    assert len(calls) == len(trained.levels)
 
 
 def test_benchmark_selftest_passes():

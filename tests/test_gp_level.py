@@ -272,8 +272,12 @@ def test_nll_core_matches_dense_reference(n, d_of_n):
 
     kw = core_case(n, d_of_n(n))
     ref_nll, ref_grad = dense_nll_reference(**kw)
-    nll, grad, amplitude = _nll_core(**kw)
+    nll, grad, amplitude, chol = _nll_core(**kw)
     assert amplitude == kw["amplitude"]
+    # the factor of the unit-amplitude matrix, lower triangular
+    C = np.exp(-kw["sq_diffs"] @ kw["weights"])
+    assert not np.triu(chol, 1).any()
+    np.testing.assert_allclose(chol @ chol.T, C + kw["shift"] * np.eye(n), rtol=1e-12, atol=1e-14)
     assert nll == pytest.approx(ref_nll, rel=1e-9)
     # components can cancel to near zero, so they are compared on the gradient's scale
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref_grad)))
@@ -288,7 +292,7 @@ def test_nll_core_profiles_the_amplitude(n, d):
 
     kw = core_case(n, d, seed=5)
     del kw["amplitude"]
-    nll, grad, amplitude = _nll_core(**kw)
+    nll, grad, amplitude, _ = _nll_core(**kw)
     ref_nll, ref_grad = dense_nll_reference(amplitude=amplitude, **kw)
     assert nll == pytest.approx(ref_nll, rel=1e-9)
     assert abs(grad[0]) <= 1e-9 * n * d
@@ -305,8 +309,8 @@ def test_residual_factor_gives_same_nll_as_full_residuals(n, d_of_n):
     kw = core_case(n, d_of_n(n), seed=3)
     factor = _residual_factor(kw["factor"])
     assert factor.shape == (n, min(n, kw["n_outputs"]))
-    nll, grad, _ = _nll_core(**kw)
-    nll_f, grad_f, _ = _nll_core(**{**kw, "factor": factor})
+    nll, grad, _, _ = _nll_core(**kw)
+    nll_f, grad_f, _, _ = _nll_core(**{**kw, "factor": factor})
     assert nll_f == pytest.approx(nll, rel=1e-10)
     np.testing.assert_allclose(grad_f, grad, rtol=1e-10)
 
@@ -335,7 +339,7 @@ def test_no_subnormal_kernel_values_at_short_length_scales():
         n_outputs=1,
     )
     ref_nll, ref_grad = dense_nll_reference(**kw)
-    nll, grad, _ = _nll_core(**kw)
+    nll, grad, _, _ = _nll_core(**kw)
     assert nll == pytest.approx(ref_nll, rel=1e-9)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref_grad)))
 
@@ -390,7 +394,7 @@ def test_nll_core_not_positive_definite_is_inf(points, shift):
     from resgp.gp_level import _nll_core
 
     x = np.array(points)
-    nll, grad, _ = _nll_core(
+    nll, grad, _, chol = _nll_core(
         amplitude=1.0,
         weights=np.array([1.0, 2.0]),
         shift=shift,
@@ -398,7 +402,7 @@ def test_nll_core_not_positive_definite_is_inf(points, shift):
         factor=np.ones((len(x), 1)),
         n_outputs=1,
     )
-    assert nll == np.inf
+    assert nll == np.inf and chol is None
     np.testing.assert_array_equal(grad, np.zeros(4))
 
 
@@ -499,7 +503,7 @@ def test_fit_gradient_small_at_interior_optimum():
     level = fit_level(ds, OptimizerConfig(seed=0))
     centered = ds.residuals - ds.residuals.mean(axis=0)
     p = level.params
-    _, g, amplitude = gp_level._level_objective(
+    _, g, amplitude, _ = gp_level._level_objective(
         np.log(p.weights), sq_diffs(ds.inputs, ds.inputs), centered, centered.shape[1],
         DEFAULT_JITTER_REL, 0.0, False,
     )
@@ -575,7 +579,7 @@ def test_profiled_objective_matches_central_differences(case):
         return gp_level._level_objective(point, sq, factor, r.shape[1], DEFAULT_JITTER_REL,
                                          case["nugget"], case["learn"])
 
-    nll, grad, amplitude = objective(case["point"])
+    nll, grad, amplitude, _ = objective(case["point"])
     assert math.isfinite(nll) and amplitude > 0
     step = 1e-5
     fd = np.empty_like(grad)
@@ -614,15 +618,16 @@ def near_singular_cases(draw):
 def test_profiled_objective_is_finite_or_not_positive_definite_without_warnings(case):
     # warnings fail the suite: an S that overflows takes the not-positive-definite path
     x, r = case["x"], case["residuals"]
-    nll, grad, amplitude = gp_level._level_objective(
+    nll, grad, amplitude, chol = gp_level._level_objective(
         case["point"], sq_diffs(x, x), gp_level._residual_factor(r), r.shape[1],
         case["jitter_rel"], 0.0, case["learn"],
     )
     assert grad.shape == case["point"].shape
     if nll == math.inf:
-        assert not grad.any()
+        assert not grad.any() and chol is None
     else:
         assert math.isfinite(nll) and np.isfinite(grad).all() and 0 < amplitude < math.inf
+        assert np.all(chol.diagonal() > 0)
 
 
 # every level of the Table-2 protocol at seed 0, as (benchmark, seed, level)
@@ -754,6 +759,83 @@ def test_fit_caches_consistent_factorization():
     np.testing.assert_allclose(K @ level.alpha, level.residuals, atol=1e-6)
 
 
+@st.composite
+def finalize_cases(draw):
+    """A level's data, from a smooth response plus noise of a drawn size, and its nugget
+    rule as fit_level's (noise, learn_noise): a fixed zero nugget, a fixed one that is
+    not small next to 1, or a learned one."""
+    n, l, d = draw(st.integers(1, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(size=(n, l))
+    r = np.sin(3.0 * x @ rng.normal(size=(l, d))) + draw(st.sampled_from([0.0, 0.1, 1.0, 3.0])) * (
+        rng.normal(size=(n, d)))
+    rule = draw(st.sampled_from([(0.0, False), (0.37, False), (2.9, False), (0.0, True)]))
+    return (ResidualDataset(x, r), *rule)
+
+
+def white_noise_case(seed, noise=0.0, learn=True, n=12):
+    """One input column and white-noise residuals, with a nugget rule as in finalize_cases."""
+    rng = np.random.default_rng(seed)
+    return ResidualDataset(rng.uniform(size=(n, 1)), rng.normal(size=(n, 1))), noise, learn
+
+
+# learned nuggets of 1.61 and e^10 (the box's ceiling) and a fixed one of 2.9 whose
+# diagonal rounds one unit away from the built level's; a fixed nugget of 1, where
+# (g a) / a is g exactly, so the diagonals agree
+@example(white_noise_case(143))
+@example(white_noise_case(196))
+@example(white_noise_case(5, noise=2.9, learn=False))
+@example(white_noise_case(0, noise=1.0, learn=False))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(finalize_cases())
+def test_a_fitted_level_is_the_built_level_at_its_params(case):
+    # the fit finishes from its search's last evaluation; building the level at the
+    # fitted params factors the same matrix and solves the same way, bit for bit
+    data, noise, learn = case
+    level = fit_level(data, OptimizerConfig(restarts=3, seed=0), noise=noise, learn_noise=learn)
+    built = build_level(level.params, data, DEFAULT_JITTER_REL)
+    own = ResidualDataset(level.inputs, level.residuals)
+    # a built level keeps its likelihood evaluation's factor; a loaded one factors
+    # through cholesky_with_escalation, and the two agree
+    np.testing.assert_array_equal(
+        built.chol, gp_level.cholesky_with_escalation(level.params, data.inputs, DEFAULT_JITTER_REL),
+        strict=True)
+    if not np.array_equal(level.chol, built.chol):
+        # the search's diagonal is 1 + (jitter_rel + g), the built level's
+        # 1 + (jitter_rel + (g a) / a) with params.noise = g a; the two can round one
+        # unit apart, and only a nugget g that is not small next to 1 lets that show.
+        # A fixed g is known, so the shifts must then differ
+        g = level.params.noise / level.params.amplitude
+        if learn:
+            assert g > 0.1
+        else:
+            assert noise > 0.1 and DEFAULT_JITTER_REL + g != DEFAULT_JITTER_REL + noise
+        scale = np.abs(built.chol).max()
+        np.testing.assert_allclose(level.chol, built.chol, rtol=0, atol=8 * gp_level.EPS * scale)
+        np.testing.assert_allclose(level.alpha, built.alpha, rtol=1e-12,
+                                   atol=1e-12 * np.abs(built.alpha).max())
+        assert level.fit_nll == pytest.approx(
+            neg_log_likelihood(level.params, own, DEFAULT_JITTER_REL), rel=1e-13)
+        return
+    np.testing.assert_array_equal(level.chol, built.chol, strict=True)
+    np.testing.assert_array_equal(level.alpha, built.alpha, strict=True)
+    assert level.fit_nll == built.fit_nll == neg_log_likelihood(level.params, own, DEFAULT_JITTER_REL)
+
+
+@pytest.mark.parametrize("learn", [False, True], ids=["zero-nugget", "learned-nugget"])
+def test_a_fit_builds_no_gram_and_factors_through_no_cholesky(monkeypatch, learn):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit rebuilt or refactored its Gram")
+
+    monkeypatch.setattr(gp_level, "gram", refuse)
+    monkeypatch.setattr(gp_level, "cholesky_with_escalation", refuse)
+    data = benchmark_level("currin", 0, 2)
+    level = fit_level(data, OptimizerConfig(seed=0), learn_noise=learn)
+    assert np.isfinite(level.fit_nll)
+    # nor does building the level at the fitted params
+    assert build_level(level.params, data).fit_nll == level.fit_nll
+
+
 def test_fit_nll_matches_recomputation():
     ds, _ = smooth_1d_sample(seed=25)
     level = fit_level(ds, OptimizerConfig(seed=0))
@@ -776,9 +858,9 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
     core_nlls, runs = [], []  # runs: the objective's (f, g) values, one list per L-BFGS-B run
 
     def recording_core(**kwargs):
-        nll, grad, amplitude = core(**kwargs)
-        core_nlls.append(nll)
-        return nll, grad, amplitude
+        result = core(**kwargs)
+        core_nlls.append(result[0])
+        return result
 
     def recording_driver(objective, x0, **kwargs):
         values = []
@@ -796,16 +878,15 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
     level = fit_level(ds, OptimizerConfig(seed=0), jitter_rel=0.0)
     # the polish's first point is where the best start stopped, which that start
     # evaluated last: the objective hands back that value, and the core is not called.
-    # The core's last call, after the search, gives fit_nll; the amplitude is the
-    # polish's last evaluation's
+    # Every core call is a search evaluation; the level is finished from the last
+    # one, at the polish's end, whose NLL is fit_nll
     *starts, polish = runs
     assert polish[0][0] == min(run[-1][0] for run in starts)
     objective_values = [value for run in starts for value in run] + polish[1:]
-    searched = core_nlls[:-1]
-    assert len(searched) == len(objective_values)
-    assert math.inf in searched and any(map(math.isfinite, searched))
+    assert len(core_nlls) == len(objective_values)
+    assert math.inf in core_nlls and any(map(math.isfinite, core_nlls))
     assert [f == gp_level.NOT_PD_NLL and not g.any() for f, g in objective_values] == [
-        nll == math.inf for nll in searched
+        nll == math.inf for nll in core_nlls
     ]
     assert core_nlls[-1] == level.fit_nll
     # the search steps back to shorter length scales, where the Gram factors
@@ -901,15 +982,15 @@ def count_evaluations(monkeypatch):
 
 def test_a_fit_calls_the_likelihood_core_once_per_point(monkeypatch):
     # the polish starts at the best start's last point, whose evaluation is reused
-    # (-1); the amplitude comes from the polish's last evaluation, and fit_nll takes
-    # one core call (+1)
+    # (-1); the level is finished from the polish's last evaluation, with no core
+    # call of its own
     ds = benchmark_level("currin", 0, 1)
     counts = count_evaluations(monkeypatch)
     cold = fit_level(ds, OptimizerConfig(seed=0))
-    assert counts["core"] == counts["objective"] - 1 + 1
+    assert counts["core"] == counts["objective"] - 1
     counts.update(core=0, objective=0)
     fit_level(ds, OptimizerConfig(seed=0, restarts=1), init=cold.params)
-    assert counts["core"] == counts["objective"] - 1 + 1
+    assert counts["core"] == counts["objective"] - 1
 
 
 def test_a_warm_refit_constructs_no_generator(monkeypatch):
@@ -941,9 +1022,9 @@ def test_a_run_that_stops_away_from_its_last_evaluation_is_evaluated_again(monke
     counts = count_evaluations(monkeypatch)
     level = fit_level(ds, OptimizerConfig(seed=0))
     # no objective call is served from an earlier evaluation, since the polish's start
-    # is evaluated again; after the search the core profiles the amplitude at the
-    # polish's end and gives fit_nll
-    assert counts["core"] == counts["objective"] + 2
+    # is evaluated again; after the search the core evaluates the polish's end once
+    # more, and the level is finished from that evaluation
+    assert counts["core"] == counts["objective"] + 1
     np.testing.assert_array_equal(level.params.weights, reference.params.weights)
     assert (level.params.amplitude, level.fit_nll) == (reference.params.amplitude, reference.fit_nll)
     np.testing.assert_array_equal(level.chol, reference.chol)

@@ -42,9 +42,8 @@ from resgp.kernel import (
     check_array,
     check_integer,
     check_real,
-    kernel_values,
     sq_diffs,
-    weighted_sq_dists,
+    unit_kernel,
 )
 
 
@@ -293,7 +292,7 @@ def test_kernel_matrices_come_from_one_pairwise_routine(case):
     K = gram(p, x, jitter)
     np.testing.assert_array_equal(K, K.T)
     # the upper triangle is the one the likelihood core factors at the same shift
-    core = kernel_values(p.amplitude, weighted_sq_dists(sq_diffs(x, x), p.weights))
+    core = p.amplitude * unit_kernel(sq_diffs(x, x), p.weights)
     core.flat[:: n + 1] += jitter + p.noise
     np.testing.assert_array_equal(np.triu(K), np.triu(core))
 
@@ -342,7 +341,7 @@ def test_sq_diffs_is_the_broadcast_square_in_c_order(ab):
     a, b = ab
     sq = sq_diffs(a, b)
     np.testing.assert_array_equal(sq, np.square(a[:, None, :] - b[None, :, :]), strict=True)
-    # weighted_sq_dists reads the tensor through a reshape that must not copy; the
+    # unit_kernel reads the tensor through a reshape that must not copy; the
     # broadcast gives a Fortran-ordered tensor for Fortran-ordered inputs
     assert sq.flags.c_contiguous and sq.shape == (len(a), len(b), a.shape[1])
 
