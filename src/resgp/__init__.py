@@ -29,7 +29,6 @@ from .benchmarks import (
     nested_random_data,
     nested_subsample,
     pendulum_energy,
-    pendulum_solve,
     pendulum_trajectory,
     read_dataset_csv,
     run_benchmark_case,
@@ -38,12 +37,10 @@ from .benchmarks import (
 )
 from .bounds import (
     BoundConfig,
-    ResourceLimitError,
     UniformBound,
     UnsupportedModelError,
     covering_number_bound,
     empirical_coverage,
-    fill_distance,
     mean_lipschitz_bound,
     sigma_modulus,
     uniform_bound,
@@ -63,7 +60,6 @@ from .kernel import (
     DEFAULT_JITTER_REL,
     DomainBox,
     KernelHyperparams,
-    ard_eval,
     cross_vec,
     gram,
     kernel_lipschitz,

@@ -173,12 +173,6 @@ def _pendulum_integrate(theta1_0, dt, keep_path=False):
     return state
 
 
-def pendulum_solve(theta1_0: float, dt: float = 0.01) -> tuple[float, float]:
-    """Angles (theta1, theta2) at t=5 for the given release angle and step."""
-    state = _pendulum_integrate(check_real(theta1_0, "theta1_0", "(-inf, inf)"), dt)
-    return float(state[0, 0]), float(state[1, 0])
-
-
 def pendulum_trajectory(theta1_0: float, dt: float = 0.01):
     """Times and full (theta1, theta2, omega1, omega2) path, for diagnostics."""
     times, path = _pendulum_integrate(check_real(theta1_0, "theta1_0", "(-inf, inf)"), dt,

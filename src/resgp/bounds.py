@@ -19,20 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import svdvals
-from scipy.spatial import cKDTree
 
-from .kernel import DomainBox, KernelHyperparams, check_array, check_integer, check_real, kernel_lipschitz
+from .kernel import DomainBox, KernelHyperparams, check_array, check_real, kernel_lipschitz
 from .model import ResGPModel, predict
-
-GRID_POINT_CAP = 10_000_000
 
 
 class UnsupportedModelError(ValueError):
     """The bound machinery covers single-output models only."""
-
-
-class ResourceLimitError(RuntimeError):
-    """A requested grid would exceed the evaluation cap."""
 
 
 @dataclass
@@ -73,7 +66,7 @@ class UniformBound:
 
 
 def _require_hypercube(domain: DomainBox) -> None:
-    if not domain.is_hypercube(1e-12):
+    if not domain.is_hypercube():
         raise ValueError("covering bound requires a hypercubic domain (equal edge lengths)")
 
 
@@ -116,40 +109,13 @@ def sigma_modulus(model: ResGPModel, r: float, domain: DomainBox | None = None) 
 def covering_number_bound(domain: DomainBox, tau: float) -> int:
     """Upper bound ceil((1 + e/tau)^l) on the tau-covering number of a
     hypercube with edge length e."""
-    if tau != math.inf:  # an infinite radius covers the box with one ball
-        tau = check_real(tau, "tau", "(0, inf)")
+    tau = check_real(tau, "tau", "(0, inf)")
     _require_hypercube(domain)
     edge = float(domain.width[0])
-    value = (1.0 + edge / tau) ** domain.dim
-    if not math.isfinite(value):
-        raise OverflowError("covering number too large to represent")
-    return int(math.ceil(value))
-
-
-def fill_distance(design, domain: DomainBox, grid_resolution: int = 101) -> float:
-    """Largest distance from a regular evaluation grid to the design.
-
-    A lower estimate of the true fill distance; it improves as the grid
-    refines. Grids beyond GRID_POINT_CAP points are refused.
-    """
-    pts = check_array(design, "design", 2)
-    if pts.shape[0] == 0:
-        raise ValueError("design must hold at least one point")
-    if pts.shape[1] != domain.dim:
-        raise ValueError("design dimension does not match domain")
-    grid_resolution = check_integer(grid_resolution, "grid_resolution", 2)
-    total = grid_resolution**domain.dim
-    if total > GRID_POINT_CAP:
-        raise ResourceLimitError(
-            f"grid of {total} points exceeds the cap of {GRID_POINT_CAP}"
-        )
-    axes = [
-        np.linspace(domain.lower[i], domain.upper[i], grid_resolution)
-        for i in range(domain.dim)
-    ]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dim)
-    dists, _ = cKDTree(pts).query(mesh)
-    return float(np.max(dists))
+    try:  # the power overflows, or its ceiling does when the power is infinite
+        return math.ceil((1.0 + edge / tau) ** domain.dim)
+    except OverflowError:
+        raise OverflowError(f"covering number at tau {tau:g} too large to represent") from None
 
 
 def uniform_bound(model: ResGPModel, cfg: BoundConfig):

@@ -39,7 +39,6 @@ from .benchmarks import (
 )
 from .bounds import (
     BoundConfig,
-    ResourceLimitError,
     covering_number_bound,
     empirical_coverage,
     uniform_bound,
@@ -531,7 +530,7 @@ def main(argv=None) -> int:
         else:
             cmd_bench(config, args.out, args.seed, args.format)
         return EXIT_OK
-    except (UsageError, ResourceLimitError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # an array too large to allocate, such as a huge grid_points

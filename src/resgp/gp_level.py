@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.blas import ddot, dgemm, dgemv, dtrmm
 from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 from scipy.optimize._lbfgsb import setulb
@@ -335,8 +334,8 @@ def _finalize_level(params: KernelHyperparams, inputs, centered, means, jitter_r
     chol is the caller's, Fortran-ordered as LAPACK returns it: fit_level's comes
     from its search, build_level's from its likelihood evaluation and load_model's
     from cholesky_with_escalation.
-    alpha comes from two LAPACK triangular solves (dtrtrs, which solve_triangular
-    calls on such a factor); chol's diagonal is positive, so neither can fail.
+    alpha comes from two LAPACK triangular solves (dtrtrs, as in level_predict);
+    chol's diagonal is positive, so neither can fail.
     fit_nll is the caller's too.
     """
     white, _ = dtrtrs(chol, centered, lower=1)
@@ -571,7 +570,7 @@ def level_predict(level: TrainedLevel, query):
         q = q[None, :]
     k = cross_vec(level.params, q, level.inputs)  # (M, N)
     mean = k @ level.alpha + level.column_means
-    white = solve_triangular(level.chol, k.T, lower=True)  # (N, M)
+    white, _ = dtrtrs(level.chol, k.T, lower=1, overwrite_b=1)  # (N, M), in k's memory
     var = level.params.amplitude - np.sum(white * white, axis=0)
     var = np.maximum(var, 0.0)
     if single:

@@ -29,6 +29,8 @@ DEFAULT_JITTER_REL = 1e-8
 # cap keeps subnormal numbers, which slow floating-point arithmetic many times
 # over, out of every Gram, cross-covariance and likelihood evaluation.
 DIST_CUT = 230.0
+# edges equal within this absolute tolerance make a hypercube
+HYPERCUBE_ATOL = 1e-12
 
 
 def _inside(value, bounds: str):
@@ -131,9 +133,9 @@ class DomainBox:
         x = np.asarray(x, dtype=float)
         return (x - self.lower) / self.width
 
-    def is_hypercube(self, atol: float = 1e-12) -> bool:
+    def is_hypercube(self) -> bool:
         w = self.width
-        return bool(np.all(np.abs(w - w[0]) <= atol))
+        return bool(np.all(np.abs(w - w[0]) <= HYPERCUBE_ATOL))
 
     @staticmethod
     def unit(dim: int) -> "DomainBox":
@@ -192,15 +194,6 @@ def unit_kernel(sq: np.ndarray, weights: np.ndarray) -> np.ndarray:
     k = dgemv(-1.0, sq.reshape(m * n, l).T, weights, trans=1).reshape(m, n)
     np.maximum(k, -DIST_CUT, out=k)
     return np.exp(k, out=k)
-
-
-def ard_eval(params: KernelHyperparams, a, b) -> float:
-    """Kernel value amplitude * exp(-sum_i w_i (a_i - b_i)^2) for two points."""
-    a = check_array(a, "a", 1)
-    b = check_array(b, "b", 1)
-    if a.size != params.dim or b.size != params.dim:
-        raise ValueError("point dimension does not match kernel weights")
-    return float(cross_vec(params, a, b[None, :])[0])
 
 
 def gram(params: KernelHyperparams, points, jitter: float = 0.0) -> np.ndarray:
@@ -267,7 +260,7 @@ def _grad_norm_sup(params: KernelHyperparams, max_offsets: np.ndarray) -> float:
         budget += v
         if v == v_to_target:
             break
-    return 2.0 * params.amplitude * np.exp(-budget) * np.sqrt(weighted_sum)
+    return float(2.0 * params.amplitude * np.exp(-budget) * np.sqrt(weighted_sum))
 
 
 def kernel_lipschitz(params: KernelHyperparams, domain: DomainBox) -> float:

@@ -34,6 +34,8 @@ from .kernel import (
 
 MODEL_FORMAT = "resgp-model"
 MODEL_VERSION = 1
+# a higher-fidelity input matches a lower-fidelity row within this absolute tolerance per coordinate
+NESTING_ATOL = 1e-12
 
 
 class NestingError(ValueError):
@@ -120,8 +122,8 @@ class Posterior:
     var: np.ndarray | float
 
 
-def nesting_check(data: MultiFidelityData, atol: float = 1e-12) -> list:
-    """Verify each fidelity's inputs appear in the fidelity below, within atol.
+def nesting_check(data: MultiFidelityData) -> list:
+    """Verify each fidelity's inputs appear in the fidelity below, within NESTING_ATOL.
 
     Returns one row map per fidelity f >= 2: rows[f - 2][i] is the row of
     fidelity f-1 matching row i of fidelity f. Matching is coordinate-wise
@@ -133,7 +135,7 @@ def nesting_check(data: MultiFidelityData, atol: float = 1e-12) -> list:
         child = data.inputs[f - 1]
         parent = data.inputs[f - 2]
         close = np.all(
-            np.abs(child[:, None, :] - parent[None, :, :]) <= atol, axis=2
+            np.abs(child[:, None, :] - parent[None, :, :]) <= NESTING_ATOL, axis=2
         )
         found = close.any(axis=1)
         if not found.all():

@@ -24,7 +24,6 @@ from resgp import (
     nested_subsample,
     nesting_check,
     pendulum_energy,
-    pendulum_solve,
     pendulum_trajectory,
     read_dataset_csv,
     run_benchmark_case,
@@ -335,17 +334,22 @@ def test_pendulum_initial_energy_closed_form():
     assert abs(pendulum_energy(state) - expected) < 1e-12
 
 
+def pendulum_angles(theta1_0, dt):
+    """(theta1, theta2) at t=5: the last state of the trajectory."""
+    return pendulum_trajectory(theta1_0, dt)[1][-1, :2]
+
+
 def test_pendulum_solver_self_convergence():
-    coarse = pendulum_solve(1.4, dt=0.1)[0]
-    mid = pendulum_solve(1.4, dt=0.01)[0]
-    fine = pendulum_solve(1.4, dt=0.001)[0]
+    coarse = pendulum_angles(1.4, dt=0.1)[0]
+    mid = pendulum_angles(1.4, dt=0.01)[0]
+    fine = pendulum_angles(1.4, dt=0.001)[0]
     assert abs(mid - fine) < abs(coarse - mid)
     assert abs(mid - fine) < 1e-4
 
 
 def test_pendulum_finite_sensitivity_to_release_angle():
-    base = pendulum_solve(1.4, dt=0.01)
-    bumped = pendulum_solve(1.4 + 1e-6, dt=0.01)
+    base = pendulum_angles(1.4, dt=0.01)
+    bumped = pendulum_angles(1.4 + 1e-6, dt=0.01)
     delta = abs(bumped[0] - base[0])
     assert math.isfinite(delta)
     assert delta < 1e-2
@@ -353,16 +357,15 @@ def test_pendulum_finite_sensitivity_to_release_angle():
 
 def test_pendulum_step_validation():
     with pytest.raises(ValueError, match="dt"):
-        pendulum_solve(1.4, dt=0.0)
+        pendulum_trajectory(1.4, dt=0.0)
     with pytest.raises(ValueError, match="dt"):
-        pendulum_solve(1.4, dt=6.0)
+        pendulum_trajectory(1.4, dt=6.0)
 
 
 def test_pendulum_benchmark_outputs_both_angles():
     out = evaluate("pendulum", 2, np.array([1.4]))
     assert out.shape == (2,)
-    th1, th2 = pendulum_solve(1.4, dt=0.01)
-    np.testing.assert_allclose(out, [th1, th2], atol=0)
+    np.testing.assert_array_equal(out, pendulum_angles(1.4, dt=0.01))
     low = evaluate("pendulum", 1, np.array([[1.3], [1.5]]))
     assert low.shape == (2, 2)
 

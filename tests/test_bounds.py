@@ -14,14 +14,12 @@ from resgp import (
     OptimizerConfig,
     ResGPModel,
     ResidualDataset,
-    ResourceLimitError,
     UnsupportedModelError,
     bounds,
     build_level,
     covering_number_bound,
     empirical_coverage,
     evaluate,
-    fill_distance,
     kernel_lipschitz,
     mean_lipschitz_bound,
     predict,
@@ -66,7 +64,6 @@ def test_covering_unit_interval_tenth():
 
 
 def test_covering_single_ball_limit():
-    assert covering_number_bound(UNIT, math.inf) == 1
     # any finite radius still upper-bounds by at least one extra ball
     assert covering_number_bound(UNIT, 1e9) == 2
 
@@ -82,28 +79,11 @@ def test_covering_rejects_non_positive_radius():
         covering_number_bound(UNIT, 0.0)
 
 
-# --- fill_distance ----------------------------------------------------------
-
-
-def test_fill_distance_midpoint():
-    assert fill_distance(np.array([[0.5]]), UNIT) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_fill_distance_endpoints():
-    assert fill_distance(np.array([[0.0], [1.0]]), UNIT) == pytest.approx(
-        0.5, abs=1e-12
-    )
-
-
-def test_fill_distance_of_evaluation_grid_is_zero():
-    grid = np.linspace(0.0, 1.0, 101)[:, None]
-    assert fill_distance(grid, UNIT, grid_resolution=101) == 0.0
-
-
-def test_fill_distance_grid_cap():
-    design = np.full((1, 4), 0.5)
-    with pytest.raises(ResourceLimitError):
-        fill_distance(design, DomainBox.unit(4), grid_resolution=100)
+@pytest.mark.parametrize("dim, tau", [(2, 1e-300), (1, 5e-324)], ids=["power", "ceiling"])
+def test_covering_overflow_names_tau(dim, tau):
+    # (1 + 1/tau)^2 overflows in the power; at 5e-324 the power is infinite and its ceiling overflows
+    with pytest.raises(OverflowError, match=f"^covering number at tau {tau:g} too large to represent$"):
+        covering_number_bound(DomainBox.unit(dim), tau)
 
 
 # --- mean_lipschitz_bound and sigma_modulus ---------------------------------
@@ -273,6 +253,12 @@ def test_bound_constants_are_pinned():
         [25.22320883616576, 343190.6664831025, 847338.4781434592, 4646467388565.436],
         rtol=1e-12,
     )
+
+
+def test_bound_constants_are_python_floats():
+    bound, _ = uniform_bound(univariate_model(), BoundConfig(0.05, 1e-3, 1.0, None))
+    for value in (bound.beta, bound.gamma, bound.l_mu, bound.omega_coeff):
+        assert type(value) is float
 
 
 def test_uniform_bound_without_a_domain_takes_the_model_box():

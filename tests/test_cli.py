@@ -859,6 +859,17 @@ def test_domain_bounds_must_be_json_numbers(univariate_model, tmp_path, capsys, 
     assert "domain lower must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", [1e-300, 5e-324])
+def test_bounds_covering_number_overflow_is_numeric_error(tmp_path, capsys, tau):
+    model_path = tmp_path / "trained" / "model.json"
+    assert main(["train", "--config", currin_config(tmp_path, budgets=[6, 2], test_points=20),
+                 "--out", str(model_path.parent)]) == 0
+    cfg = write_config(tmp_path, "bounds.json", {"delta": 0.05, "tau": tau, "l_y": 36.0})
+    assert main(["bounds", "--model", str(model_path), "--config", cfg,
+                 "--out", str(tmp_path / "b")]) == 3
+    assert f"numerical error: covering number at tau {tau:g} too large" in capsys.readouterr().err
+
+
 def test_bounds_requires_config_keys(univariate_model, tmp_path, capsys):
     cfg = write_config(tmp_path, "bounds.json", {"delta": 0.05, "l_y": 10.0})
     assert main(["bounds", "--model", str(univariate_model), "--config", cfg, "--out", str(tmp_path)]) == 1

@@ -18,18 +18,17 @@ from resgp import (
     OptimizerConfig,
     ResGPModel,
     ResidualDataset,
-    ard_eval,
     build_level,
+    covering_number_bound,
     cross_vec,
     design_uniform,
     evaluate,
-    fill_distance,
     fit_level,
     gram,
     kernel_lipschitz,
     neg_log_likelihood,
     nested_subsample,
-    pendulum_solve,
+    pendulum_trajectory,
     predict_fidelity,
     sequential_construct,
     sigma_modulus,
@@ -51,18 +50,18 @@ def params_1d(amplitude=1.0, weight=1.0, noise=0.0):
     return KernelHyperparams(amplitude, np.array([weight]), noise)
 
 
-# --- ard_eval ---------------------------------------------------------------
+# --- kernel values (cross_vec) ---------------------------------------------
 
 
 def test_zero_distance_returns_amplitude():
     p = KernelHyperparams(2.0, np.array([3.0, 0.1, 7.0]))
     a = np.array([0.4, -1.0, 2.5])
-    assert ard_eval(p, a, a) == 2.0
+    assert cross_vec(p, a, a[None, :])[0] == 2.0
 
 
 def test_unit_separation_frozen_value():
     # amplitude 2, weight 1, points 0 and 1: 2 * exp(-1)
-    v = ard_eval(params_1d(amplitude=2.0), np.array([0.0]), np.array([1.0]))
+    v = cross_vec(params_1d(amplitude=2.0), np.array([0.0]), np.array([[1.0]]))[0]
     assert v == pytest.approx(0.7357588823428847, abs=1e-15)
 
 
@@ -71,20 +70,20 @@ def test_symmetry_random_pairs():
     p = KernelHyperparams(1.3, rng.uniform(0.1, 5.0, size=4))
     for _ in range(100):
         a, b = rng.normal(size=4), rng.normal(size=4)
-        assert ard_eval(p, a, b) == ard_eval(p, b, a)
+        assert cross_vec(p, a, b[None, :])[0] == cross_vec(p, b, a[None, :])[0]
 
 
 def test_bounded_by_amplitude():
     rng = np.random.default_rng(1)
     p = KernelHyperparams(0.8, rng.uniform(0.1, 5.0, size=3))
     for _ in range(100):
-        v = ard_eval(p, rng.normal(size=3), rng.normal(size=3))
+        v = cross_vec(p, rng.normal(size=3), rng.normal(size=(1, 3)))[0]
         assert 0.0 < v <= 0.8
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        ard_eval(params_1d(), np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        cross_vec(params_1d(), np.array([0.0, 1.0]), np.array([[0.0, 1.0]]))
 
 
 # --- gram -------------------------------------------------------------------
@@ -192,7 +191,7 @@ def test_lipschitz_dominates_sampled_differences():
         a = rng.uniform(lo, hi)
         b = rng.uniform(lo, hi)
         c = rng.uniform(lo, hi)
-        lhs = abs(ard_eval(p, a, c) - ard_eval(p, b, c))
+        lhs = abs(cross_vec(p, a, c[None, :])[0] - cross_vec(p, b, c[None, :])[0])
         assert lhs <= L * np.linalg.norm(a - b) + 1e-12
 
 
@@ -390,10 +389,11 @@ NUMBER_FIELDS = {
     "nested_subsample-seed": ("seed", int, lambda v: nested_subsample(np.zeros((3, 1)), 2, v), -1),
     "sequential_construct-seed": ("seed", int, lambda v: sequential_construct(
         [[0.0], [1.0]], [2], lambda f, x: x, seed=v), -1),
-    "fill_distance-grid_resolution": ("grid_resolution", int,
-                                      lambda v: fill_distance([[0.5]], UNIT1, v), 1),
-    "pendulum_solve-theta1_0": ("theta1_0", float, lambda v: pendulum_solve(v, dt=1.0), None),
-    "pendulum_solve-dt": ("dt", float, lambda v: pendulum_solve(1.4, dt=v), 5.000000000000001),
+    "covering_number_bound-tau": ("tau", float, lambda v: covering_number_bound(UNIT1, v), 0.0),
+    "pendulum_trajectory-theta1_0": ("theta1_0", float, lambda v: pendulum_trajectory(v, dt=1.0),
+                                     None),
+    "pendulum_trajectory-dt": ("dt", float, lambda v: pendulum_trajectory(1.4, dt=v),
+                               5.000000000000001),
     "predict_fidelity-fidelity": ("fidelity", int,
                                   lambda v: predict_fidelity(one_level_model(), [[0.5]], v), 2),
     "evaluate-fidelity": ("fidelity", int, lambda v: evaluate("currin", v, [0.5, 0.5]), 3),
