@@ -8,7 +8,6 @@ inputs, and a suite of synthetic benchmarks.
 """
 
 from .active import (
-    CandidatePool,
     ConstructionResult,
     OracleError,
     read_audit,

@@ -39,22 +39,6 @@ class OracleError(RuntimeError):
 
 
 @dataclass
-class CandidatePool:
-    """Finite set of admissible inputs."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = check_array(self.points, "pool points", 2)
-        if self.points.shape[0] == 0:
-            raise ValueError("pool must hold at least one point")
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass
 class ConstructionResult:
     """Output of sequential_construct: final model, audit log, chosen pool
     indices per fidelity, and the nested design with its simulator outputs."""
@@ -83,7 +67,7 @@ def select_next(level: TrainedLevel, candidates) -> tuple[int, float]:
 
 
 def sequential_construct(
-    pool,
+    pool: np.ndarray,
     budgets,
     oracle,
     opt: OptimizerConfig | None = None,
@@ -107,15 +91,15 @@ def sequential_construct(
         raise ValueError(f"unknown strategy: {strategy}")
     if opt is None:
         opt = OptimizerConfig()
-    if not isinstance(pool, CandidatePool):
-        pool = CandidatePool(points=pool)
-    raw = pool.points
+    raw = check_array(pool, "pool points", 2)
+    if raw.shape[0] == 0:
+        raise ValueError("pool must hold at least one point")
     if domain is None:
         domain = _infer_domain(raw)
     if domain.dim != raw.shape[1]:
         raise ValueError("domain dimension does not match pool")
     budgets = check_budgets(budgets)
-    if budgets[0] > pool.size:
+    if budgets[0] > raw.shape[0]:
         raise ValueError("lowest-fidelity budget exceeds the pool size")
     unit = domain.normalize(raw)
     rng = np.random.default_rng(check_integer(seed, "seed", 0))
@@ -144,7 +128,7 @@ def sequential_construct(
     levels: list[TrainedLevel] = []
     selected: dict = {}
     for f in range(1, len(budgets) + 1):
-        source = np.arange(pool.size) if f == 1 else np.array(selected[f - 1])
+        source = np.arange(raw.shape[0]) if f == 1 else np.array(selected[f - 1])
         # free[k]: source[k] is still a candidate
         free = np.ones(len(source), dtype=bool)
         k, mode, gain = int(rng.integers(len(source))), "seed", None

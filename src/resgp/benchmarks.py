@@ -149,35 +149,28 @@ def _pendulum_rhs(state):
     return np.stack([w1, w2, a1, a2])
 
 
-def _pendulum_integrate(theta1_0, dt, keep_path=False):
-    """Classic four-stage RK4 with fixed step from t=0 to t=5."""
+def _pendulum_integrate(theta1_0, dt):
+    """Fixed-step RK4 from t=0 to t=5; yields the (4, M) state at t=0 and after each step."""
     th0 = np.atleast_1d(np.asarray(theta1_0, dtype=float))
     dt = check_real(dt, "dt", f"(0, {_PEND_T_END:g}]")
     n_steps = max(1, int(round(_PEND_T_END / dt)))
     h = _PEND_T_END / n_steps
-    state = np.stack(
-        [th0, np.full_like(th0, _PEND_THETA2_0), np.zeros_like(th0), np.zeros_like(th0)]
-    )
-    path = [state.copy()] if keep_path else None
+    zero = np.zeros_like(th0)
+    state = np.stack([th0, np.full_like(th0, _PEND_THETA2_0), zero, zero])
+    yield state
     for _ in range(n_steps):
         k1 = _pendulum_rhs(state)
         k2 = _pendulum_rhs(state + 0.5 * h * k1)
         k3 = _pendulum_rhs(state + 0.5 * h * k2)
         k4 = _pendulum_rhs(state + h * k3)
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if keep_path:
-            path.append(state.copy())
-    if keep_path:
-        times = np.linspace(0.0, _PEND_T_END, n_steps + 1)
-        return times, np.stack(path)
-    return state
+        yield state
 
 
 def pendulum_trajectory(theta1_0: float, dt: float = 0.01):
     """Times and full (theta1, theta2, omega1, omega2) path, for diagnostics."""
-    times, path = _pendulum_integrate(check_real(theta1_0, "theta1_0", "(-inf, inf)"), dt,
-                                      keep_path=True)
-    return times, path[:, :, 0]
+    path = np.stack(list(_pendulum_integrate(check_real(theta1_0, "theta1_0", "(-inf, inf)"), dt)))
+    return np.linspace(0.0, _PEND_T_END, path.shape[0]), path[:, :, 0]
 
 
 def pendulum_energy(states) -> np.ndarray:
@@ -197,7 +190,8 @@ def pendulum_energy(states) -> np.ndarray:
 
 def _pendulum(dt, theta1_0):
     """Angles (theta1, theta2) at t=5, one row per release angle, integrated at step dt."""
-    state = _pendulum_integrate(theta1_0, dt)
+    for state in _pendulum_integrate(theta1_0, dt):  # keeps one state at a time
+        pass
     return np.stack([state[0], state[1]], axis=1)
 
 

@@ -305,7 +305,8 @@ def _data_nll_at(params: KernelHyperparams, data: ResidualDataset, jitter_rel):
                    data.output_dim, jitter_rel)
 
 
-def neg_log_likelihood(params: KernelHyperparams, data: ResidualDataset, jitter_rel=0.0) -> float:
+def neg_log_likelihood(params: KernelHyperparams, data: ResidualDataset,
+                       jitter_rel=DEFAULT_JITTER_REL) -> float:
     """Negative log marginal likelihood of the residual matrix under the level GP.
 
     Equals the sum over output columns of the negated Gaussian log-density:
@@ -316,7 +317,8 @@ def neg_log_likelihood(params: KernelHyperparams, data: ResidualDataset, jitter_
     return float(_data_nll_at(params, data, jitter_rel)[0])
 
 
-def nll_gradient(params: KernelHyperparams, data: ResidualDataset, jitter_rel=0.0) -> np.ndarray:
+def nll_gradient(params: KernelHyperparams, data: ResidualDataset,
+                 jitter_rel=DEFAULT_JITTER_REL) -> np.ndarray:
     """Gradient of neg_log_likelihood with respect to log-hyperparameters.
 
     Component order is [log amplitude, log w_1 .. log w_l] with a trailing

@@ -5,7 +5,6 @@ import pytest
 
 from resgp import (
     BENCHMARKS,
-    CandidatePool,
     KernelHyperparams,
     OptimizerConfig,
     OracleError,
@@ -133,16 +132,18 @@ def test_max_gain_never_increases_as_points_accrue():
         chosen.append(remaining[local])
 
 
-# --- CandidatePool ----------------------------------------------------------
+# --- the pool ---------------------------------------------------------------
 
 
 def test_pool_validation():
-    with pytest.raises(ValueError):
-        CandidatePool(np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        CandidatePool(np.array([[np.nan, 0.0]]))
-    pool = CandidatePool(np.zeros((5, 2)))
-    assert pool.size == 5
+    with pytest.raises(ValueError, match="pool must hold at least one point"):
+        sequential_construct(np.zeros((0, 2)), [1], currin_oracle)
+    with pytest.raises(ValueError, match="pool points"):
+        sequential_construct(np.array([[np.nan, 0.0]]), [1], currin_oracle)
+    # a nested list is read as the (M, l) array it spells
+    res = sequential_construct(small_pool(seed=4, size=5).tolist(), [5], currin_oracle,
+                               OptimizerConfig(seed=0))
+    assert sorted(res.selected[1]) == list(range(5))
 
 
 # --- sequential_construct ---------------------------------------------------

@@ -366,8 +366,12 @@ def test_pendulum_benchmark_outputs_both_angles():
     out = evaluate("pendulum", 2, np.array([1.4]))
     assert out.shape == (2,)
     np.testing.assert_array_equal(out, pendulum_angles(1.4, dt=0.01))
-    low = evaluate("pendulum", 1, np.array([[1.3], [1.5]]))
-    assert low.shape == (2, 2)
+    # a batch integrates all release angles at once, bit for bit as each one's trajectory
+    angles = np.linspace(1.25, 1.57, 5)
+    for fidelity, dt in ((1, 0.1), (2, 0.01)):
+        batch = evaluate("pendulum", fidelity, angles[:, None])
+        assert batch.shape == (5, 2)
+        np.testing.assert_array_equal(batch, [pendulum_angles(a, dt) for a in angles])
 
 
 # ---------------------------------------------------------------------------

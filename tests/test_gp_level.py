@@ -76,7 +76,7 @@ def smooth_1d_sample(seed, n=40, amplitude=1.5, weight=8.0, d=1, regular=False):
 def test_nll_single_zero_residual():
     ds = scalar_dataset([0.3], [0.0])
     p = KernelHyperparams(1.0, np.array([1.0]))
-    assert neg_log_likelihood(p, ds) == pytest.approx(HALF_LOG_2PI, abs=1e-14)
+    assert neg_log_likelihood(p, ds, jitter_rel=0.0) == pytest.approx(HALF_LOG_2PI, abs=1e-14)
 
 
 def test_nll_single_unit_residual():
@@ -96,7 +96,7 @@ def test_nll_zero_residuals_leave_logdet_and_constant():
     K = gram(p, x)
     _, logdet = np.linalg.slogdet(K)
     expected = 0.5 * d * logdet + 0.5 * n * d * math.log(2.0 * math.pi)
-    assert neg_log_likelihood(p, ds) == pytest.approx(expected, abs=1e-10)
+    assert neg_log_likelihood(p, ds, jitter_rel=0.0) == pytest.approx(expected, abs=1e-10)
 
 
 def test_nll_separates_over_columns():
@@ -535,6 +535,17 @@ def test_train_keeps_the_search_jitter_on_every_table2_level(name):
         assert level.jitter == DEFAULT_JITTER_REL * level.params.amplitude
         own = ResidualDataset(level.inputs, level.residuals)
         assert level.fit_nll == neg_log_likelihood(level.params, own, DEFAULT_JITTER_REL)
+
+
+@pytest.mark.parametrize("name,seed,level", [("currin", 0, 1), ("currin", 0, 2), ("park", 3, 1)])
+def test_likelihood_defaults_to_the_fits_jitter(name, seed, level):
+    # neg_log_likelihood and nll_gradient take the default jitter_rel of fit_level,
+    # so a level's fit_nll is its likelihood with no jitter_rel argument
+    fitted = fit_level(benchmark_level(name, seed, level), OptimizerConfig(seed=seed))
+    own = ResidualDataset(fitted.inputs, fitted.residuals)
+    assert fitted.fit_nll == neg_log_likelihood(fitted.params, own)
+    np.testing.assert_array_equal(nll_gradient(fitted.params, own),
+                                  nll_gradient(fitted.params, own, DEFAULT_JITTER_REL))
 
 
 @pytest.mark.parametrize("name,seed,level", [("currin", 6, 1), ("park", 8, 2)])

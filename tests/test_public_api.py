@@ -6,7 +6,7 @@ import resgp
 
 PUBLIC_NAMES = {
     # active
-    "CandidatePool", "ConstructionResult", "OracleError", "read_audit", "select_next",
+    "ConstructionResult", "OracleError", "read_audit", "select_next",
     "sequential_construct", "write_audit",
     # benchmarks
     "BENCHMARKS", "DEFAULT_BUDGETS", "BenchmarkSpec", "DatasetFormatError", "Metrics",

@@ -1,0 +1,156 @@
+"""SHA-256 digests of the results the benchmark workloads compute, one line per artifact.
+
+A change that claims to leave every result bit for bit the same is checked by
+running this script on both trees and comparing the outputs:
+
+    PYTHONPATH=<parent>/src python tools/bit_identity.py > parent.txt
+    PYTHONPATH=<change>/src python tools/bit_identity.py > change.txt
+    diff parent.txt change.txt
+
+The first line names the numpy and scipy versions; every other line is
+"<artifact> <sha256>". The artifacts are:
+
+- table2/<benchmark>/seed<s>/level<l>: each level's params, fit_nll, chol and
+  alpha, and table2/<benchmark>/seed<s>/posterior: the posterior mean and
+  variance on the 1,000 held-out points, for run_benchmark_case on the five
+  Table-2 benchmarks at seeds 0-9;
+- design/seed<s>/audit and design/seed<s>/levels: the audit records and the
+  final levels of sequential_construct on hartmann3 [40, 15, 5] from a
+  1,000-point pool, at seeds 2200-2203;
+- cli/<command>/<file>: what resgp train, predict and bounds write for currin
+  [20, 5] at seed 7, without wall_time_s and output paths;
+- pendulum/f<f> and pendulum/trajectory/dt<dt>: the pendulum benchmark at both
+  fidelities and pendulum_trajectory.
+
+The script sets no thread variable. Linear algebra results are reproducible
+at a fixed BLAS thread count only, so both runs must use the same settings.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+import scipy
+
+from resgp import active, benchmarks, cli
+from resgp.gp_level import OptimizerConfig
+
+TABLE2 = ("currin", "park", "borehole", "branin3", "hartmann3")
+TABLE2_SEEDS = range(10)
+DESIGN_SEEDS = range(2200, 2204)
+DESIGN_BUDGETS = [40, 15, 5]
+DESIGN_POOL = 1000
+CLI_SEED = 7
+CLI_QUERIES = 1000
+PENDULUM_ANGLES = np.linspace(1.25, 1.57, 7)
+PENDULUM_STEPS = (0.1, 0.01, 0.37, 5.0)
+
+
+def digest(*parts) -> str:
+    """SHA-256 over each part's shape and float64 bytes, or over a str or bytes part as is."""
+    h = hashlib.sha256()
+    for p in parts:
+        if isinstance(p, str):
+            p = p.encode()
+        if isinstance(p, bytes):
+            h.update(p)
+            continue
+        a = np.ascontiguousarray(p, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def level_digest(level) -> str:
+    p = level.params
+    return digest(p.amplitude, p.weights, p.noise, level.fit_nll, level.chol, level.alpha)
+
+
+def table2():
+    for name in TABLE2:
+        for s in TABLE2_SEEDS:
+            case = benchmarks.run_benchmark_case(name, seed=s)
+            for l, level in enumerate(case["model"].levels, start=1):
+                yield f"table2/{name}/seed{s}/level{l}", level_digest(level)
+            post = case["posterior"]
+            yield f"table2/{name}/seed{s}/posterior", digest(post.mean, post.var)
+
+
+def design():
+    spec = benchmarks.get_benchmark("hartmann3")
+    for s in DESIGN_SEEDS:
+        pool = benchmarks.design_uniform(spec.domain, DESIGN_POOL, s + benchmarks.POOL_SEED_OFFSET)
+        result = active.sequential_construct(
+            pool, DESIGN_BUDGETS, lambda f, x: benchmarks.evaluate(spec, f, x),
+            OptimizerConfig(seed=s), s, domain=spec.domain, strategy="variance")
+        yield f"design/seed{s}/audit", digest("\n".join(json.dumps(r, sort_keys=True)
+                                                        for r in result.audit))
+        yield f"design/seed{s}/levels", digest(*map(level_digest, result.model.levels))
+
+
+def _without(path: str, *keys) -> str:
+    """The JSON file at path, re-serialized without the given top-level keys."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    return json.dumps({k: v for k, v in payload.items() if k not in keys}, sort_keys=True)
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def cli_artifacts():
+    spec = benchmarks.get_benchmark("currin")
+    with tempfile.TemporaryDirectory() as tmp:
+        train_cfg, bounds_cfg = os.path.join(tmp, "train.json"), os.path.join(tmp, "bounds.json")
+        queries, out = os.path.join(tmp, "queries.csv"), os.path.join(tmp, "out")
+        with open(train_cfg, "w") as fh:
+            json.dump({"benchmark": "currin", "budgets": [20, 5]}, fh)
+        with open(bounds_cfg, "w") as fh:
+            json.dump({"delta": 0.05, "tau": 1e-3, "l_y": 36.0}, fh)
+        benchmarks.write_csv(queries, ["x1", "x2"],
+                             benchmarks.design_uniform(spec.domain, CLI_QUERIES, CLI_SEED))
+        model = os.path.join(out, "model.json")
+        for argv in (["train", "--config", train_cfg, "--seed", str(CLI_SEED), "--out", out],
+                     ["predict", "--model", model, "--queries", queries, "--out", out],
+                     ["bounds", "--model", model, "--config", bounds_cfg, "--out", out]):
+            code = cli.main(argv)
+            if code != 0:
+                raise SystemExit(f"resgp {argv[0]} exited {code}")
+        files = {
+            "train/model.json": _read(model),
+            "train/record.json": _without(os.path.join(out, "record.json"),
+                                          "wall_time_s", "model_path"),
+            "train/dataset.csv": _read(os.path.join(out, "dataset.csv")),
+            "train/dataset_meta.json": _read(os.path.join(out, "dataset_meta.json")),
+            "predict/predictions.csv": _read(os.path.join(out, "predictions.csv")),
+            "bounds/bounds.json": _without(os.path.join(out, "bounds.json"), "curve_path"),
+            "bounds/curve.csv": _read(os.path.join(out, "curve.csv")),
+        }
+    for name, content in files.items():
+        yield f"cli/{name}", digest(content)
+
+
+def pendulum():
+    for f in (1, 2):
+        yield f"pendulum/f{f}", digest(benchmarks.evaluate("pendulum", f, PENDULUM_ANGLES[:, None]))
+    for dt in PENDULUM_STEPS:
+        yield f"pendulum/trajectory/dt{dt:g}", digest(*benchmarks.pendulum_trajectory(1.4, dt))
+
+
+def main() -> int:
+    print(f"numpy {np.__version__} scipy {scipy.__version__}")
+    for section in (table2, design, cli_artifacts, pendulum):
+        for name, hexdigest in section():
+            print(name, hexdigest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
