@@ -41,7 +41,6 @@ from .bounds import (
     covering_number_bound,
     empirical_coverage,
     mean_lipschitz_bound,
-    sigma_modulus,
     uniform_bound,
 )
 from .gp_level import (

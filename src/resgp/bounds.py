@@ -91,19 +91,11 @@ def _level_constants(model: ResGPModel, domain: DomainBox) -> tuple[float, float
     return l_mu, coeff
 
 
-def mean_lipschitz_bound(model: ResGPModel, domain: DomainBox | None = None) -> float:
-    """Lipschitz constant of the posterior mean: sum over levels of
+def mean_lipschitz_bound(model: ResGPModel) -> float:
+    """Lipschitz constant of the posterior mean on the model's box: sum over levels of
     L_k * sqrt(N) * |dual weights|."""
     _require_univariate(model)
-    return _level_constants(model, domain or model.domain)[0]
-
-
-def sigma_modulus(model: ResGPModel, r: float, domain: DomainBox | None = None) -> float:
-    """Continuity modulus of the posterior deviation: omega(r) with
-    omega(r)^2 = sum over levels of 2 L_k (1 + N * max_k * |K^-1|_2) * r."""
-    _require_univariate(model)
-    r = check_real(r, "r", "[0, inf)")
-    return math.sqrt(_level_constants(model, domain or model.domain)[1] * r)
+    return _level_constants(model, model.domain)[0]
 
 
 def covering_number_bound(domain: DomainBox, tau: float) -> int:

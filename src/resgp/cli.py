@@ -157,6 +157,8 @@ def _optimizer(config: dict, seed: int) -> OptimizerConfig:
     sub = config.get("optimizer", {})
     if not isinstance(sub, dict):
         raise TypeError(f"optimizer must be a JSON object, got {sub!r}")
+    if unknown := sorted(set(sub) - {"restarts", "seed"}):
+        raise ValueError(f"optimizer may set only restarts and seed, got {unknown}")
     with _config_faults("invalid optimizer config: "):
         return OptimizerConfig(**{"seed": seed, **sub})
 

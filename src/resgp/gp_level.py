@@ -39,10 +39,14 @@ EPS = float(np.finfo(float).eps)
 # random restarts lie within this factor either way of the moment-matched start
 START_SPREAD = 100.0
 # every start runs to these loose L-BFGS-B tolerances; only the best is polished
-# further, to POLISH_FTOL and the configured gradient tolerance
+# further, to POLISH_FTOL and POLISH_GTOL
 LOOSE_FTOL = 1e-4
 LOOSE_GTOL = 1e-5
 POLISH_FTOL = 1e-13
+POLISH_GTOL = 1e-8
+# L-BFGS-B iterations per run. minimize leaves out scipy's 15,000-evaluation cap,
+# which cannot bind below about 375 iterations, so this must stay below that
+MAX_ITERS = 200
 # L-BFGS-B memory pairs and line-search steps per iteration, as in scipy's minimize
 LBFGS_MEMORY = 10
 LBFGS_MAXLS = 20
@@ -53,32 +57,23 @@ NOT_PD_NLL = 1e25
 class IllConditionedError(RuntimeError):
     """A level's Gram matrix does not factor at its jitter, jitter_rel * amplitude."""
 
-    def __init__(self, message: str, params: KernelHyperparams | None = None):
-        super().__init__(message)
-        self.params = params
-
 
 @dataclass
 class OptimizerConfig:
     """Multi-start quasi-Newton settings for hyperparameter fitting.
 
     restarts counts the recipe starts of _start_points (unit scales plus
-    random restarts around the moment-matched start). Every start runs
-    L-BFGS-B for at most max_iters iterations to the loose tolerances
-    LOOSE_FTOL and LOOSE_GTOL; only the best result is then polished, to a
-    projected-gradient norm of grad_tol. seed fixes the random restarts.
+    random restarts around the moment-matched start); seed fixes the random
+    restarts. Every L-BFGS-B setting is a module constant (MAX_ITERS,
+    LOOSE_FTOL, LOOSE_GTOL, POLISH_FTOL and POLISH_GTOL; see fit_level).
     """
 
     restarts: int = 12
-    max_iters: int = 200
-    grad_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         self.restarts = check_integer(self.restarts, "restarts", 1)
-        self.max_iters = check_integer(self.max_iters, "max_iters", 1)
         self.seed = check_integer(self.seed, "seed", 0)
-        self.grad_tol = check_real(self.grad_tol, "grad_tol", "(0, inf)")
 
 
 @dataclass
@@ -185,8 +180,7 @@ def cholesky_with_escalation(params: KernelHyperparams, points: np.ndarray, jitt
     chol = _cholesky(gram(KernelHyperparams(1.0, params.weights), points, s), s)
     if chol is None:
         raise IllConditionedError(f"Gram matrix not positive definite at jitter_rel "
-                                  f"{jitter_rel:.3e} (amplitude {params.amplitude:.3e})",
-                                  params=params)
+                                  f"{jitter_rel:.3e} (amplitude {params.amplitude:.3e})")
     chol *= math.sqrt(params.amplitude)
     return chol
 
@@ -273,36 +267,29 @@ def _level_objective(x, sq, factor, n_outputs, jitter_rel, nugget, learn_nugget)
     return nll, grad[1:], amplitude, chol
 
 
-def _nll_at(params: KernelHyperparams, sq: np.ndarray, factor: np.ndarray, n_outputs: int,
-            jitter_rel):
+def _nll_at(params: KernelHyperparams, inputs: np.ndarray, residuals: np.ndarray, jitter_rel):
     """NLL, gradient over [log amplitude, log w (, log noise)] and L at fixed params.
 
-    _nll_core at params.amplitude and _shift(params, jitter_rel), on the sq_diffs
-    tensor sq of the inputs and the residual factor (see _residual_factor); the
-    noise is absolute, so its share of the shift falls as the amplitude grows. L
-    is the core's unit-amplitude factor. A Gram that does not factor raises
-    IllConditionedError.
+    _nll_core on the inputs and residuals at params.amplitude and
+    _shift(params, jitter_rel); the noise is absolute, so its share of the shift
+    falls as the amplitude grows. L is the core's unit-amplitude factor. A Gram
+    that does not factor raises IllConditionedError.
     """
     jitter_rel = check_real(jitter_rel, "jitter_rel", "[0, inf)")
-    if sq.shape[2] != params.dim:
+    if inputs.shape[1] != params.dim:
         raise ValueError("data dimension does not match kernel weights")
     nll, grad, _, chol = _nll_core(weights=params.weights, shift=_shift(params, jitter_rel),
-                                   sq_diffs=sq, factor=factor, n_outputs=n_outputs,
-                                   amplitude=params.amplitude)
+                                   sq_diffs=sq_diffs(inputs, inputs),
+                                   factor=_residual_factor(residuals),
+                                   n_outputs=residuals.shape[1], amplitude=params.amplitude)
     if not math.isfinite(nll):
         raise IllConditionedError(f"Gram matrix not positive definite at jitter_rel "
-                                  f"{jitter_rel:.3e}", params=params)
+                                  f"{jitter_rel:.3e}")
     if params.noise == 0:
         return nll, grad[:-1], chol
     grad[-1] *= params.noise / params.amplitude
     grad[0] -= grad[-1]
     return nll, grad, chol
-
-
-def _data_nll_at(params: KernelHyperparams, data: ResidualDataset, jitter_rel):
-    """_nll_at on a dataset's own inputs and residuals."""
-    return _nll_at(params, sq_diffs(data.inputs, data.inputs), _residual_factor(data.residuals),
-                   data.output_dim, jitter_rel)
 
 
 def neg_log_likelihood(params: KernelHyperparams, data: ResidualDataset,
@@ -314,7 +301,7 @@ def neg_log_likelihood(params: KernelHyperparams, data: ResidualDataset,
     plus (noise + jitter) diagonal and the jitter jitter_rel * amplitude, as in
     fit_level. A K that does not factor raises IllConditionedError.
     """
-    return float(_data_nll_at(params, data, jitter_rel)[0])
+    return float(_nll_at(params, data.inputs, data.residuals, jitter_rel)[0])
 
 
 def nll_gradient(params: KernelHyperparams, data: ResidualDataset,
@@ -326,7 +313,7 @@ def nll_gradient(params: KernelHyperparams, data: ResidualDataset,
     amplitude moves, and the jitter scales with it. fit_level profiles the
     amplitude out; at its optimum the weight components are its objective's.
     """
-    return _data_nll_at(params, data, jitter_rel)[1]
+    return _nll_at(params, data.inputs, data.residuals, jitter_rel)[1]
 
 
 def _finalize_level(params: KernelHyperparams, inputs, centered, means, jitter_rel: float,
@@ -359,8 +346,7 @@ def build_level(
     """
     means = data.residuals.mean(axis=0) if center else np.zeros(data.output_dim)
     centered = data.residuals - means
-    fit_nll, _, chol = _nll_at(params, sq_diffs(data.inputs, data.inputs),
-                               _residual_factor(centered), data.output_dim, jitter_rel)
+    fit_nll, _, chol = _nll_at(params, data.inputs, centered, jitter_rel)
     chol *= math.sqrt(params.amplitude)
     return _finalize_level(params, data.inputs, centered, means, jitter_rel, fit_nll, chol)
 
@@ -391,9 +377,9 @@ def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: in
     iteration; the objective is called once at x0 and then only where setulb
     asks for a point other than the last one evaluated. So x, fun, nit, nfev
     and success equal minimize's bit for bit (fun, as there, may not be f(x):
-    see LbfgsResult), without its wrapper objects
-    (scipy's 15,000-evaluation cap is left out: below about 375 iterations it
-    cannot bind). setulb is private scipy API with this signature since 1.15.
+    see LbfgsResult), without its wrapper objects. scipy's 15,000-evaluation cap
+    is left out, so maxiter must stay below about 375, where it cannot bind (see
+    MAX_ITERS). setulb is private scipy API with this signature since 1.15.
     The name is the one bench/layers.py wraps to time each run.
     """
     x = np.clip(np.asarray(x0, dtype=float), -LOG_BOUND, LOG_BOUND)
@@ -471,7 +457,7 @@ def fit_level(
     start, such as the previous fit's params), the moment-matched centre (every
     weight at the inverse median pairwise squared distance), the unit start and
     draws around the centre. Each runs L-BFGS-B to LOOSE_FTOL and LOOSE_GTOL;
-    the best is polished to a projected-gradient norm of opt.grad_tol. noise is
+    the best is polished to POLISH_FTOL and POLISH_GTOL. noise is
     a nugget g relative to the amplitude (params.noise is g * amplitude), fixed
     unless learn_noise searches it from noise, or 1e-3 when noise is 0, and from
     a positive init.noise / init.amplitude in the warm start. The jitter stays at
@@ -535,7 +521,7 @@ def fit_level(
 
     def descend(x0: np.ndarray, ftol: float, gtol: float):
         """One L-BFGS-B run and the last evaluation it made."""
-        result = minimize(objective, x0, ftol=ftol, gtol=gtol, maxiter=opt.max_iters)
+        result = minimize(objective, x0, ftol=ftol, gtol=gtol, maxiter=MAX_ITERS)
         return result, latest
 
     starts = _start_points(opt, unit, centre, warm)
@@ -548,7 +534,7 @@ def fit_level(
         )
     # the polish starts where the best start stopped, which that start evaluated last
     # (unless its line search stopped abnormally: see LbfgsResult)
-    polish, latest = descend(best.x, POLISH_FTOL, opt.grad_tol)
+    polish, latest = descend(best.x, POLISH_FTOL, POLISH_GTOL)
     objective(polish.x)  # evaluates only after an abnormal stop of the polish
     # the level is that evaluation's: L-BFGS-B only descends from the best start's
     # finite value, so the Gram at polish.x factored

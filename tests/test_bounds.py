@@ -23,7 +23,6 @@ from resgp import (
     kernel_lipschitz,
     mean_lipschitz_bound,
     predict,
-    sigma_modulus,
     train,
     uniform_bound,
 )
@@ -86,7 +85,7 @@ def test_covering_overflow_names_tau(dim, tau):
         covering_number_bound(DomainBox.unit(dim), tau)
 
 
-# --- mean_lipschitz_bound and sigma_modulus ---------------------------------
+# --- mean_lipschitz_bound and the deviation's continuity modulus ------------
 
 
 def test_mean_lipschitz_zero_for_zero_residuals():
@@ -113,31 +112,17 @@ def test_mean_lipschitz_dominates_sampled_slopes():
     assert np.all(np.abs(mu_a - mu_b) <= bound * gaps + 1e-12)
 
 
-def test_sigma_modulus_zero_radius():
-    assert sigma_modulus(univariate_model(seed=3), 0.0) == 0.0
-
-
-def test_sigma_modulus_sqrt_homogeneous():
-    model = univariate_model(seed=3)
-    assert sigma_modulus(model, 0.4) == pytest.approx(
-        2.0 * sigma_modulus(model, 0.1), rel=1e-12
-    )
-
-
-def test_sigma_modulus_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        sigma_modulus(univariate_model(seed=3), -0.1)
-
-
 def test_sigma_modulus_dominates_sampled_deviations():
+    # omega(r) = sqrt(coeff * r), with coeff the omega coefficient of the bound constants
     model = univariate_model(seed=4)
+    coeff = bounds._level_constants(model, model.domain)[1]
     rng = np.random.default_rng(5)
     a = rng.uniform(size=(1000, 1))
     b = rng.uniform(size=(1000, 1))
     sd_a = np.sqrt(np.asarray(predict(model, a).var))
     sd_b = np.sqrt(np.asarray(predict(model, b).var))
     for da, db, r in zip(sd_a, sd_b, np.abs(a - b).reshape(-1)):
-        assert abs(da - db) <= sigma_modulus(model, float(r)) + 1e-12
+        assert abs(da - db) <= math.sqrt(coeff * float(r)) + 1e-12
 
 
 def test_multi_output_model_rejected():
@@ -204,7 +189,7 @@ def test_gamma_decays_with_tau_and_modulus_term_dominates():
         model, BoundConfig(delta=0.05, tau=tau, l_y=l_y, domain=UNIT)
     )
     lipschitz_part = (l_mu + l_y) * tau
-    assert lipschitz_part < math.sqrt(ub.beta) * sigma_modulus(model, tau)
+    assert lipschitz_part < math.sqrt(ub.beta) * math.sqrt(ub.omega_coeff * tau)
 
 
 def test_report_covering_consistent():

@@ -362,11 +362,12 @@ def test_switches_and_noise_accept_json_values(tmp_path):
         ({"seed": "x"}, "seed must be an integer"),
         ({"seed": -1}, "seed must be at least 0"),
         ({"restarts": 2.5}, "restarts must be an integer"),
-        ({"max_iters": 2.5}, "max_iters must be an integer"),
-        ({"grad_tol": float("nan")}, "grad_tol must be finite and above 0"),
+        ({"max_iters": 200}, "optimizer may set only restarts and seed, got ['max_iters']"),
+        ({"grad_tol": 1e-8}, "optimizer may set only restarts and seed, got ['grad_tol']"),
+        ({"restart": 3}, "optimizer may set only restarts and seed, got ['restart']"),
     ],
     ids=["not-an-object", "seed-string", "seed-negative", "restarts-fraction",
-         "max-iters-fraction", "grad-tol-nan"],
+         "max-iters", "grad-tol", "unknown-key"],
 )
 def test_bad_optimizer_config_is_usage_error(tmp_path, capsys, optimizer, message):
     cfg = currin_config(tmp_path, budgets=[6, 2], test_points=20, optimizer=optimizer)

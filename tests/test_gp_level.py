@@ -743,9 +743,8 @@ def test_lbfgsb_driver_matches_scipy_with_learned_noise(monkeypatch):
 
 
 def test_lbfgsb_driver_stops_at_the_iteration_cap_like_scipy(monkeypatch):
-    _, runs = fit_against_scipy(
-        monkeypatch, benchmark_level("currin", 0, 1), OptimizerConfig(max_iters=3)
-    )
+    monkeypatch.setattr(gp_level, "MAX_ITERS", 3)
+    _, runs = fit_against_scipy(monkeypatch, benchmark_level("currin", 0, 1))
     assert len(runs) == 14
     assert all(r.nit == 3 and not r.success for r in runs)
 
@@ -1063,12 +1062,6 @@ def test_fit_rejects_bad_jitter_or_noise_before_searching(monkeypatch, key, valu
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(grad_tol=float("nan"))
     with pytest.raises(ValueError):
         OptimizerConfig(seed=-1)
     with pytest.raises(TypeError):

@@ -31,7 +31,6 @@ from resgp import (
     pendulum_trajectory,
     predict_fidelity,
     sequential_construct,
-    sigma_modulus,
     train,
 )
 from resgp.gp_level import cholesky_with_escalation
@@ -363,9 +362,7 @@ def one_level_model():
 # field alone. None as the last entry means every finite value is in range.
 NUMBER_FIELDS = {
     "OptimizerConfig-restarts": ("restarts", int, lambda v: OptimizerConfig(restarts=v), 0),
-    "OptimizerConfig-max_iters": ("max_iters", int, lambda v: OptimizerConfig(max_iters=v), 0),
     "OptimizerConfig-seed": ("seed", int, lambda v: OptimizerConfig(seed=v), -1),
-    "OptimizerConfig-grad_tol": ("grad_tol", float, lambda v: OptimizerConfig(grad_tol=v), 0.0),
     "KernelHyperparams-amplitude": ("amplitude", float, lambda v: KernelHyperparams(v, [1.0]), 0.0),
     "KernelHyperparams-noise": ("noise", float, lambda v: KernelHyperparams(1.0, [1.0], v), -1e-300),
     "BoundConfig-delta": ("delta", float, lambda v: BoundConfig(v, 1e-3, 1.0, UNIT1), 1.0),
@@ -397,7 +394,6 @@ NUMBER_FIELDS = {
     "predict_fidelity-fidelity": ("fidelity", int,
                                   lambda v: predict_fidelity(one_level_model(), [[0.5]], v), 2),
     "evaluate-fidelity": ("fidelity", int, lambda v: evaluate("currin", v, [0.5, 0.5]), 3),
-    "sigma_modulus-r": ("r", float, lambda v: sigma_modulus(one_level_model(), v), -1e-300),
 }
 BAD_VALUES = {"bool": True, "string": "1", "none": None, "nan": math.nan, "inf": math.inf,
               "-inf": -math.inf, "out-of-range": "out"}

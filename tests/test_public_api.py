@@ -1,8 +1,10 @@
 """The names the package exports: a change to this list is a change to the API."""
 
+import dataclasses
 import types
 
 import resgp
+from resgp import OptimizerConfig
 
 PUBLIC_NAMES = {
     # active
@@ -15,7 +17,7 @@ PUBLIC_NAMES = {
     "run_benchmark_case", "standardization_scale", "write_dataset_csv",
     # bounds
     "BoundConfig", "UniformBound", "UnsupportedModelError", "covering_number_bound",
-    "empirical_coverage", "mean_lipschitz_bound", "sigma_modulus", "uniform_bound",
+    "empirical_coverage", "mean_lipschitz_bound", "uniform_bound",
     # gp_level
     "IllConditionedError", "OptimizerConfig", "ResidualDataset", "TrainedLevel", "build_level",
     "fit_level", "level_predict", "neg_log_likelihood", "nll_gradient",
@@ -32,3 +34,8 @@ def test_package_exports_exactly_the_listed_names():
     exported = {name for name, value in vars(resgp).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC_NAMES
+
+
+def test_optimizer_config_sets_only_restarts_and_seed():
+    # every L-BFGS-B setting is a constant of resgp.gp_level
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["restarts", "seed"]

@@ -14,6 +14,13 @@ The first line names the numpy and scipy versions; every other line is
   alpha, and table2/<benchmark>/seed<s>/posterior: the posterior mean and
   variance on the 1,000 held-out points, for run_benchmark_case on the five
   Table-2 benchmarks at seeds 0-9;
+- table2/<benchmark>/seed<s>/level<l>/at_params: the likelihood at that
+  level's params, on its inputs and centered residuals: neg_log_likelihood,
+  nll_gradient, and the fit_nll, chol and alpha of build_level(params, ...,
+  center=False);
+- nugget/<benchmark>/seed<s>: each level, and its likelihood at its params as
+  above, of train(..., learn_noise=True) on the Table-2 data of seeds 0-2,
+  each fidelity's outputs perturbed by seeded noise of 5% of their std;
 - design/seed<s>/audit and design/seed<s>/levels: the audit records and the
   final levels of sequential_construct on hartmann3 [40, 15, 5] from a
   1,000-point pool, at seeds 2200-2203;
@@ -38,10 +45,19 @@ import numpy as np
 import scipy
 
 from resgp import active, benchmarks, cli
-from resgp.gp_level import OptimizerConfig
+from resgp.gp_level import (
+    OptimizerConfig,
+    ResidualDataset,
+    build_level,
+    neg_log_likelihood,
+    nll_gradient,
+)
+from resgp.model import MultiFidelityData, train
 
 TABLE2 = ("currin", "park", "borehole", "branin3", "hartmann3")
 TABLE2_SEEDS = range(10)
+NUGGET_SEEDS = range(3)
+NUGGET_NOISE = 0.05
 DESIGN_SEEDS = range(2200, 2204)
 DESIGN_BUDGETS = [40, 15, 5]
 DESIGN_POOL = 1000
@@ -71,14 +87,37 @@ def level_digest(level) -> str:
     return digest(p.amplitude, p.weights, p.noise, level.fit_nll, level.chol, level.alpha)
 
 
+def at_params_digest(level) -> str:
+    """The fixed-params likelihood path at a level's params, on its own data."""
+    data = ResidualDataset(level.inputs, level.residuals)
+    built = build_level(level.params, data, center=False)
+    return digest(neg_log_likelihood(level.params, data), nll_gradient(level.params, data),
+                  built.fit_nll, built.chol, built.alpha)
+
+
 def table2():
     for name in TABLE2:
         for s in TABLE2_SEEDS:
             case = benchmarks.run_benchmark_case(name, seed=s)
             for l, level in enumerate(case["model"].levels, start=1):
                 yield f"table2/{name}/seed{s}/level{l}", level_digest(level)
+                yield f"table2/{name}/seed{s}/level{l}/at_params", at_params_digest(level)
             post = case["posterior"]
             yield f"table2/{name}/seed{s}/posterior", digest(post.mean, post.var)
+
+
+def nugget():
+    for name in TABLE2:
+        spec = benchmarks.get_benchmark(name)
+        for s in NUGGET_SEEDS:
+            data = benchmarks.nested_random_data(spec, benchmarks.DEFAULT_BUDGETS[name], s)
+            rng = np.random.default_rng(s)
+            noisy = MultiFidelityData(data.inputs, [
+                y + NUGGET_NOISE * y.std(axis=0) * rng.standard_normal(y.shape) for y in data.outputs
+            ])
+            model = train(noisy, OptimizerConfig(seed=s), domain=spec.domain, learn_noise=True)
+            yield f"nugget/{name}/seed{s}", digest(
+                *(level_digest(level) + at_params_digest(level) for level in model.levels))
 
 
 def design():
@@ -146,7 +185,7 @@ def pendulum():
 
 def main() -> int:
     print(f"numpy {np.__version__} scipy {scipy.__version__}")
-    for section in (table2, design, cli_artifacts, pendulum):
+    for section in (table2, nugget, design, cli_artifacts, pendulum):
         for name, hexdigest in section():
             print(name, hexdigest)
     return 0
