@@ -47,22 +47,23 @@ dense_y = slice_eval(3, dense)[:, 0]
 l_y = float(np.max(np.abs(np.diff(dense_y) / np.diff(dense))))
 
 cfg = BoundConfig(delta=0.05, tau=1e-3, l_y=l_y, domain=domain)
-bound, bound_fn = uniform_bound(model, cfg)
+bound = uniform_bound(model, cfg)
 print(f"output Lipschitz estimate L_y = {l_y:.2f}")
 print(f"covering number M = {bound.covering}, beta = {bound.beta:.2f}")
 print(f"mean Lipschitz bound L_mu = {bound.l_mu:.3g}, gamma = {bound.gamma:.3g}")
 
 grid = np.linspace(-5.0, 10.0, 10_000)[:, None]
 truth = slice_eval(3, grid[:, 0])
-coverage = empirical_coverage(model, bound_fn, grid, truth)
+coverage = empirical_coverage(model, bound, grid, truth)
 print(f"empirical coverage on a 10^4 grid: {coverage:.4f} (target >= 0.95)")
 
 post = predict(model, grid)
+g = bound.envelope(post.var)
 with open("bound_curve.csv", "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["x1", "truth", "mean", "bound"])
     for i in range(0, grid.shape[0], 20):
         writer.writerow(
-            [grid[i, 0], truth[i, 0], np.atleast_2d(post.mean)[i, 0], bound_fn(grid[i])]
+            [grid[i, 0], truth[i, 0], np.atleast_2d(post.mean)[i, 0], g[i]]
         )
 print("wrote bound_curve.csv (x, truth, mean, bound)")

@@ -128,14 +128,12 @@ def sequential_construct(
     levels: list[TrainedLevel] = []
     selected: dict = {}
     for f in range(1, len(budgets) + 1):
-        source = np.arange(raw.shape[0]) if f == 1 else np.array(selected[f - 1])
-        # free[k]: source[k] is still a candidate
-        free = np.ones(len(source), dtype=bool)
-        k, mode, gain = int(rng.integers(len(source))), "seed", None
+        # the pool indices still to choose from: pool order at fidelity 1, selection order above
+        remaining = list(range(raw.shape[0])) if f == 1 else list(selected[f - 1])
+        k, mode, gain = int(rng.integers(len(remaining))), "seed", None
         chosen, rows, level = [], [], None
         while True:
-            pick = int(source[k])
-            free[k] = False
+            pick = remaining.pop(k)
             y = simulate(f, pick)
             rows.append(y if f == 1 else y - outputs[f - 1, pick])
             chosen.append(pick)
@@ -162,12 +160,11 @@ def sequential_construct(
             record["nll"] = level.fit_nll
             if len(chosen) == budgets[f - 1]:
                 break
-            remaining = np.flatnonzero(free)  # positions in source, in source order
             if strategy == "variance":
-                local, gain = select_next(level, unit[source[remaining]])
-                k, mode = remaining[local], "argmax"
+                k, gain = select_next(level, unit[remaining])
+                mode = "argmax"
             else:
-                k, mode = remaining[int(rng.integers(len(remaining)))], "random"
+                k, mode = int(rng.integers(len(remaining))), "random"
         levels.append(level)
         selected[f] = chosen
 

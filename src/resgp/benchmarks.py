@@ -411,16 +411,17 @@ def _check_records(records: list, n: int) -> None:
 def read_csv_rows(path: str, check_header) -> tuple[list, np.ndarray, list]:
     """Header, (rows, fields) values and 1-based row lines of a CSV of finite numbers.
 
-    check_header gets the stripped header fields and raises DatasetFormatError
-    if it rejects them. Blank lines are skipped; every other line must hold one
-    finite number per header field. Faults, an unreadable file included, raise
+    The file is UTF-8, and a leading byte-order mark is skipped. check_header
+    gets the stripped header fields and raises DatasetFormatError if it rejects
+    them. Blank lines are skipped; every other line must hold one finite number
+    per header field. Faults, an unreadable file included, raise
     DatasetFormatError naming the line where there is one; of several, the first
     in the file wins. The records are read in one pass and converted by one
     float map; the per-record checks run only when that fails.
     """
     records = []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

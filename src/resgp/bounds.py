@@ -110,12 +110,11 @@ def covering_number_bound(domain: DomainBox, tau: float) -> int:
         raise OverflowError(f"covering number at tau {tau:g} too large to represent") from None
 
 
-def uniform_bound(model: ResGPModel, cfg: BoundConfig):
-    """Assemble the envelope constants and the pointwise bound function.
+def uniform_bound(model: ResGPModel, cfg: BoundConfig) -> UniformBound:
+    """Assemble the envelope constants.
 
-    The box is cfg.domain, or the model's own box when that is None. Returns
-    (UniformBound, bound_fn) with bound_fn(x) = sqrt(beta) * sigma(x) + gamma
-    for raw-coordinate queries, vectorized over rows.
+    The box is cfg.domain, or the model's own box when that is None. The bound
+    at raw-coordinate queries q is envelope(predict(model, q).var).
     """
     _require_univariate(model)
     domain = cfg.domain or model.domain
@@ -126,18 +125,17 @@ def uniform_bound(model: ResGPModel, cfg: BoundConfig):
     l_mu, omega_coeff = _level_constants(model, domain)
     omega_tau = math.sqrt(omega_coeff * cfg.tau)
     gamma = (l_mu + cfg.l_y) * cfg.tau + math.sqrt(beta) * omega_tau
-    bound = UniformBound(beta=beta, gamma=gamma, l_mu=l_mu, omega_coeff=omega_coeff, covering=m_cov)
-    return bound, lambda query: bound.envelope(predict(model, query).var)
+    return UniformBound(beta=beta, gamma=gamma, l_mu=l_mu, omega_coeff=omega_coeff, covering=m_cov)
 
 
-def empirical_coverage(model: ResGPModel, bound_fn, query, truth) -> float:
-    """Fraction of points where |truth - posterior mean| <= bound_fn."""
+def empirical_coverage(model: ResGPModel, bound: UniformBound, query, truth) -> float:
+    """Fraction of points where |truth - posterior mean| <= bound's envelope, both
+    taken from one predict at the query points."""
     _require_univariate(model)
-    q = np.asarray(query, dtype=float)
     y = check_array(np.asarray(truth).reshape(-1), "truth", 1)
-    post = predict(model, q)
+    post = predict(model, np.asarray(query, dtype=float))
     mean = np.asarray(post.mean, dtype=float).reshape(-1)
-    g = np.asarray(bound_fn(q), dtype=float).reshape(-1)
+    g = bound.envelope(post.var).reshape(-1)
     if mean.size != y.size:
         raise ValueError("truth length does not match query count")
     return float(np.mean(np.abs(y - mean) <= g))

@@ -104,14 +104,12 @@ _BENCH_COLUMNS = ("benchmark", "budgets", "repeat", "seed", *Metrics._fields, "r
                   "joint_nll")
 
 
-def _write_record(command: str, config: dict, out_dir: str, fields: dict, t0=None) -> dict:
+def _write_record(command: str, config: dict, out_dir: str, fields: dict, t0: float) -> dict:
     """Write command's run record into out_dir and return it: the command, the SHA-256 of the
     canonical config JSON, fields and, timed from the perf_counter reading t0, wall_time_s."""
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     record = {"command": command, "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
-              **fields}
-    if t0 is not None:
-        record["wall_time_s"] = time.perf_counter() - t0
+              **fields, "wall_time_s": time.perf_counter() - t0}
     name = {"bench": "summary.json", "bounds": "bounds.json"}.get(command, "record.json")
     _write_json(os.path.join(out_dir, name), record)
     return record
@@ -383,9 +381,10 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
         cfg = BoundConfig(config["delta"], config["tau"], config["l_y"], _domain(config))
         grid_points = check_integer(config.get("grid_points", 512), "grid_points", 1)
         truth_path = _path(config, "truth")
+    t0 = time.perf_counter()
     model = load_model(model_path)
     cfg.domain = cfg.domain or model.domain  # the model's own box unless the config names one
-    bound, bound_fn = uniform_bound(model, cfg)
+    bound = uniform_bound(model, cfg)
     os.makedirs(out_dir, exist_ok=True)
 
     if model.input_dim == 1:
@@ -394,7 +393,7 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
         grid = design_uniform(cfg.domain, grid_points, run_seed)
     post = predict(model, grid)
     sigma = np.sqrt(np.asarray(post.var))
-    g = bound.envelope(post.var)  # bound_fn(grid), without a second predict
+    g = bound.envelope(post.var)
 
     curve_path = os.path.join(out_dir, "curve.csv")
     write_csv(
@@ -406,7 +405,7 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
     coverage = None
     if truth_path is not None:
         truth = read_dataset_csv(truth_path)
-        coverage = empirical_coverage(model, bound_fn, truth.inputs[-1], truth.outputs[-1])
+        coverage = empirical_coverage(model, bound, truth.inputs[-1], truth.outputs[-1])
 
     return _write_record("bounds", config, out_dir, {
         "beta": bound.beta,
@@ -420,7 +419,7 @@ def cmd_bounds(model_path: str, config: dict, out_dir: str = ".", seed=None) -> 
         "l_y": cfg.l_y,
         "coverage": coverage,
         "curve_path": curve_path,
-    })
+    }, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .kernel import (
     check_array,
     check_integer,
     check_real,
+    sq_diffs,
 )
 
 MODEL_FORMAT = "resgp-model"
@@ -134,9 +135,8 @@ def nesting_check(data: MultiFidelityData) -> list:
     for f in range(2, data.n_fidelities + 1):
         child = data.inputs[f - 1]
         parent = data.inputs[f - 2]
-        close = np.all(
-            np.abs(child[:, None, :] - parent[None, :, :]) <= NESTING_ATOL, axis=2
-        )
+        with np.errstate(over="ignore"):  # a square past the float range is inf: no match
+            close = np.all(sq_diffs(child, parent) <= NESTING_ATOL**2, axis=2)
         found = close.any(axis=1)
         if not found.all():
             missing = child[np.argmin(found)]

@@ -283,10 +283,10 @@ def test_criterion_7_bound_coverage():
     dense_y = slice_eval(3, dense)[:, 0]
     l_y = float(np.max(np.abs(np.diff(dense_y) / np.diff(dense))))
     cfg = BoundConfig(delta=0.05, tau=1e-3, l_y=l_y, domain=dom)
-    bound, bound_fn = uniform_bound(model, cfg)
+    bound = uniform_bound(model, cfg)
 
     grid = np.linspace(-5.0, 10.0, 10_000)[:, None]
-    coverage = empirical_coverage(model, bound_fn, grid, slice_eval(3, grid[:, 0]))
+    coverage = empirical_coverage(model, bound, grid, slice_eval(3, grid[:, 0]))
 
     pair_rng = np.random.default_rng(7)
     a = pair_rng.uniform(-5.0, 10.0, 1000)[:, None]

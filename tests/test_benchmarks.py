@@ -647,6 +647,18 @@ def test_dataset_csv_unreadable_file_is_format_error(tmp_path):
         read_dataset_csv(str(tmp_path / "latin1.csv"))
 
 
+def test_dataset_csv_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one
+    data = nested_random_data("branin3", [7, 4, 2], seed=1)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_dataset_csv(str(plain), data)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = read_dataset_csv(str(plain)), read_dataset_csv(str(marked))
+    for f in range(3):
+        np.testing.assert_array_equal(got.inputs[f], want.inputs[f])
+        np.testing.assert_array_equal(got.outputs[f], want.outputs[f])
+
+
 # any finite double: -0.0, subnormals and +-1.8e308 included
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EDGE_VALUES = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 0.1]

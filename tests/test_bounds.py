@@ -145,7 +145,7 @@ def test_beta_frozen_value():
     # beta = 2 log(100 / 0.01) = 2 log(1e4)
     model = univariate_model(seed=7)
     cfg = BoundConfig(delta=0.01, tau=1.0 / 99.0, l_y=1.0, domain=UNIT)
-    ub, _ = uniform_bound(model, cfg)
+    ub = uniform_bound(model, cfg)
     assert ub.covering == 100
     assert ub.beta == pytest.approx(18.420680743952367, abs=1e-12)
 
@@ -155,20 +155,21 @@ def test_beta_decreases_when_delta_doubles():
     betas = []
     for delta in (0.025, 0.05, 0.1):
         cfg = BoundConfig(delta=delta, tau=1e-3, l_y=1.0, domain=UNIT)
-        betas.append(uniform_bound(model, cfg)[0].beta)
+        betas.append(uniform_bound(model, cfg).beta)
     assert betas[0] > betas[1] > betas[2]
 
 
 def test_bound_curve_grows_when_delta_halves():
     model = univariate_model(seed=7)
     grid = np.linspace(0.0, 1.0, 200)[:, None]
-    _, loose = uniform_bound(
+    loose = uniform_bound(
         model, BoundConfig(delta=0.1, tau=1e-3, l_y=1.0, domain=UNIT)
     )
-    _, tight = uniform_bound(
+    tight = uniform_bound(
         model, BoundConfig(delta=0.05, tau=1e-3, l_y=1.0, domain=UNIT)
     )
-    assert np.all(tight(grid) > loose(grid))
+    var = predict(model, grid).var
+    assert np.all(tight.envelope(var) > loose.envelope(var))
 
 
 def test_gamma_decays_with_tau_and_modulus_term_dominates():
@@ -178,14 +179,14 @@ def test_gamma_decays_with_tau_and_modulus_term_dominates():
     taus = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
     gammas = []
     for tau in taus:
-        ub, _ = uniform_bound(
+        ub = uniform_bound(
             model, BoundConfig(delta=0.05, tau=tau, l_y=l_y, domain=UNIT)
         )
         gammas.append(ub.gamma)
     assert all(a > b for a, b in zip(gammas, gammas[1:]))
     # at small tau the sqrt(beta) * omega(tau) term is the survivor
     tau = taus[-1]
-    ub, _ = uniform_bound(
+    ub = uniform_bound(
         model, BoundConfig(delta=0.05, tau=tau, l_y=l_y, domain=UNIT)
     )
     lipschitz_part = (l_mu + l_y) * tau
@@ -195,17 +196,17 @@ def test_gamma_decays_with_tau_and_modulus_term_dominates():
 def test_report_covering_consistent():
     model = univariate_model(seed=9)
     cfg = BoundConfig(delta=0.05, tau=1e-3, l_y=1.0, domain=UNIT)
-    ub, _ = uniform_bound(model, cfg)
+    ub = uniform_bound(model, cfg)
     assert ub.covering == covering_number_bound(UNIT, 1e-3)
 
 
 def test_bound_fn_vectorized_and_positive():
     model = univariate_model(seed=9)
-    _, bound_fn = uniform_bound(
+    bound = uniform_bound(
         model, BoundConfig(delta=0.05, tau=1e-3, l_y=1.0, domain=UNIT)
     )
     grid = np.linspace(0.0, 1.0, 64)[:, None]
-    g = np.asarray(bound_fn(grid))
+    g = np.asarray(bound.envelope(predict(model, grid).var))
     assert g.shape == (64,)
     assert np.all(g > 0)
 
@@ -231,7 +232,7 @@ BRANIN3_BOUND = BoundConfig(
 
 
 def test_bound_constants_are_pinned():
-    bound, _ = uniform_bound(branin3_slice_model(), BRANIN3_BOUND)
+    bound = uniform_bound(branin3_slice_model(), BRANIN3_BOUND)
     assert bound.covering == 15001
     np.testing.assert_allclose(
         [bound.beta, bound.gamma, bound.l_mu, bound.omega_coeff],
@@ -241,18 +242,18 @@ def test_bound_constants_are_pinned():
 
 
 def test_bound_constants_are_python_floats():
-    bound, _ = uniform_bound(univariate_model(), BoundConfig(0.05, 1e-3, 1.0, None))
+    bound = uniform_bound(univariate_model(), BoundConfig(0.05, 1e-3, 1.0, None))
     for value in (bound.beta, bound.gamma, bound.l_mu, bound.omega_coeff):
         assert type(value) is float
 
 
 def test_uniform_bound_without_a_domain_takes_the_model_box():
     model = univariate_model()
-    implicit, implicit_fn = uniform_bound(model, BoundConfig(0.05, 1e-3, 1.0, None))
-    explicit, explicit_fn = uniform_bound(model, BoundConfig(0.05, 1e-3, 1.0, model.domain))
+    implicit = uniform_bound(model, BoundConfig(0.05, 1e-3, 1.0, None))
+    explicit = uniform_bound(model, BoundConfig(0.05, 1e-3, 1.0, model.domain))
     assert implicit == explicit
-    q = np.linspace(0.0, 1.0, 11)[:, None]
-    np.testing.assert_array_equal(implicit_fn(q), explicit_fn(q))
+    var = predict(model, np.linspace(0.0, 1.0, 11)[:, None]).var
+    np.testing.assert_array_equal(implicit.envelope(var), explicit.envelope(var))
 
 
 def test_uniform_bound_takes_each_level_lipschitz_constant_once(monkeypatch):
@@ -293,31 +294,51 @@ def test_coverage_on_well_fit_function():
     model = univariate_model(seed=10)
     grid = np.linspace(0.0, 1.0, 2000)[:, None]
     truth = (np.sin(6.0 * grid) + 0.5 * grid + 0.2 * np.cos(3.0 * grid)).reshape(-1)
-    _, bound_fn = uniform_bound(
+    bound = uniform_bound(
         model, BoundConfig(delta=0.05, tau=1e-3, l_y=10.0, domain=UNIT)
     )
-    cov = empirical_coverage(model, bound_fn, grid, truth)
+    cov = empirical_coverage(model, bound, grid, truth)
     assert 0.95 <= cov <= 1.0
 
 
 def test_coverage_zero_for_shifted_truth():
     model = univariate_model(seed=10)
     grid = np.linspace(0.0, 1.0, 200)[:, None]
-    _, bound_fn = uniform_bound(
+    bound = uniform_bound(
         model, BoundConfig(delta=0.05, tau=1e-3, l_y=10.0, domain=UNIT)
     )
-    huge = np.asarray(bound_fn(grid)).max() + np.abs(predict(model, grid).mean).max()
+    post = predict(model, grid)
+    huge = np.asarray(bound.envelope(post.var)).max() + np.abs(post.mean).max()
     truth = np.full(200, 10.0 * huge)
-    assert empirical_coverage(model, bound_fn, grid, truth) == 0.0
+    assert empirical_coverage(model, bound, grid, truth) == 0.0
 
 
 def test_coverage_length_mismatch():
     model = univariate_model(seed=10)
-    _, bound_fn = uniform_bound(
+    bound = uniform_bound(
         model, BoundConfig(delta=0.05, tau=1e-3, l_y=1.0, domain=UNIT)
     )
     with pytest.raises(ValueError):
-        empirical_coverage(model, bound_fn, np.zeros((5, 1)), np.zeros(4))
+        empirical_coverage(model, bound, np.zeros((5, 1)), np.zeros(4))
     # a NaN truth would otherwise count as one point outside the bound
     with pytest.raises(ValueError, match="truth must be finite"):
-        empirical_coverage(model, bound_fn, np.zeros((2, 1)), [0.0, math.nan])
+        empirical_coverage(model, bound, np.zeros((2, 1)), [0.0, math.nan])
+
+
+def test_coverage_scores_mean_and_envelope_from_one_predict(monkeypatch):
+    model = univariate_model(seed=10)
+    grid = np.linspace(0.0, 1.0, 50)[:, None]
+    truth = (np.sin(6.0 * grid) + 0.5 * grid + 0.2 * np.cos(3.0 * grid)).reshape(-1)
+    bound = uniform_bound(model, BoundConfig(delta=0.05, tau=1e-3, l_y=10.0, domain=UNIT))
+    calls = []
+
+    def counting(model, query):
+        calls.append(query)
+        return predict(model, query)
+
+    monkeypatch.setattr(bounds, "predict", counting)
+    cov = empirical_coverage(model, bound, grid, truth)
+    assert len(calls) == 1
+    post = predict(model, grid)
+    expected = np.abs(truth - post.mean.reshape(-1)) <= bound.envelope(post.var)
+    assert cov == float(np.mean(expected))

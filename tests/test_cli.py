@@ -594,6 +594,18 @@ def test_predict_calls_in_one_process_share_no_parsed_value(trained, tmp_path):
     assert sorted(p.name for p in second.iterdir()) == ["predictions.csv"]
 
 
+def test_predict_query_csv_with_a_byte_order_mark_reads_as_without(trained, tmp_path):
+    out, inputs, _ = trained
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_queries(plain, inputs)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for qfile in (plain, marked):
+        argv = ["predict", "--model", str(out / "model.json"), "--queries", str(qfile)]
+        assert main(argv + ["--out", str(tmp_path / qfile.stem)]) == 0
+    assert ((tmp_path / "marked" / "predictions.csv").read_bytes()
+            == (tmp_path / "plain" / "predictions.csv").read_bytes())
+
+
 def test_predict_bad_query_header_is_data_error(trained, tmp_path, capsys):
     out, _, _ = trained
     qfile = tmp_path / "q.csv"
@@ -1046,7 +1058,7 @@ def test_bounds_record_fields(command_outputs):
     report = json.loads((command_outputs["bounds"] / "bounds.json").read_text())
     assert set(report) == {"command", "config_hash", "beta", "gamma", "l_mu", "omega_coeff",
                            "covering", "covering_consistent", "delta", "tau", "l_y", "coverage",
-                           "curve_path"}
+                           "curve_path", "wall_time_s"}
     assert report["command"] == "bounds"
 
 

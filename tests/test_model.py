@@ -26,7 +26,7 @@ from resgp import (
     save_model,
     train,
 )
-from resgp.model import check_budgets
+from resgp.model import NESTING_ATOL, check_budgets
 
 
 def column(*values):
@@ -80,6 +80,19 @@ def test_nesting_first_matching_row_wins():
         [column(1.0, 2.0, 3.0, 4.0), column(2.5, 3.5)],
     )
     np.testing.assert_array_equal(nesting_check(data)[0], [1, 2])
+
+
+def test_nesting_tolerance_is_nesting_atol_per_coordinate():
+    # a coordinate exactly NESTING_ATOL from its parent matches; one 2 NESTING_ATOL away does not
+    ys = [column(1.0, 2.0), column(3.0)]
+    close = MultiFidelityData([column(0.0, 1.0), column(NESTING_ATOL)], ys)
+    np.testing.assert_array_equal(nesting_check(close)[0], [0])
+    far = MultiFidelityData([column(0.0, 1.0), column(2.0 * NESTING_ATOL)], ys)
+    with pytest.raises(NestingError, match="fidelity 2 point"):
+        nesting_check(far)
+    # a difference whose square overflows is no match, and no overflow warning
+    huge = MultiFidelityData([column(-1e155, 1e155), column(1e155)], ys)
+    np.testing.assert_array_equal(nesting_check(huge)[0], [1])
 
 
 # --- compute_residuals ------------------------------------------------------

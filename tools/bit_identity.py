@@ -23,9 +23,14 @@ The first line names the numpy and scipy versions; every other line is
   each fidelity's outputs perturbed by seeded noise of 5% of their std;
 - design/seed<s>/audit and design/seed<s>/levels: the audit records and the
   final levels of sequential_construct on hartmann3 [40, 15, 5] from a
-  1,000-point pool, at seeds 2200-2203;
+  1,000-point pool, at seeds 2200-2203, and design/seed2200/random/audit and
+  .../levels: the same at seed 2200 with strategy "random";
 - cli/<command>/<file>: what resgp train, predict and bounds write for currin
-  [20, 5] at seed 7, without wall_time_s and output paths;
+  [20, 5] at seed 7, without wall_time_s and output paths, and
+  cli/bounds-truth/bounds.json: bounds.json, without wall_time_s, curve_path
+  and config_hash (its config names a temporary file), of resgp bounds with a
+  truth CSV of currin's top fidelity at 200 held-out points, which scores
+  empirical_coverage;
 - pendulum/f<f> and pendulum/trajectory/dt<dt>: the pendulum benchmark at both
   fidelities and pendulum_trajectory.
 
@@ -63,6 +68,7 @@ DESIGN_BUDGETS = [40, 15, 5]
 DESIGN_POOL = 1000
 CLI_SEED = 7
 CLI_QUERIES = 1000
+CLI_TRUTH_POINTS = 200
 PENDULUM_ANGLES = np.linspace(1.25, 1.57, 7)
 PENDULUM_STEPS = (0.1, 0.01, 0.37, 5.0)
 
@@ -122,14 +128,16 @@ def nugget():
 
 def design():
     spec = benchmarks.get_benchmark("hartmann3")
-    for s in DESIGN_SEEDS:
+    runs = [(s, "variance", f"design/seed{s}") for s in DESIGN_SEEDS]
+    runs.append((DESIGN_SEEDS[0], "random", f"design/seed{DESIGN_SEEDS[0]}/random"))
+    for s, strategy, name in runs:
         pool = benchmarks.design_uniform(spec.domain, DESIGN_POOL, s + benchmarks.POOL_SEED_OFFSET)
         result = active.sequential_construct(
             pool, DESIGN_BUDGETS, lambda f, x: benchmarks.evaluate(spec, f, x),
-            OptimizerConfig(seed=s), s, domain=spec.domain, strategy="variance")
-        yield f"design/seed{s}/audit", digest("\n".join(json.dumps(r, sort_keys=True)
-                                                        for r in result.audit))
-        yield f"design/seed{s}/levels", digest(*map(level_digest, result.model.levels))
+            OptimizerConfig(seed=s), s, domain=spec.domain, strategy=strategy)
+        yield f"{name}/audit", digest("\n".join(json.dumps(r, sort_keys=True)
+                                                for r in result.audit))
+        yield f"{name}/levels", digest(*map(level_digest, result.model.levels))
 
 
 def _without(path: str, *keys) -> str:
@@ -148,17 +156,27 @@ def cli_artifacts():
     spec = benchmarks.get_benchmark("currin")
     with tempfile.TemporaryDirectory() as tmp:
         train_cfg, bounds_cfg = os.path.join(tmp, "train.json"), os.path.join(tmp, "bounds.json")
+        truth_cfg, truth = os.path.join(tmp, "bounds-truth.json"), os.path.join(tmp, "truth.csv")
         queries, out = os.path.join(tmp, "queries.csv"), os.path.join(tmp, "out")
+        truth_out = os.path.join(tmp, "out-truth")
+        bounds = {"delta": 0.05, "tau": 1e-3, "l_y": 36.0}
         with open(train_cfg, "w") as fh:
             json.dump({"benchmark": "currin", "budgets": [20, 5]}, fh)
         with open(bounds_cfg, "w") as fh:
-            json.dump({"delta": 0.05, "tau": 1e-3, "l_y": 36.0}, fh)
+            json.dump(bounds, fh)
+        with open(truth_cfg, "w") as fh:
+            json.dump({**bounds, "truth": truth}, fh)
         benchmarks.write_csv(queries, ["x1", "x2"],
                              benchmarks.design_uniform(spec.domain, CLI_QUERIES, CLI_SEED))
+        held_out = benchmarks.design_uniform(spec.domain, CLI_TRUTH_POINTS,
+                                             CLI_SEED + benchmarks.TEST_SEED_OFFSET)
+        benchmarks.write_dataset_csv(truth, MultiFidelityData(
+            [held_out], [benchmarks.evaluate(spec, spec.n_fidelities, held_out)]))
         model = os.path.join(out, "model.json")
         for argv in (["train", "--config", train_cfg, "--seed", str(CLI_SEED), "--out", out],
                      ["predict", "--model", model, "--queries", queries, "--out", out],
-                     ["bounds", "--model", model, "--config", bounds_cfg, "--out", out]):
+                     ["bounds", "--model", model, "--config", bounds_cfg, "--out", out],
+                     ["bounds", "--model", model, "--config", truth_cfg, "--out", truth_out]):
             code = cli.main(argv)
             if code != 0:
                 raise SystemExit(f"resgp {argv[0]} exited {code}")
@@ -169,8 +187,11 @@ def cli_artifacts():
             "train/dataset.csv": _read(os.path.join(out, "dataset.csv")),
             "train/dataset_meta.json": _read(os.path.join(out, "dataset_meta.json")),
             "predict/predictions.csv": _read(os.path.join(out, "predictions.csv")),
-            "bounds/bounds.json": _without(os.path.join(out, "bounds.json"), "curve_path"),
+            "bounds/bounds.json": _without(os.path.join(out, "bounds.json"),
+                                           "wall_time_s", "curve_path"),
             "bounds/curve.csv": _read(os.path.join(out, "curve.csv")),
+            "bounds-truth/bounds.json": _without(os.path.join(truth_out, "bounds.json"),
+                                                 "wall_time_s", "curve_path", "config_hash"),
         }
     for name, content in files.items():
         yield f"cli/{name}", digest(content)
