@@ -63,11 +63,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(path: str) -> dict:
+    # UTF-8, as JSON is, with or without a byte-order mark
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):

@@ -169,7 +169,7 @@ def _shift(params: KernelHyperparams, jitter_rel: float) -> float:
 def cholesky_with_escalation(params: KernelHyperparams, points: np.ndarray, jitter_rel: float):
     """Lower Cholesky factor of the Gram plus jitter_rel * amplitude and the noise.
 
-    It is sqrt(amplitude) times the factor of the unit-amplitude matrix _nll_core
+    It is sqrt(amplitude) times the factor of the unit-amplitude matrix _Likelihood
     factors at the same params, so both agree on whether it exists; where it does
     not, IllConditionedError. load_model factors through it, as it evaluates no
     likelihood; a fit and build_level keep the factor of their own last likelihood
@@ -185,92 +185,88 @@ def cholesky_with_escalation(params: KernelHyperparams, points: np.ndarray, jitt
     return chol
 
 
-def _residual_factor(residuals: np.ndarray) -> np.ndarray:
-    """(N, min(N, d)) factor F of the residual matrix R with F F^T = R R^T.
+class _Likelihood:
+    """The likelihood core of one level's inputs (N, l) and centered residuals R (N, d).
 
-    F is the transposed triangular factor of a QR decomposition of R^T; for
-    d = 1 that is R itself.
+    Built once per fit, it holds what the search does not change: sq, the
+    sq_diffs of the inputs with themselves, and its Fortran-ordered (l, N^2) view;
+    the (N, r) residual factor F with F F^T = R R^T, r = min(N, d), and its flat
+    Fortran-ordered form; and N d. F is the transposed triangular factor of a QR
+    decomposition of R^T, which for d = 1 is R itself, so it is taken as is there.
     """
-    return np.linalg.qr(residuals.T, mode="r").T
 
+    def __init__(self, inputs: np.ndarray, residuals: np.ndarray):
+        self.sq = sq_diffs(inputs, inputs)
+        self.n, self.d = residuals.shape
+        self.sq_t = self.sq.reshape(self.n * self.n, -1).T
+        self.factor = residuals if self.d == 1 else np.linalg.qr(residuals.T, mode="r").T
+        self.factor_flat = self.factor.ravel("F")
+        self.nd = self.n * self.d
 
-def _nll_core(*, weights, shift, sq_diffs, factor, n_outputs, amplitude=None):
-    """NLL, gradient, amplitude a and factor L for the Gram a (C + shift I).
+    def __call__(self, weights: np.ndarray, shift: float, amplitude: float | None = None,
+                 shift_scale: float | None = None):
+        """NLL, gradient, amplitude a and factor L for the Gram a (C + shift I).
 
-    C = unit_kernel(sq_diffs, weights), sq_diffs that of the inputs with
-    themselves; shift is jitter_rel plus noise / a. The upper triangle of
-    K = C + shift I, the one factored, is gram's at unit amplitude, and L is its
-    lower Cholesky factor (see _cholesky): sqrt(a) L factors the Gram. factor is
-    an (N, r) F with F F^T = R R^T for the centered residuals R (see
-    _residual_factor), r = min(N, d). With S = tr(F^T K^-1 F) the NLL is
-    (N d / 2) log a + (d / 2) log|K| + S / (2 a) + (N d / 2) log 2pi. amplitude
-    None profiles a out: S / (N d), or AMP_FLOOR where that is not positive. grad
-    is over [log a, log w_1 .. log w_l, shift]: N d / 2 - S / (2 a), then
-    0.5 tr(B dK) with B = d K^-1 - alpha alpha^T / a, alpha = K^-1 F. At the
-    profiled a the weight and shift components are the profiled NLL's gradient
-    (the envelope theorem). A K that is not positive definite, or an S that is
-    not finite, gives (inf, zeros, amplitude, None). Every product runs in
-    scipy's BLAS.
-    """
-    n = sq_diffs.shape[0]
-    d = n_outputs
-    C = unit_kernel(sq_diffs, weights)
-    K = C.copy()
-    K.ravel()[:: n + 1] += shift
-    chol = _cholesky(K, shift)
-    if chol is None:
-        return np.inf, np.zeros(weights.size + 2), amplitude, None
-    logdet = 2.0 * float(np.log(chol.diagonal()).sum())
-    linv, _ = dtrtri(chol, lower=1)  # L^-1, in a new array: the fit keeps L
-    # K^-1 = L^-T L^-1 as a triangular product; linv's upper triangle is zero, so
-    # the full K^-1 comes out
-    kinv = dtrmm(1.0, linv, linv, lower=1, trans_a=1)
-    alpha = dgemm(1.0, kinv, factor)  # K^-1 F
-    # a BLAS dot product, which unlike numpy's products overflows without a warning
-    S = ddot(factor.ravel("F"), alpha.ravel("F"))
-    if not math.isfinite(S):
-        return np.inf, np.zeros(weights.size + 2), amplitude, None
-    if amplitude is None:
-        amplitude = S / (n * d) if S / (n * d) > 0 else AMP_FLOOR
-    nll = 0.5 * (n * d * math.log(amplitude) + d * logdet + S / amplitude + n * d * LOG2PI)
-    # B = d K^-1 - u u^T over kinv, with alpha scaled in place to u = alpha / sqrt(a)
-    # (alpha alpha^T can overflow)
-    alpha *= 1.0 / math.sqrt(amplitude)
-    B = dgemm(-1.0, alpha, alpha, beta=float(d), c=kinv, trans_b=1, overwrite_c=1)
-    # 0.5 tr(B dK) = 0.5 sum(B^T * dK), dK = -w_i sq_diffs[..., i] * C for weight i
-    # and I for the shift; B^T is the C-ordered view of the Fortran-ordered B
-    bc = B.T
-    flat = bc.ravel()
-    grad = np.empty(weights.size + 2)
-    grad[0] = 0.5 * (n * d - S / amplitude)
-    grad[-1] = 0.5 * flat[:: n + 1].sum()
-    bc *= C
-    # -0.5 w_i v_i: scaling the product by -0.5 afterwards rounds the same
-    np.multiply(weights, dgemv(1.0, sq_diffs.reshape(n * n, -1).T, flat), out=grad[1:-1])
-    grad[1:-1] *= -0.5
-    return nll, grad, amplitude, chol
-
-
-def _level_objective(x, sq, factor, n_outputs, jitter_rel, nugget, learn_nugget):
-    """fit_level's objective: profiled NLL, gradient over [log w (, log g)], amplitude, L.
-
-    _nll_core at the profiled amplitude and shift jitter_rel + g, the nugget g
-    relative to the amplitude: exp(x[-1]) with learn_nugget, nugget otherwise. L
-    is the core's unit-amplitude factor, None where the Gram does not factor.
-    """
-    g = math.exp(x[-1]) if learn_nugget else nugget
-    nll, grad, amplitude, chol = _nll_core(weights=np.exp(x[: sq.shape[2]]), shift=jitter_rel + g,
-                                           sq_diffs=sq, factor=factor, n_outputs=n_outputs)
-    if not learn_nugget:
-        return nll, grad[1:-1], amplitude, chol
-    grad[-1] *= g
-    return nll, grad[1:], amplitude, chol
+        C = unit_kernel(sq, weights); shift is jitter_rel plus noise / a. The
+        upper triangle of K = C + shift I, the one factored, is gram's at unit
+        amplitude, and L is its lower Cholesky factor (see _cholesky): sqrt(a) L
+        factors the Gram. With S = tr(F^T K^-1 F) the NLL is
+        (N d / 2) log a + (d / 2) log|K| + S / (2 a) + (N d / 2) log 2pi.
+        amplitude None profiles a out: S / (N d), or AMP_FLOOR where that is not
+        positive. grad is over [log a, log w_1 .. log w_l]: N d / 2 - S / (2 a),
+        then 0.5 tr(B dK) with B = d K^-1 - alpha alpha^T / a, alpha = K^-1 F. A
+        shift_scale appends shift_scale times the shift's component, so a shift
+        of jitter_rel + g gives the one over log g for shift_scale g. At the
+        profiled a the weight and shift components are the profiled NLL's gradient
+        (the envelope theorem). A K that is not positive definite, or an S that is
+        not finite, gives (inf, zeros, amplitude, None). Every product runs in
+        scipy's BLAS.
+        """
+        n, d, nd = self.n, self.d, self.nd
+        C = unit_kernel(self.sq, weights)
+        K = C.copy()
+        K.ravel()[:: n + 1] += shift
+        chol = _cholesky(K, shift)
+        size = weights.size + (1 if shift_scale is None else 2)
+        if chol is None:
+            return np.inf, np.zeros(size), amplitude, None
+        logdet = 2.0 * float(np.log(chol.diagonal()).sum())
+        linv, _ = dtrtri(chol, lower=1)  # L^-1, in a new array: the fit keeps L
+        # K^-1 = L^-T L^-1 as a triangular product; linv's upper triangle is zero, so
+        # the full K^-1 comes out
+        kinv = dtrmm(1.0, linv, linv, lower=1, trans_a=1)
+        alpha = dgemm(1.0, kinv, self.factor)  # K^-1 F
+        # a BLAS dot product, which unlike numpy's products overflows without a warning
+        S = ddot(self.factor_flat, alpha.ravel("F"))
+        if not math.isfinite(S):
+            return np.inf, np.zeros(size), amplitude, None
+        if amplitude is None:
+            amplitude = S / nd if S / nd > 0 else AMP_FLOOR
+        nll = 0.5 * (nd * math.log(amplitude) + d * logdet + S / amplitude + nd * LOG2PI)
+        # B = d K^-1 - u u^T over kinv, with alpha scaled in place to u = alpha / sqrt(a)
+        # (alpha alpha^T can overflow)
+        alpha *= 1.0 / math.sqrt(amplitude)
+        B = dgemm(-1.0, alpha, alpha, beta=float(d), c=kinv, trans_b=1, overwrite_c=1)
+        # 0.5 tr(B dK) = 0.5 sum(B^T * dK), dK = -w_i sq[..., i] * C for weight i and I
+        # for the shift; B^T is the C-ordered view of the Fortran-ordered B
+        bc = B.T
+        flat = bc.ravel()
+        grad = np.empty(size)
+        grad[0] = 0.5 * (nd - S / amplitude)
+        if shift_scale is not None:
+            grad[-1] = 0.5 * flat[:: n + 1].sum() * shift_scale
+        bc *= C
+        # -0.5 w_i v_i: scaling the product by -0.5 afterwards rounds the same
+        w = grad[1 : weights.size + 1]
+        np.multiply(weights, dgemv(1.0, self.sq_t, flat), out=w)
+        w *= -0.5
+        return nll, grad, amplitude, chol
 
 
 def _nll_at(params: KernelHyperparams, inputs: np.ndarray, residuals: np.ndarray, jitter_rel):
     """NLL, gradient over [log amplitude, log w (, log noise)] and L at fixed params.
 
-    _nll_core on the inputs and residuals at params.amplitude and
+    The likelihood core of the inputs and residuals at params.amplitude and
     _shift(params, jitter_rel); the noise is absolute, so its share of the shift
     falls as the amplitude grows. L is the core's unit-amplitude factor. A Gram
     that does not factor raises IllConditionedError.
@@ -278,17 +274,15 @@ def _nll_at(params: KernelHyperparams, inputs: np.ndarray, residuals: np.ndarray
     jitter_rel = check_real(jitter_rel, "jitter_rel", "[0, inf)")
     if inputs.shape[1] != params.dim:
         raise ValueError("data dimension does not match kernel weights")
-    nll, grad, _, chol = _nll_core(weights=params.weights, shift=_shift(params, jitter_rel),
-                                   sq_diffs=sq_diffs(inputs, inputs),
-                                   factor=_residual_factor(residuals),
-                                   n_outputs=residuals.shape[1], amplitude=params.amplitude)
+    noisy = params.noise > 0
+    nll, grad, _, chol = _Likelihood(inputs, residuals)(
+        params.weights, _shift(params, jitter_rel), params.amplitude,
+        params.noise / params.amplitude if noisy else None)
     if not math.isfinite(nll):
         raise IllConditionedError(f"Gram matrix not positive definite at jitter_rel "
                                   f"{jitter_rel:.3e}")
-    if params.noise == 0:
-        return nll, grad[:-1], chol
-    grad[-1] *= params.noise / params.amplitude
-    grad[0] -= grad[-1]
+    if noisy:
+        grad[0] -= grad[-1]
     return nll, grad, chol
 
 
@@ -368,30 +362,32 @@ class LbfgsResult:
     success: bool
 
 
-def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: int) -> LbfgsResult:
+def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: int,
+             start: tuple | None = None) -> LbfgsResult:
     """L-BFGS-B over the [-LOG_BOUND, LOG_BOUND] box on scipy's setulb.
 
     objective(x) returns (f, grad). The loop is the one scipy's
     minimize(method="L-BFGS-B", jac=True) runs, with the same memory, line-search
     length, factr = ftol / eps and an iteration cap counted on each new
-    iteration; the objective is called once at x0 and then only where setulb
-    asks for a point other than the last one evaluated. So x, fun, nit, nfev
-    and success equal minimize's bit for bit (fun, as there, may not be f(x):
-    see LbfgsResult), without its wrapper objects. scipy's 15,000-evaluation cap
-    is left out, so maxiter must stay below about 375, where it cannot bind (see
+    iteration; the objective is called at x0, unless start holds its (f, grad)
+    there (counted in nfev all the same), and then only where setulb asks for a
+    point other than the last one evaluated. So x, fun, nit, nfev and success
+    equal minimize's bit for bit (fun, as there, may not be f(x): see
+    LbfgsResult), without its wrapper objects. scipy's 15,000-evaluation cap is
+    left out, so maxiter must stay below about 375, where it cannot bind (see
     MAX_ITERS). setulb is private scipy API with this signature since 1.15.
     The name is the one bench/layers.py wraps to time each run.
     """
-    x = np.clip(np.asarray(x0, dtype=float), -LOG_BOUND, LOG_BOUND)
+    x = np.asarray(x0, dtype=float).clip(-LOG_BOUND, LOG_BOUND)
     n = x.size
     # the last point evaluated, as a list: lists of floats compare elementwise like
     # the arrays do, in a tenth of the time at these sizes
     x_eval = x.tolist()
-    f, g = objective(x.copy())
+    f, g = objective(x.copy()) if start is None else start
     nfev, nit = 1, 0
     m = LBFGS_MEMORY
-    lower, upper = np.full(n, -LOG_BOUND), np.full(n, LOG_BOUND)
-    nbd = np.full(n, 2, dtype=np.int32)  # bounded on both sides
+    lower, upper = np.array([-LOG_BOUND] * n), np.array([LOG_BOUND] * n)
+    nbd = np.array([2] * n, dtype=np.int32)  # bounded on both sides
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     iwa = np.zeros(3 * n, dtype=np.int32)
     task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
@@ -452,7 +448,7 @@ def fit_level(
 
     Residual columns are centered before fitting; the means are stored on the
     level and restored by level_predict. The amplitude is profiled out (see
-    _nll_core), so the search runs over [log w_1 .. log w_l (, log g)] in
+    _Likelihood), so the search runs over [log w_1 .. log w_l (, log g)] in
     [-LOG_BOUND, LOG_BOUND] from the starts of _start_points: init (a warm
     start, such as the previous fit's params), the moment-matched centre (every
     weight at the inverse median pairwise squared distance), the unit start and
@@ -463,12 +459,12 @@ def fit_level(
     a positive init.noise / init.amplitude in the warm start. The jitter stays at
     jitter_rel * amplitude: when no start reaches a Gram that factors there, the
     fit raises IllConditionedError, as it does for residuals whose squares sum
-    beyond the float range. The objective remembers its last evaluation, so the
-    polish's first point (the best start's last) costs no likelihood evaluation
-    of its own, and the level is finished from the evaluation at the polish's
-    end: its amplitude, its NLL as fit_nll and its Cholesky factor, scaled by
-    sqrt(amplitude), with alpha from two triangular solves. The fit builds no
-    Gram and calls no cholesky_with_escalation.
+    beyond the float range. One _Likelihood serves every start. The polish is
+    handed the best start's evaluation where that start stopped, so the point
+    costs no second evaluation, and the level is finished from the evaluation at
+    the polish's end: its amplitude, its NLL as fit_nll and its Cholesky factor,
+    scaled by sqrt(amplitude), with alpha from two triangular solves. The fit
+    builds no Gram and calls no cholesky_with_escalation.
     """
     if opt is None:
         opt = OptimizerConfig()
@@ -477,25 +473,24 @@ def fit_level(
     n, l = data.inputs.shape
     if init is not None and init.dim != l:
         raise ValueError(f"init has {init.dim} weights, but the data have {l} inputs")
-    d = data.output_dim
     means = data.residuals.mean(axis=0)
     centered = data.residuals - means
-    factor = _residual_factor(centered)
+    core = _Likelihood(data.inputs, centered)
     # where the sum of the squared residuals, tr(F^T F), overflows, S = tr(F^T K^-1 F)
     # overflows at nearly every point, which the search cannot tell from a Gram that
     # does not factor (ddot, unlike numpy, overflows without a warning)
-    if not math.isfinite(ddot(factor.ravel("F"), factor.ravel("F"))):
+    if not math.isfinite(ddot(core.factor_flat, core.factor_flat)):
         raise IllConditionedError(
             "the residuals overflow: the sum of their squares exceeds the largest float "
             f"({np.finfo(float).max:.3e}); rescale the outputs"
         )
-    sq = sq_diffs(data.inputs, data.inputs)
 
     unit = np.zeros(l + 1 if learn_noise else l)
     if learn_noise:
         unit[-1] = np.clip(math.log(noise if noise > 0 else 1e-3), -LOG_BOUND, LOG_BOUND)
     centre = unit.copy()
-    med = float(np.median(sq.sum(axis=2)[np.triu_indices(n, k=1)])) if n > 1 else 0.0
+    rows = np.arange(n)
+    med = float(np.median(core.sq.sum(axis=2)[rows[:, None] < rows])) if n > 1 else 0.0
     if med > 0:
         centre[:l] = math.log(1.0 / med)
     warm = None
@@ -505,40 +500,44 @@ def fit_level(
         if learn_noise and init.noise > 0:
             warm[-1] = math.log(init.noise / init.amplitude)
 
-    # the last evaluation: (x as a list, (f, grad), (nll, amplitude, unit-amplitude factor))
+    # the last evaluation: x, (f, grad), nll, amplitude and the unit-amplitude factor
     latest = None
 
     def objective(x: np.ndarray):
-        # a Gram that does not factor gives NOT_PD_NLL with a zero gradient; a point
-        # equal to the last one evaluated is not evaluated again
+        # the profiled NLL and its gradient over [log w (, log g)] at shift
+        # jitter_rel + g, for the nugget g relative to the amplitude; a Gram that does
+        # not factor gives NOT_PD_NLL with a zero gradient
         nonlocal latest
-        point = x.tolist()
-        if latest is None or point != latest[0]:
-            nll, grad, amplitude, chol = _level_objective(x, sq, factor, d, jitter_rel, noise,
-                                                          learn_noise)
-            latest = point, (min(nll, NOT_PD_NLL), grad), (nll, amplitude, chol)
+        g = math.exp(x[-1]) if learn_noise else noise
+        nll, grad, amplitude, chol = core(np.exp(x[:l]), jitter_rel + g, None,
+                                          g if learn_noise else None)
+        latest = x, (min(nll, NOT_PD_NLL), grad[1:]), nll, amplitude, chol
         return latest[1]
 
-    def descend(x0: np.ndarray, ftol: float, gtol: float):
-        """One L-BFGS-B run and the last evaluation it made."""
-        result = minimize(objective, x0, ftol=ftol, gtol=gtol, maxiter=MAX_ITERS)
-        return result, latest
+    def evaluated_at(x: np.ndarray) -> bool:
+        """Whether the last evaluation is at x: a run can stop elsewhere (see LbfgsResult)."""
+        return latest[0].tolist() == x.tolist()
 
-    starts = _start_points(opt, unit, centre, warm)
-    best, latest = min((descend(x0, LOOSE_FTOL, LOOSE_GTOL) for x0 in starts),
-                       key=lambda run: run[0].fun)
-    if best.fun >= NOT_PD_NLL:  # L-BFGS-B only descends, so no start left that value
+    best = None
+    for x0 in _start_points(opt, unit, centre, warm):
+        run = minimize(objective, x0, ftol=LOOSE_FTOL, gtol=LOOSE_GTOL, maxiter=MAX_ITERS)
+        if best is None or run.fun < best[0].fun:
+            best = run, latest if evaluated_at(run.x) else None
+    run, latest = best
+    if run.fun >= NOT_PD_NLL:  # L-BFGS-B only descends, so no start left that value
         raise IllConditionedError(
             f"no start of the fit reached a positive definite Gram matrix at jitter_rel "
             f"{jitter_rel:.3e}; a design with repeated rows needs jitter_rel above 0"
         )
-    # the polish starts where the best start stopped, which that start evaluated last
-    # (unless its line search stopped abnormally: see LbfgsResult)
-    polish, latest = descend(best.x, POLISH_FTOL, POLISH_GTOL)
-    objective(polish.x)  # evaluates only after an abnormal stop of the polish
+    # the polish starts where the best start stopped and takes that start's evaluation
+    # there, unless the start stopped away from it
+    polish = minimize(objective, run.x, ftol=POLISH_FTOL, gtol=POLISH_GTOL, maxiter=MAX_ITERS,
+                      start=None if latest is None else latest[1])
+    if not evaluated_at(polish.x):  # the polish stopped away from its last evaluation
+        objective(polish.x)
     # the level is that evaluation's: L-BFGS-B only descends from the best start's
     # finite value, so the Gram at polish.x factored
-    fit_nll, amplitude, chol = latest[2]
+    _, _, fit_nll, amplitude, chol = latest
     chol *= math.sqrt(amplitude)
     g = math.exp(polish.x[-1]) if learn_noise else noise
     params = KernelHyperparams(amplitude, np.exp(polish.x[:l]), g * amplitude)

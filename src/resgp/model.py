@@ -313,9 +313,14 @@ def load_model(path: str) -> ResGPModel:
     that disagree, and stored input_dim or output_dim other than the domain's
     and the first level's raise one ValueError naming the file and the field. A
     Gram that does not factor at its stored jitter raises IllConditionedError.
+    The file is read as UTF-8, with or without a byte-order mark; text that is
+    not UTF-8 or not JSON raises a ValueError naming the file.
     """
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            payload = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"model file {path}: not UTF-8 JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
     where = ""  # the part of the file being read, for the message of a fault

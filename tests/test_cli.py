@@ -76,6 +76,50 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys):
     assert main(["train", "--config", str(bad)]) == 1
 
 
+def test_config_that_is_not_utf8_is_usage_error_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"benchmark": "curr\xffn"}')
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "t")]) == 1
+    err = capsys.readouterr().err
+    assert f"config {bad} is not UTF-8 text" in err
+    assert not (tmp_path / "t").exists()
+
+
+def test_config_with_a_byte_order_mark_is_read(tmp_path):
+    cfg = tmp_path / "bom.json"
+    payload = {"benchmark": "currin", "budgets": [12, 4], "test_points": 40, "seed": 0}
+    cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps(payload).encode())
+    out = tmp_path / "t"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("fault", ["byte-order-mark", "not-utf8", "not-json"])
+def test_model_file_encoding(tmp_path, capsys, fault):
+    # a model file with a byte-order mark predicts as the plain file does; one that
+    # is not UTF-8, or not JSON, is a data error naming the file
+    model = tmp_path / "trained" / "model.json"
+    assert main(["train", "--config", currin_config(tmp_path), "--out", str(model.parent)]) == 0
+    queries = tmp_path / "q.csv"
+    write_queries(queries, np.random.default_rng(0).uniform(size=(5, 2)))
+    assert main(["predict", "--model", str(model), "--queries", str(queries),
+                 "--out", str(tmp_path / "plain")]) == 0
+    text = model.read_bytes()
+    if fault == "byte-order-mark":
+        model.write_bytes(b"\xef\xbb\xbf" + text)
+        assert main(["predict", "--model", str(model), "--queries", str(queries),
+                     "--out", str(tmp_path / "bom")]) == 0
+        assert ((tmp_path / "bom" / "predictions.csv").read_bytes()
+                == (tmp_path / "plain" / "predictions.csv").read_bytes())
+    else:
+        bad = b'"\xffformat"' if fault == "not-utf8" else b"format"
+        model.write_bytes(text.replace(b'"format"', bad, 1))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--queries", str(queries),
+                     "--out", str(tmp_path / "bad")]) == 2
+        assert f"model file {model}: not UTF-8 JSON" in capsys.readouterr().err
+
+
 def test_config_must_pick_one_data_source(tmp_path, capsys):
     both = write_config(tmp_path, "both.json", {"benchmark": "currin", "dataset": "d.csv"})
     assert main(["train", "--config", both]) == 1

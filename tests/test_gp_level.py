@@ -223,19 +223,18 @@ def test_fixed_params_reject_bad_jitter(at_params, jitter_rel):
         at_params(KernelHyperparams(1.0, np.array([1.0])), ds, jitter_rel)
 
 
-# --- _nll_core against a dense reference --------------------------------------
+# --- the likelihood core against a dense reference ----------------------------
 
 
-def dense_nll_reference(amplitude, weights, shift, sq_diffs, factor, n_outputs):
+def dense_nll_reference(amplitude, weights, shift, x, residuals):
     """NLL and gradient of K = amplitude (C + shift I) from slogdet, an explicit inverse
     and one dK per parameter.
 
-    The residual factor F enters through R R^T = F F^T. Gradient order is
-    [log amplitude, log w_1 .. log w_l, shift], each component
+    Gradient order is [log amplitude, log w_1 .. log w_l, shift], each component
     0.5 tr((d K^-1 - K^-1 R R^T K^-1) dK) (Rasmussen & Williams 2006, 5.4.1).
     """
-    n, d, sq = len(sq_diffs), n_outputs, sq_diffs
-    outer = factor @ factor.T
+    n, d, sq = len(x), residuals.shape[1], sq_diffs(x, x)
+    outer = residuals @ residuals.T
     C = np.exp(-sq @ weights)
     K = amplitude * (C + shift * np.eye(n))
     sign, logdet = np.linalg.slogdet(K)
@@ -248,6 +247,12 @@ def dense_nll_reference(amplitude, weights, shift, sq_diffs, factor, n_outputs):
     return nll, np.array([0.5 * np.trace(B @ dK) for dK in dKs])
 
 
+def likelihood_core(amplitude=None, *, weights, shift, x, residuals):
+    """The likelihood core of x and residuals, with the shift's component at scale 1:
+    the gradient is over [log amplitude, log w_1 .. log w_l, shift]."""
+    return gp_level._Likelihood(x, residuals)(weights, shift, amplitude, 1.0)
+
+
 def core_case(n, d, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n, 2))
@@ -255,27 +260,18 @@ def core_case(n, d, seed=0):
     r -= r.mean(axis=0)
     # a diagonal shift of 5% of the amplitude keeps K well conditioned, so the
     # dense inverse is accurate to far better than the test tolerance
-    return dict(
-        amplitude=1.7,
-        weights=np.array([3.0, 0.8]),
-        shift=0.05,
-        sq_diffs=sq_diffs(x, x),
-        factor=r,
-        n_outputs=d,
-    )
+    return dict(amplitude=1.7, weights=np.array([3.0, 0.8]), shift=0.05, x=x, residuals=r)
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 80])
 @pytest.mark.parametrize("d_of_n", [lambda n: 1, lambda n: 3, lambda n: n + 5], ids=["d1", "d3", "dN+5"])
 def test_nll_core_matches_dense_reference(n, d_of_n):
-    from resgp.gp_level import _nll_core
-
     kw = core_case(n, d_of_n(n))
     ref_nll, ref_grad = dense_nll_reference(**kw)
-    nll, grad, amplitude, chol = _nll_core(**kw)
+    nll, grad, amplitude, chol = likelihood_core(**kw)
     assert amplitude == kw["amplitude"]
     # the factor of the unit-amplitude matrix, lower triangular
-    C = np.exp(-kw["sq_diffs"] @ kw["weights"])
+    C = np.exp(-sq_diffs(kw["x"], kw["x"]) @ kw["weights"])
     assert not np.triu(chol, 1).any()
     np.testing.assert_allclose(chol @ chol.T, C + kw["shift"] * np.eye(n), rtol=1e-12, atol=1e-14)
     assert nll == pytest.approx(ref_nll, rel=1e-9)
@@ -288,38 +284,48 @@ def test_nll_core_matches_dense_reference(n, d_of_n):
 def test_nll_core_profiles_the_amplitude(n, d):
     # amplitude None takes S / (N d), where the NLL is least and its log-amplitude
     # component vanishes; the other components are the joint gradient there
-    from resgp.gp_level import _nll_core
-
     kw = core_case(n, d, seed=5)
     del kw["amplitude"]
-    nll, grad, amplitude, _ = _nll_core(**kw)
+    nll, grad, amplitude, _ = likelihood_core(**kw)
     ref_nll, ref_grad = dense_nll_reference(amplitude=amplitude, **kw)
     assert nll == pytest.approx(ref_nll, rel=1e-9)
     assert abs(grad[0]) <= 1e-9 * n * d
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref_grad)))
     for step in (-1e-3, 1e-3):
-        assert _nll_core(**kw, amplitude=amplitude * math.exp(step))[0] > nll
+        assert likelihood_core(amplitude * math.exp(step), **kw)[0] > nll
 
 
 @pytest.mark.parametrize("n", [10, 80])
 @pytest.mark.parametrize("d_of_n", [lambda n: 1, lambda n: 3, lambda n: n + 5], ids=["d1", "d3", "dN+5"])
 def test_residual_factor_gives_same_nll_as_full_residuals(n, d_of_n):
-    from resgp.gp_level import _nll_core, _residual_factor
-
     kw = core_case(n, d_of_n(n), seed=3)
-    factor = _residual_factor(kw["factor"])
-    assert factor.shape == (n, min(n, kw["n_outputs"]))
-    nll, grad, _, _ = _nll_core(**kw)
-    nll_f, grad_f, _, _ = _nll_core(**{**kw, "factor": factor})
+    r = kw["residuals"]
+    core = gp_level._Likelihood(kw["x"], r)
+    assert core.factor.shape == (n, min(n, r.shape[1]))
+    at = (kw["weights"], kw["shift"], kw["amplitude"], 1.0)
+    nll_f, grad_f, _, _ = core(*at)
+    # the same core with the full residual matrix in place of its factor
+    core.factor, core.factor_flat = r, r.ravel("F")
+    nll, grad, _, _ = core(*at)
     assert nll_f == pytest.approx(nll, rel=1e-10)
     np.testing.assert_allclose(grad_f, grad, rtol=1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(column=st.integers(1, 60).flatmap(
+           lambda n: arrays(np.float64, (n, 1), elements=st.floats(-1.0, 1.0))),
+       exponent=st.floats(-150.0, 150.0))
+def test_a_single_residual_column_is_its_own_factor(column, exponent):
+    # the QR decomposition of a one-row R^T reflects nothing, so its triangular
+    # factor is R^T bit for bit; the likelihood core takes a single column as is
+    r = column * 10.0**exponent
+    np.testing.assert_array_equal(np.linalg.qr(r.T, mode="r").T, r, strict=True)
+    assert gp_level._Likelihood(np.zeros((len(r), 1)), r).factor is r
 
 
 def test_no_subnormal_kernel_values_at_short_length_scales():
     # log w = 8 puts most pairwise kernel values of 80 points in [0, 1]^3 far
     # below the smallest normal double
-    from resgp.gp_level import _nll_core
-
     rng = np.random.default_rng(8)
     x = rng.uniform(size=(80, 3))
     p = KernelHyperparams(1.7, np.full(3, math.exp(8.0)))
@@ -330,16 +336,9 @@ def test_no_subnormal_kernel_values_at_short_length_scales():
     assert subnormal(gram(p, x)) == 0
     assert subnormal(cross_vec(p, rng.uniform(size=(1000, 3)), x)) == 0
     r = rng.normal(size=(80, 1))
-    kw = dict(
-        amplitude=p.amplitude,
-        weights=p.weights,
-        shift=0.05,
-        sq_diffs=sq_diffs(x, x),
-        factor=r - r.mean(axis=0),
-        n_outputs=1,
-    )
+    kw = dict(amplitude=p.amplitude, weights=p.weights, shift=0.05, x=x, residuals=r - r.mean(axis=0))
     ref_nll, ref_grad = dense_nll_reference(**kw)
-    nll, grad, _, _ = _nll_core(**kw)
+    nll, grad, _, _ = likelihood_core(**kw)
     assert nll == pytest.approx(ref_nll, rel=1e-9)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref_grad)))
 
@@ -366,17 +365,9 @@ def permuted_core_cases(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(permuted_core_cases())
 def test_nll_core_is_invariant_under_row_permutation(case):
-    from resgp.gp_level import _nll_core
-
     def core(x, r):
-        return _nll_core(
-            amplitude=case["amplitude"],
-            weights=case["weights"],
-            shift=case["shift"],
-            sq_diffs=sq_diffs(x, x),
-            factor=r,
-            n_outputs=r.shape[1],
-        )[:2]
+        return likelihood_core(case["amplitude"], weights=case["weights"], shift=case["shift"],
+                               x=x, residuals=r)[:2]
 
     perm = case["perm"]
     nll, grad = core(case["x"], case["residuals"])
@@ -391,17 +382,9 @@ def test_nll_core_is_invariant_under_row_permutation(case):
     ids=["duplicate-rows", "negative-shift"],
 )
 def test_nll_core_not_positive_definite_is_inf(points, shift):
-    from resgp.gp_level import _nll_core
-
     x = np.array(points)
-    nll, grad, _, chol = _nll_core(
-        amplitude=1.0,
-        weights=np.array([1.0, 2.0]),
-        shift=shift,
-        sq_diffs=sq_diffs(x, x),
-        factor=np.ones((len(x), 1)),
-        n_outputs=1,
-    )
+    nll, grad, _, chol = likelihood_core(1.0, weights=np.array([1.0, 2.0]), shift=shift, x=x,
+                                         residuals=np.ones((len(x), 1)))
     assert nll == np.inf and chol is None
     np.testing.assert_array_equal(grad, np.zeros(4))
 
@@ -503,10 +486,7 @@ def test_fit_gradient_small_at_interior_optimum():
     level = fit_level(ds, OptimizerConfig(seed=0))
     centered = ds.residuals - ds.residuals.mean(axis=0)
     p = level.params
-    _, g, amplitude, _ = gp_level._level_objective(
-        np.log(p.weights), sq_diffs(ds.inputs, ds.inputs), centered, centered.shape[1],
-        DEFAULT_JITTER_REL, 0.0, False,
-    )
+    _, g, amplitude, _ = profiled_objective(ds.inputs, centered, np.log(p.weights))
     assert amplitude == pytest.approx(p.amplitude, rel=1e-9)
     assert np.linalg.norm(g) < 1e-3
     own = ResidualDataset(level.inputs, level.residuals)
@@ -560,9 +540,22 @@ def test_fit_reaches_multistart_optimum_on_benchmark_levels(name, seed, level):
 # --- the profiled likelihood: derivatives, warnings and invariances ----------
 
 
+def profiled_objective(x, r, point, nugget=0.0, learn=False, jitter_rel=DEFAULT_JITTER_REL):
+    """What fit_level's objective computes at a log-parameter point [log w (, log g)]:
+    the profiled NLL, its gradient over the point, the amplitude and the factor L.
+
+    The likelihood core at the profiled amplitude and the shift jitter_rel + g, for
+    the nugget g = exp(point[-1]) when learned and nugget otherwise.
+    """
+    g = math.exp(point[-1]) if learn else nugget
+    nll, grad, amplitude, chol = gp_level._Likelihood(x, r)(
+        np.exp(point[: x.shape[1]]), jitter_rel + g, None, g if learn else None)
+    return nll, grad[1:], amplitude, chol
+
+
 @st.composite
 def profiled_cases(draw):
-    """A level problem for _level_objective, its log-parameter point and its nugget.
+    """A level problem for profiled_objective, its log-parameter point and its nugget.
 
     The nugget, fixed or learned, is at least 1e-3 of the amplitude, so the
     unit-amplitude matrix stays well conditioned even with repeated rows."""
@@ -584,11 +577,9 @@ def test_profiled_objective_matches_central_differences(case):
     # the amplitude is profiled out of the NLL, so its gradient over [log w (, log g)]
     # is the joint gradient at the profiled amplitude (the envelope theorem)
     x, r = case["x"], case["residuals"]
-    sq, factor = sq_diffs(x, x), gp_level._residual_factor(r)
 
     def objective(point):
-        return gp_level._level_objective(point, sq, factor, r.shape[1], DEFAULT_JITTER_REL,
-                                         case["nugget"], case["learn"])
+        return profiled_objective(x, r, point, case["nugget"], case["learn"])
 
     nll, grad, amplitude, _ = objective(case["point"])
     assert math.isfinite(nll) and amplitude > 0
@@ -600,6 +591,29 @@ def test_profiled_objective_matches_central_differences(case):
         lo[i] -= step
         fd[i] = (objective(hi)[0] - objective(lo)[0]) / (2.0 * step)
     np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6 * max(1.0, np.max(np.abs(fd))))
+
+
+@pytest.mark.parametrize("noise, learn", [(0.0, False), (0.37, False), (0.0, True)],
+                         ids=["zero-nugget", "fixed-nugget", "learned-nugget"])
+def test_the_fit_objective_is_the_profiled_likelihood_core(monkeypatch, noise, learn):
+    # what fit_level hands L-BFGS-B at each run's start is profiled_objective's NLL
+    # and gradient there, bit for bit
+    ds = benchmark_level("currin", 0, 2)
+    driver, seen = gp_level.minimize, []
+
+    def recording_driver(objective, x0, **kwargs):
+        seen.append((objective, x0))
+        return driver(objective, x0, **kwargs)
+
+    monkeypatch.setattr(gp_level, "minimize", recording_driver)
+    fit_level(ds, OptimizerConfig(restarts=2, seed=0), noise=noise, learn_noise=learn)
+    centered = ds.residuals - ds.residuals.mean(axis=0)
+    assert len(seen) == 4
+    for objective, x0 in seen:
+        f, g = objective(x0.copy())
+        nll, grad, _, _ = profiled_objective(ds.inputs, centered, x0, noise, learn)
+        assert f == nll
+        np.testing.assert_array_equal(g, grad, strict=True)
 
 
 @st.composite
@@ -628,11 +642,9 @@ def near_singular_cases(draw):
 @given(near_singular_cases())
 def test_profiled_objective_is_finite_or_not_positive_definite_without_warnings(case):
     # warnings fail the suite: an S that overflows takes the not-positive-definite path
-    x, r = case["x"], case["residuals"]
-    nll, grad, amplitude, chol = gp_level._level_objective(
-        case["point"], sq_diffs(x, x), gp_level._residual_factor(r), r.shape[1],
-        case["jitter_rel"], 0.0, case["learn"],
-    )
+    nll, grad, amplitude, chol = profiled_objective(
+        case["x"], case["residuals"], case["point"], learn=case["learn"],
+        jitter_rel=case["jitter_rel"])
     assert grad.shape == case["point"].shape
     if nll == math.inf:
         assert not grad.any() and chol is None
@@ -690,13 +702,19 @@ def test_fit_is_invariant_under_row_permutation(case, perm_seed):
 def fit_against_scipy(monkeypatch, ds, opt=None, **kwargs):
     """fit_level with every L-BFGS-B run checked against scipy's minimize on the same problem.
 
-    Returns the fitted level and the driver's results, one per run.
+    A run handed the objective's value at its start is checked to have been handed
+    exactly what the objective returns there. Returns the fitted level and the
+    driver's results, one per run.
     """
     driver = gp_level.minimize
     runs = []
 
-    def recorder(objective, x0, *, ftol, gtol, maxiter):
-        ours = driver(objective, x0, ftol=ftol, gtol=gtol, maxiter=maxiter)
+    def recorder(objective, x0, *, ftol, gtol, maxiter, start=None):
+        if start is not None:
+            f0, g0 = objective(x0.copy())
+            assert f0 == start[0]
+            np.testing.assert_array_equal(g0, start[1], strict=True)
+        ours = driver(objective, x0, ftol=ftol, gtol=gtol, maxiter=maxiter, start=start)
         ref = scipy.optimize.minimize(
             objective,
             x0,
@@ -864,16 +882,17 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
     # zero gradient
     x = np.array([0.1, 0.1 + 1e-4, 0.5, 0.9, 0.9 + 1e-4])
     ds = scalar_dataset(x, x)
-    core, driver = gp_level._nll_core, gp_level.minimize
+    core, driver = gp_level._Likelihood.__call__, gp_level.minimize
     core_nlls, runs = [], []  # runs: the objective's (f, g) values, one list per L-BFGS-B run
 
-    def recording_core(**kwargs):
-        result = core(**kwargs)
+    def recording_core(*args):
+        result = core(*args)
         core_nlls.append(result[0])
         return result
 
     def recording_driver(objective, x0, **kwargs):
-        values = []
+        # a run handed the objective's value at its start records it first
+        values = [] if kwargs.get("start") is None else [kwargs["start"]]
         runs.append(values)
 
         def recorded(x):
@@ -883,11 +902,11 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
 
         return driver(recorded, x0, **kwargs)
 
-    monkeypatch.setattr(gp_level, "_nll_core", recording_core)
+    monkeypatch.setattr(gp_level._Likelihood, "__call__", recording_core)
     monkeypatch.setattr(gp_level, "minimize", recording_driver)
     level = fit_level(ds, OptimizerConfig(seed=0), jitter_rel=0.0)
     # the polish's first point is where the best start stopped, which that start
-    # evaluated last: the objective hands back that value, and the core is not called.
+    # evaluated last: the polish is handed that value, and the core is not called.
     # Every core call is a search evaluation; the level is finished from the last
     # one, at the polish's end, whose NLL is fit_nll
     *starts, polish = runs
@@ -968,39 +987,46 @@ def test_fit_takes_residuals_whose_squares_stay_finite():
 def count_evaluations(monkeypatch):
     """Patch the likelihood core and the L-BFGS-B driver to count their calls.
 
-    Returns a dict: "core" counts _nll_core calls, "objective" the calls the
-    driver makes to the fit's objective.
+    Returns a dict: "core" counts likelihood core calls, "objective" the calls the
+    driver makes to the fit's objective, and "runs" holds the driver's results,
+    one per L-BFGS-B run.
     """
-    counts = {"core": 0, "objective": 0}
-    core, driver = gp_level._nll_core, gp_level.minimize
+    counts = {"core": 0, "objective": 0, "runs": []}
+    core, driver = gp_level._Likelihood.__call__, gp_level.minimize
 
-    def counting_core(**kwargs):
+    def counting_core(*args):
         counts["core"] += 1
-        return core(**kwargs)
+        return core(*args)
 
     def counting_driver(objective, x0, **kwargs):
         def counted(x):
             counts["objective"] += 1
             return objective(x)
 
-        return driver(counted, x0, **kwargs)
+        result = driver(counted, x0, **kwargs)
+        counts["runs"].append(result)
+        return result
 
-    monkeypatch.setattr(gp_level, "_nll_core", counting_core)
+    monkeypatch.setattr(gp_level._Likelihood, "__call__", counting_core)
     monkeypatch.setattr(gp_level, "minimize", counting_driver)
     return counts
 
 
 def test_a_fit_calls_the_likelihood_core_once_per_point(monkeypatch):
-    # the polish starts at the best start's last point, whose evaluation is reused
-    # (-1); the level is finished from the polish's last evaluation, with no core
-    # call of its own
+    # scipy counts one evaluation per point its L-BFGS-B asks for, the start of each
+    # run included. The polish starts at the best start's last point and is handed
+    # that evaluation (-1); every other point costs one objective call and one core
+    # call, and the level is finished from the polish's last evaluation, with no
+    # core call of its own
     ds = benchmark_level("currin", 0, 1)
     counts = count_evaluations(monkeypatch)
     cold = fit_level(ds, OptimizerConfig(seed=0))
-    assert counts["core"] == counts["objective"] - 1
-    counts.update(core=0, objective=0)
+    assert len(counts["runs"]) == 14
+    assert counts["core"] == counts["objective"] == sum(r.nfev for r in counts["runs"]) - 1
+    counts.update(core=0, objective=0, runs=[])
     fit_level(ds, OptimizerConfig(seed=0, restarts=1), init=cold.params)
-    assert counts["core"] == counts["objective"] - 1
+    assert len(counts["runs"]) == 4
+    assert counts["core"] == counts["objective"] == sum(r.nfev for r in counts["runs"]) - 1
 
 
 def test_a_warm_refit_constructs_no_generator(monkeypatch):
@@ -1022,18 +1048,23 @@ def test_a_run_that_stops_away_from_its_last_evaluation_is_evaluated_again(monke
     ds = benchmark_level("currin", 0, 1)
     reference = fit_level(ds, OptimizerConfig(seed=0))
     driver = gp_level.minimize
+    strays = []
 
     def stray_driver(objective, x0, **kwargs):
         result = driver(objective, x0, **kwargs)
         objective(result.x + 0.5)
+        strays.append(result.x + 0.5)
         return result
 
     monkeypatch.setattr(gp_level, "minimize", stray_driver)
     counts = count_evaluations(monkeypatch)
     level = fit_level(ds, OptimizerConfig(seed=0))
-    # no objective call is served from an earlier evaluation, since the polish's start
-    # is evaluated again; after the search the core evaluates the polish's end once
-    # more, and the level is finished from that evaluation
+    # the polish is handed no evaluation, since its start is evaluated again and
+    # counted in its nfev; beside each run's stray evaluation, the core evaluates the
+    # polish's end once more after the search, and the level is finished from that
+    # evaluation
+    assert len(strays) == len(counts["runs"]) == 14
+    assert counts["core"] == sum(r.nfev for r in counts["runs"]) + len(strays) + 1
     assert counts["core"] == counts["objective"] + 1
     np.testing.assert_array_equal(level.params.weights, reference.params.weights)
     assert (level.params.amplitude, level.fit_nll) == (reference.params.amplitude, reference.fit_nll)

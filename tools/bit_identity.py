@@ -21,6 +21,8 @@ The first line names the numpy and scipy versions; every other line is
 - nugget/<benchmark>/seed<s>: each level, and its likelihood at its params as
   above, of train(..., learn_noise=True) on the Table-2 data of seeds 0-2,
   each fidelity's outputs perturbed by seeded noise of 5% of their std;
+- fixed-nugget/<benchmark>/seed<s>: the same for train(..., noise=1e-3), a
+  fixed nugget, on the unperturbed Table-2 data of seeds 0-2;
 - design/seed<s>/audit and design/seed<s>/levels: the audit records and the
   final levels of sequential_construct on hartmann3 [40, 15, 5] from a
   1,000-point pool, at seeds 2200-2203, and design/seed2200/random/audit and
@@ -32,7 +34,10 @@ The first line names the numpy and scipy versions; every other line is
   truth CSV of currin's top fidelity at 200 held-out points, which scores
   empirical_coverage;
 - pendulum/f<f> and pendulum/trajectory/dt<dt>: the pendulum benchmark at both
-  fidelities and pendulum_trajectory.
+  fidelities and pendulum_trajectory;
+- pendulum/seed<s>/level<l> and .../at_params: each level of run_benchmark_case
+  on the pendulum at seeds 0-1, whose two outputs (d = 2) take the QR path of
+  the residual factor, and its likelihood at its params as above.
 
 The script sets no thread variable. Linear algebra results are reproducible
 at a fixed BLAS thread count only, so both runs must use the same settings.
@@ -63,6 +68,8 @@ TABLE2 = ("currin", "park", "borehole", "branin3", "hartmann3")
 TABLE2_SEEDS = range(10)
 NUGGET_SEEDS = range(3)
 NUGGET_NOISE = 0.05
+FIXED_NUGGET = 1e-3
+PENDULUM_SEEDS = range(2)
 DESIGN_SEEDS = range(2200, 2204)
 DESIGN_BUDGETS = [40, 15, 5]
 DESIGN_POOL = 1000
@@ -123,6 +130,9 @@ def nugget():
             ])
             model = train(noisy, OptimizerConfig(seed=s), domain=spec.domain, learn_noise=True)
             yield f"nugget/{name}/seed{s}", digest(
+                *(level_digest(level) + at_params_digest(level) for level in model.levels))
+            model = train(data, OptimizerConfig(seed=s), domain=spec.domain, noise=FIXED_NUGGET)
+            yield f"fixed-nugget/{name}/seed{s}", digest(
                 *(level_digest(level) + at_params_digest(level) for level in model.levels))
 
 
@@ -202,6 +212,11 @@ def pendulum():
         yield f"pendulum/f{f}", digest(benchmarks.evaluate("pendulum", f, PENDULUM_ANGLES[:, None]))
     for dt in PENDULUM_STEPS:
         yield f"pendulum/trajectory/dt{dt:g}", digest(*benchmarks.pendulum_trajectory(1.4, dt))
+    for s in PENDULUM_SEEDS:
+        case = benchmarks.run_benchmark_case("pendulum", seed=s)
+        for l, level in enumerate(case["model"].levels, start=1):
+            yield f"pendulum/seed{s}/level{l}", level_digest(level)
+            yield f"pendulum/seed{s}/level{l}/at_params", at_params_digest(level)
 
 
 def main() -> int:
