@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import ddot, dgemm, dgemv, dtrmm
-from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
-from scipy.optimize._lbfgsb import setulb
 
+from ._scipy import ddot, dgemm, dgemv, dpotrf, dtrmm, dtrtri, dtrtrs, setulb
 from .kernel import (
     DEFAULT_JITTER_REL,
     KernelHyperparams,
@@ -375,8 +373,8 @@ def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: in
     equal minimize's bit for bit (fun, as there, may not be f(x): see
     LbfgsResult), without its wrapper objects. scipy's 15,000-evaluation cap is
     left out, so maxiter must stay below about 375, where it cannot bind (see
-    MAX_ITERS). setulb is private scipy API with this signature since 1.15.
-    The name is the one bench/layers.py wraps to time each run.
+    MAX_ITERS). setulb (scipy.optimize._lbfgsb, loaded by resgp._scipy) is private
+    scipy API with this signature since 1.15. bench/layers.py wraps this name.
     """
     x = np.asarray(x0, dtype=float).clip(-LOG_BOUND, LOG_BOUND)
     n = x.size

@@ -19,7 +19,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemv
+
+from ._scipy import dgemv
 
 # Relative jitter: each level factors its Gram once, with jitter_rel * amplitude on
 # the diagonal; a Gram that does not factor there is ill-conditioned.

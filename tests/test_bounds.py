@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import svdvals
 
 from resgp import (
     BoundConfig,
@@ -23,6 +26,7 @@ from resgp import (
     kernel_lipschitz,
     mean_lipschitz_bound,
     predict,
+    run_benchmark_case,
     train,
     uniform_bound,
 )
@@ -135,6 +139,32 @@ def test_multi_output_model_rejected():
         mean_lipschitz_bound(model)
     with pytest.raises(UnsupportedModelError):
         uniform_bound(model, BoundConfig(delta=0.1, tau=0.1, l_y=1.0, domain=UNIT))
+
+
+# --- the singular values behind |K^-1|_2 -------------------------------------
+
+
+def assert_singular_values_are_svdvals(factor):
+    np.testing.assert_array_equal(bounds._singular_values(factor), svdvals(factor), strict=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
+       exponents=st.tuples(st.integers(-150, 150), st.integers(-150, 150)).map(sorted))
+def test_singular_values_are_svdvals_bit_for_bit(n, seed, exponents):
+    # a lower-triangular, Fortran-ordered factor with entries of either sign whose
+    # magnitudes run log-uniformly between 10**lo and 10**hi
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** rng.uniform(*exponents, size=(n, n))
+    signs = rng.choice([-1.0, 1.0], size=(n, n))
+    assert_singular_values_are_svdvals(np.asfortranarray(np.tril(signs * magnitudes)))
+
+
+@pytest.mark.parametrize("name", ["currin", "park", "borehole", "branin3", "hartmann3"])
+def test_table2_factors_singular_values_are_svdvals(name):
+    for seed in (0, 1):
+        for level in run_benchmark_case(name, seed=seed)["model"].levels:
+            assert_singular_values_are_svdvals(level.chol)
 
 
 # --- uniform_bound ----------------------------------------------------------
