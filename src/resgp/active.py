@@ -183,5 +183,10 @@ def write_audit(audit: list, path: str) -> None:
 
 
 def read_audit(path: str) -> list:
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    """The records of a UTF-8 audit file, with or without a byte-order mark. Text that is
+    not UTF-8 or a non-blank line that is not JSON raises a ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return [json.loads(line) for line in fh if line.strip()]
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"audit file {path}: not UTF-8 JSON lines: {exc}") from exc

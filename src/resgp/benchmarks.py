@@ -373,15 +373,15 @@ def write_csv(path: str, header: list, rows) -> None:
 
     rows is a list of rows or a 2-D array of at least one column. A float's str
     is its shortest repr, so it reads back exactly. Cells are numbers and names,
-    which need no quoting.
+    which need no quoting. A list is joined row by row; an array's body is built
+    by one %-format over its flat cells, as %r of a Python float is its str.
     """
     if isinstance(rows, np.ndarray):
-        # one str map over the flat cells, regrouped into rows of rows.shape[1] cells
-        cells = iter(map(str, rows.ravel().tolist()))
-        rows = zip(*[cells] * rows.shape[1])
+        line = ",".join(["%r"] * rows.shape[1]) + "\n"
+        text = ",".join(header) + "\n" + (line * rows.shape[0]) % tuple(rows.ravel().tolist())
     else:
-        rows = (map(str, row) for row in rows)
-    _atomic_write_text(path, "\n".join([",".join(header), *map(",".join, rows), ""]))
+        text = "\n".join([",".join(header), *(",".join(map(str, row)) for row in rows), ""])
+    _atomic_write_text(path, text)
 
 
 def write_dataset_csv(path: str, data: MultiFidelityData) -> None:
@@ -408,6 +408,35 @@ def _check_records(records: list, n: int) -> None:
             raise DatasetFormatError(f"line {lineno}: {exc}") from None
 
 
+def _read_plain_csv(path: str, check_header):
+    """read_csv_rows by np.loadtxt for a plain file: ASCII, with no blank line, no line above
+    csv.field_size_limit() and no '"', CR, NUL or \\x1c-\\x1f (numpy strips those four as
+    whitespace; float() refuses them). None for any other file, and when loadtxt fails or gives
+    another shape or a non-finite value."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    lines = text.removesuffix("\n").split("\n")
+    limit = csv.field_size_limit()
+    if ("" in lines or not text.isascii() or any(c in text for c in '"\r\0\x1c\x1d\x1e\x1f')
+            or len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    check_header(header)
+    shape = (len(lines) - 1, len(header))
+    if not shape[0]:
+        return header, np.empty(shape), []  # loadtxt would warn of an empty input
+    try:
+        values = np.loadtxt(lines[1:], float, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != shape or not np.isfinite(values).all():
+        return None
+    return header, values, list(range(2, len(lines) + 1))
+
+
 def read_csv_rows(path: str, check_header) -> tuple[list, np.ndarray, list]:
     """Header, (rows, fields) values and 1-based row lines of a CSV of finite numbers.
 
@@ -416,9 +445,14 @@ def read_csv_rows(path: str, check_header) -> tuple[list, np.ndarray, list]:
     them. Blank lines are skipped; every other line must hold one finite number
     per header field. Faults, an unreadable file included, raise
     DatasetFormatError naming the line where there is one; of several, the first
-    in the file wins. The records are read in one pass and converted by one
-    float map; the per-record checks run only when that fails.
+    in the file wins. Two paths give the same results: a plain file with finite
+    values (_read_plain_csv) is parsed by np.loadtxt; every other file, and every
+    fault, by csv.reader, whose records are converted by one float map, the
+    per-record checks running only when that fails.
     """
+    plain = _read_plain_csv(path, check_header)
+    if plain is not None:
+        return plain
     records = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -85,6 +85,8 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            return value.tolist()  # no float needs a sentinel: skip the walk over every element
         return _jsonable(value.tolist())
     if isinstance(value, (np.floating, float)):
         v = float(value)

@@ -1,5 +1,7 @@
 """Variance acquisition, sequential design construction, and the audit log."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -367,6 +369,23 @@ def test_empty_audit_round_trip(tmp_path):
     path = tmp_path / "audit.jsonl"
     write_audit([], str(path))
     assert read_audit(str(path)) == []
+
+
+def test_audit_with_a_byte_order_mark_reads_as_without(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    write_audit([{"fidelity": 1, "nll": 0.5}, {"fidelity": 2, "gain": None}], str(path))
+    plain = read_audit(str(path))
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_audit(str(path)) == plain
+
+
+@pytest.mark.parametrize("content", [b'{"fidelity": 1}\n{"nll": \xff}\n', b'{"fidelity": 1}\nnot json\n'],
+                         ids=["not-utf8", "not-json"])
+def test_audit_that_is_not_utf8_json_lines_names_the_file(tmp_path, content):
+    path = tmp_path / "audit.jsonl"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=f"audit file {re.escape(str(path))}: not UTF-8 JSON lines"):
+        read_audit(str(path))
 
 
 # hartmann3 at [12, 5, 3] from a 200-point pool, seed 0: the pool indices each

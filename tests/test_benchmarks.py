@@ -775,16 +775,20 @@ def read_outcome(reader, path):
 
 
 OVERSIZED = "2" * 140_000  # above csv.field_size_limit()
+FINITE_OVERSIZED = "0." + "0" * 140_000 + "1"  # a number np.loadtxt parses and csv.reader refuses
+# numpy strips \x1c-\x1f as whitespace, float() refuses them; both strip \x0b and \x0c;
+# float() also takes the non-ASCII '\xa01' and '١'
 NUMBERS = st.one_of(
     st.floats().map(repr),  # nan, +-inf, -0.0 and subnormals included
     st.sampled_from(["1_0", "infinity", "-Infinity", "NaN", " 0.5", "0.5 ", "\t2e3", "1e999", "+.5"]),
+    st.sampled_from(["\x1c1", "1\x1d", "\x1e1", "1\x1f", "\x0b1", "1\x0c", "\xa01", "١"]),
 )
 FIELDS = st.one_of(
     NUMBERS,
     NUMBERS,
     NUMBERS.map(lambda v: f'"{v}"'),  # quoted
     st.sampled_from(['"1\n"', '"0,5"', '""']),  # a quoted line break, comma, empty field
-    st.sampled_from(["", "abc", "1.2.3", "1__0", "0x10", "--1", OVERSIZED]),
+    st.sampled_from(["", "abc", "1.2.3", "1__0", "0x10", "--1", "1\0", OVERSIZED]),
 )
 RECORDS = st.one_of(
     st.lists(FIELDS, min_size=2, max_size=2).map(",".join),
@@ -801,6 +805,16 @@ LAYOUTS = [
     "a,b\n0.1,0.2\n",
     "",
     "\n\n0.1,0.2\n",
+    # each an otherwise plain file, which np.loadtxt reads unless a guard sends it to csv.reader
+    "x1,x2\n0.1,0.2\n0.3,1\x1f\n",
+    "x1,x2\n\x1c1,0.2\n",
+    "x1,x2\n\x0b1,1\x0c\n",
+    "x1,x2\n0.1,1\0\n",
+    "x1,x2\n\xa01,١\n",
+    "x1,x2\n0.1,0.2\n0.3," + FINITE_OVERSIZED + "\n",  # longer than the field limit
+    "x1,x2" + " " * 140_000 + "\n0.1,0.2\n",  # a header line longer than the field limit
+    "x1,x2\n0.1,0.2\n\n",  # a trailing blank line
+    "x1\n\n",  # a body of one blank line
 ]
 
 
@@ -812,6 +826,15 @@ LAYOUTS = [
 @example(LAYOUTS[5], b"")
 @example(LAYOUTS[6], b"")
 @example(LAYOUTS[7], b"")
+@example(LAYOUTS[8], b"")
+@example(LAYOUTS[9], b"")
+@example(LAYOUTS[10], b"")
+@example(LAYOUTS[11], b"")
+@example(LAYOUTS[12], b"")
+@example(LAYOUTS[13], b"")
+@example(LAYOUTS[14], b"")
+@example(LAYOUTS[15], b"")
+@example(LAYOUTS[16], b"")
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     st.builds(
@@ -828,6 +851,40 @@ def test_read_csv_rows_matches_the_per_line_reader(tmp_path_factory, text, tail)
     with open(path, "wb") as fh:
         fh.write(text.encode() + tail)
     assert read_outcome(read_csv_rows, path) == read_outcome(per_line_read_csv_rows, path)
+
+
+def test_a_plain_query_file_is_read_without_csv_reader(tmp_path, monkeypatch):
+    query = design_uniform(get_benchmark("currin").domain, 10_000, seed=3)
+    path = str(tmp_path / "queries.csv")
+    write_csv(path, ["x1", "x2"], query)
+    header, values, lines = read_csv_rows(path, reject_a_headers)
+    assert values.tobytes() == query.tobytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called on a plain file")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    plain = read_csv_rows(path, reject_a_headers)
+    assert plain[0] == header == ["x1", "x2"] and plain[2] == lines == list(range(2, 10_002))
+    assert plain[1].shape == values.shape and plain[1].tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    'x1,x2\n"0.1",0.2\n', "x1,x2\r\n0.1,0.2\r\n", "x1,x2\n0.1,0.2\0\n", "x1,x2\n\xa00.1,0.2\n",
+    *(f"x1,x2\n0.1,0.2{c}\n" for c in "\x1c\x1d\x1e\x1f"), "x1,x2\n\n0.1,0.2\n", "\nx1,x2\n",
+    "x1,x2\n0.1," + FINITE_OVERSIZED + "\n",
+], ids=["quote", "CR", "NUL", "non-ASCII", "x1c", "x1d", "x1e", "x1f", "blank", "blank-header",
+        "long-line"])
+def test_a_file_outside_the_plain_form_is_left_to_csv_reader(tmp_path, monkeypatch, text):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(text.encode())
+    expected = read_outcome(per_line_read_csv_rows, str(path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called on a file outside the plain form")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert read_outcome(read_csv_rows, str(path)) == expected
 
 
 @pytest.mark.parametrize("fault, message", [

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from resgp import MultiFidelityData, load_model, predict, read_audit, write_dataset_csv
 from resgp.benchmarks import write_csv
-from resgp.cli import _read_query_csv, main
+from resgp.cli import _jsonable, _read_query_csv, main
 from resgp.gp_level import IllConditionedError
 
 
@@ -623,6 +623,25 @@ def test_predict_structured_format(trained, tmp_path):
     payload = json.loads((pdir / "predictions.json").read_text())
     assert len(payload["means"]) == 2
     assert len(payload["variances"]) == 2
+
+
+def walk_jsonable(value):
+    """_jsonable's element-by-element walk of an array: the reference for its finite shortcut."""
+    if isinstance(value, list):
+        return [walk_jsonable(v) for v in value]
+    if math.isnan(value):
+        return "nan"
+    return ("inf" if value > 0 else "-inf") if math.isinf(value) else value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arrays(st.sampled_from([np.float64, np.float32]), st.lists(st.integers(0, 3), max_size=3),
+              elements=st.one_of(st.floats(width=32), st.sampled_from([math.nan, math.inf,
+                                                                          -math.inf, -0.0]))))
+def test_jsonable_array_matches_the_element_walk(table):
+    expected = walk_jsonable(table.tolist())
+    assert json.dumps(_jsonable(table)) == json.dumps(expected)
+    assert json.dumps(_jsonable({"means": table}), indent=1) == json.dumps({"means": expected}, indent=1)
 
 
 def test_predict_calls_in_one_process_share_no_parsed_value(trained, tmp_path):

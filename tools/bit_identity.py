@@ -28,7 +28,11 @@ The first line names the numpy and scipy versions; every other line is
   1,000-point pool, at seeds 2200-2203, and design/seed2200/random/audit and
   .../levels: the same at seed 2200 with strategy "random";
 - cli/<command>/<file>: what resgp train, predict and bounds write for currin
-  [20, 5] at seed 7, without wall_time_s and output paths, and
+  [20, 5] at seed 7, without wall_time_s and output paths,
+  cli/predict-checked/predictions.csv: predictions.csv of resgp predict on
+  the same query rows written with CRLF line ends, one quoted cell and one
+  blank line, which the csv reader reads instead of np.loadtxt and which must
+  equal cli/predict/predictions.csv, and
   cli/bounds-truth/bounds.json: bounds.json, without wall_time_s, curve_path
   and config_hash (its config names a temporary file), of resgp bounds with a
   truth CSV of currin's top fidelity at 200 held-out points, which scores
@@ -168,6 +172,7 @@ def cli_artifacts():
         train_cfg, bounds_cfg = os.path.join(tmp, "train.json"), os.path.join(tmp, "bounds.json")
         truth_cfg, truth = os.path.join(tmp, "bounds-truth.json"), os.path.join(tmp, "truth.csv")
         queries, out = os.path.join(tmp, "queries.csv"), os.path.join(tmp, "out")
+        checked, checked_out = os.path.join(tmp, "checked.csv"), os.path.join(tmp, "out-checked")
         truth_out = os.path.join(tmp, "out-truth")
         bounds = {"delta": 0.05, "tau": 1e-3, "l_y": 36.0}
         with open(train_cfg, "w") as fh:
@@ -182,9 +187,15 @@ def cli_artifacts():
                                              CLI_SEED + benchmarks.TEST_SEED_OFFSET)
         benchmarks.write_dataset_csv(truth, MultiFidelityData(
             [held_out], [benchmarks.evaluate(spec, spec.n_fidelities, held_out)]))
+        lines = _read(queries).decode().splitlines()
+        lines[1] = '"' + lines[1].replace(",", '",', 1)  # quote the first cell
+        lines.insert(2, "")
+        with open(checked, "wb") as fh:
+            fh.write("\r\n".join(lines + [""]).encode())
         model = os.path.join(out, "model.json")
         for argv in (["train", "--config", train_cfg, "--seed", str(CLI_SEED), "--out", out],
                      ["predict", "--model", model, "--queries", queries, "--out", out],
+                     ["predict", "--model", model, "--queries", checked, "--out", checked_out],
                      ["bounds", "--model", model, "--config", bounds_cfg, "--out", out],
                      ["bounds", "--model", model, "--config", truth_cfg, "--out", truth_out]):
             code = cli.main(argv)
@@ -197,6 +208,7 @@ def cli_artifacts():
             "train/dataset.csv": _read(os.path.join(out, "dataset.csv")),
             "train/dataset_meta.json": _read(os.path.join(out, "dataset_meta.json")),
             "predict/predictions.csv": _read(os.path.join(out, "predictions.csv")),
+            "predict-checked/predictions.csv": _read(os.path.join(checked_out, "predictions.csv")),
             "bounds/bounds.json": _without(os.path.join(out, "bounds.json"),
                                            "wall_time_s", "curve_path"),
             "bounds/curve.csv": _read(os.path.join(out, "curve.csv")),
