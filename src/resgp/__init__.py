@@ -3,8 +3,8 @@
 A surrogate at fidelity f is the sum of independent GPs fitted to the
 per-level residuals of a nested design. The package covers exact inference
 with an ARD squared-exponential kernel, marginal likelihood fitting,
-variance-driven sequential design, uniform error bounds for univariate
-inputs, and a suite of synthetic benchmarks.
+variance-driven sequential design, uniform error bounds for single-output
+models of any input dimension, and a suite of synthetic benchmarks.
 """
 
 from .active import (

@@ -14,7 +14,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count
 from typing import NamedTuple
 
 import numpy as np
@@ -394,20 +393,6 @@ def write_dataset_csv(path: str, data: MultiFidelityData) -> None:
     write_csv(path, _dataset_header(data.input_dim, data.output_dim), rows)
 
 
-def _check_records(records: list, n: int) -> None:
-    """Raise DatasetFormatError at the first record, in file order, that is not n numbers.
-
-    Blank records pass; records[0] is line 2.
-    """
-    for lineno, record in enumerate(records, start=2):
-        if record and len(record) != n:
-            raise DatasetFormatError(f"line {lineno}: expected {n} fields, got {len(record)}")
-        try:
-            list(map(float, record))
-        except ValueError as exc:
-            raise DatasetFormatError(f"line {lineno}: {exc}") from None
-
-
 def _read_plain_csv(path: str, check_header):
     """read_csv_rows by np.loadtxt for a plain file: ASCII, with no blank line, no line above
     csv.field_size_limit() and no '"', CR, NUL or \\x1c-\\x1f (numpy strips those four as
@@ -447,13 +432,11 @@ def read_csv_rows(path: str, check_header) -> tuple[list, np.ndarray, list]:
     DatasetFormatError naming the line where there is one; of several, the first
     in the file wins. Two paths give the same results: a plain file with finite
     values (_read_plain_csv) is parsed by np.loadtxt; every other file, and every
-    fault, by csv.reader, whose records are converted by one float map, the
-    per-record checks running only when that fails.
+    fault, by csv.reader, one record at a time.
     """
     plain = _read_plain_csv(path, check_header)
     if plain is not None:
         return plain
-    records = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -462,27 +445,23 @@ def read_csv_rows(path: str, check_header) -> tuple[list, np.ndarray, list]:
                 raise DatasetFormatError("line 1: empty file")
             header = [h.strip() for h in header]
             check_header(header)
-            try:
-                for record in reader:  # an explicit loop keeps the records read before a fault
-                    records.append(record)
-            except (OSError, UnicodeDecodeError, csv.Error):
-                _check_records(records, len(header))  # a fault among them comes first
-                raise
+            n = len(header)
+            rows, lines = [], []
+            for lineno, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != n:
+                    raise DatasetFormatError(f"line {lineno}: expected {n} fields, got {len(record)}")
+                try:
+                    rows.append(list(map(float, record)))
+                except ValueError as exc:
+                    raise DatasetFormatError(f"line {lineno}: {exc}") from None
+                lines.append(lineno)
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:  # such as a field above csv.field_size_limit()
         raise DatasetFormatError(f"line {reader.line_num}: {exc}") from None
-    n = len(header)
-    lines = list(compress(count(2), records))  # the line of each record that is not blank
-    try:
-        if not set(map(len, records)) <= {0, n}:
-            raise ValueError("a record has the wrong number of fields")
-        # blank records add no fields to the chain
-        values = np.fromiter(map(float, chain.from_iterable(records)), float, count=len(lines) * n)
-    except ValueError:
-        _check_records(records, n)
-        raise
-    values = values.reshape(len(lines), n)
+    values = np.array(rows).reshape(len(rows), n)
     # one finiteness check over the whole array is cheaper than one per row
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():

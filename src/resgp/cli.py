@@ -316,7 +316,7 @@ def cmd_predict(model_path: str, query_file: str, out_dir: str = ".", fmt: str =
 
 
 def cmd_active(config: dict, out_dir: str = ".", seed=None) -> dict:
-    """Sequential variance-driven design on a benchmark oracle."""
+    """Sequential design on a benchmark oracle, variance-driven or random (config "strategy")."""
     with _config_faults():
         run_seed = _seed(config, seed)
         if "benchmark" not in config:

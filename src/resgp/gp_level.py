@@ -110,16 +110,16 @@ class TrainedLevel:
     column_means restores the raw residuals at prediction time. chol is a lower
     Cholesky factor of K, the Gram plus (noise + jitter) diagonal: sqrt(amplitude)
     times the factor of the unit-amplitude matrix the likelihood core factors. A
-    fitted level takes it from the search's last likelihood evaluation, a built one
-    from its own likelihood evaluation and a loaded one from
-    cholesky_with_escalation. alpha holds the dual weights solving K alpha =
-    residuals, and jitter the absolute diagonal shift, jitter_rel * amplitude.
-    fit_nll is neg_log_likelihood there. All three are bit for bit those of the
-    level built at params, with one exception: the search factors the diagonal
-    1 + (jitter_rel + g) for its relative nugget g, the built level
-    1 + (jitter_rel + (g * amplitude) / amplitude), and for a g that is not small
-    next to 1 the two can round one unit apart, which moves chol, alpha and fit_nll
-    by about as much.
+    fitted level takes it from the likelihood evaluation at the polish's end, which
+    the L-BFGS-B driver keeps (LbfgsResult.last), a built one from its own
+    likelihood evaluation and a loaded one from cholesky_with_escalation. alpha
+    holds the dual weights solving K alpha = residuals, and jitter the absolute
+    diagonal shift, jitter_rel * amplitude. fit_nll is neg_log_likelihood there.
+    All three are bit for bit those of the level built at params, with one
+    exception: the search factors the diagonal 1 + (jitter_rel + g) for its
+    relative nugget g, the built level 1 + (jitter_rel + (g * amplitude) /
+    amplitude), and for a g that is not small next to 1 the two can round one unit
+    apart, which moves chol, alpha and fit_nll by about as much.
     """
 
     params: KernelHyperparams
@@ -345,12 +345,12 @@ def build_level(
 
 @dataclass
 class LbfgsResult:
-    """Outcome of one L-BFGS-B run: the final point, an NLL and the work done.
+    """Outcome of one L-BFGS-B run: the final point, an NLL, the work done and an evaluation.
 
-    fun is the objective at the last point evaluated. That is x itself except
-    after an abnormal line-search stop (success False below the iteration cap),
-    where setulb restores x to the previous iterate; fun then is not f(x).
-    fit_level profiles the amplitude and takes fit_nll at the x it keeps.
+    fun is the objective at the last point evaluated, and last is the objective's
+    whole return there. That point is x itself except after an abnormal
+    line-search stop (success False below the iteration cap), where setulb
+    restores x to the previous iterate; fun then is not f(x), and last is None.
     """
 
     x: np.ndarray
@@ -358,16 +358,18 @@ class LbfgsResult:
     nit: int
     nfev: int
     success: bool
+    last: tuple | None
 
 
 def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: int,
              start: tuple | None = None) -> LbfgsResult:
     """L-BFGS-B over the [-LOG_BOUND, LOG_BOUND] box on scipy's setulb.
 
-    objective(x) returns (f, grad). The loop is the one scipy's
+    objective(x) returns a tuple that begins (f, grad); the run keeps the tuple
+    of its last evaluation as LbfgsResult.last. The loop is the one scipy's
     minimize(method="L-BFGS-B", jac=True) runs, with the same memory, line-search
     length, factr = ftol / eps and an iteration cap counted on each new
-    iteration; the objective is called at x0, unless start holds its (f, grad)
+    iteration; the objective is called at x0, unless start holds its return
     there (counted in nfev all the same), and then only where setulb asks for a
     point other than the last one evaluated. So x, fun, nit, nfev and success
     equal minimize's bit for bit (fun, as there, may not be f(x): see
@@ -381,7 +383,8 @@ def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: in
     # the last point evaluated, as a list: lists of floats compare elementwise like
     # the arrays do, in a tenth of the time at these sizes
     x_eval = x.tolist()
-    f, g = objective(x.copy()) if start is None else start
+    last = objective(x.copy()) if start is None else start
+    f, g = last[:2]
     nfev, nit = 1, 0
     m = LBFGS_MEMORY
     lower, upper = np.array([-LOG_BOUND] * n), np.array([LOG_BOUND] * n)
@@ -398,14 +401,16 @@ def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: in
             point = x.tolist()
             if point != x_eval:
                 x_eval = point
-                f, g = objective(x.copy())
+                last = objective(x.copy())
+                f, g = last[:2]
                 nfev += 1
         elif task[0] == 1:  # new iteration
             nit += 1
             if nit >= maxiter:
                 task[:] = 5, 504  # stop: iteration limit
         else:
-            return LbfgsResult(x=x, fun=f, nit=nit, nfev=nfev, success=bool(task[0] == 4))
+            return LbfgsResult(x=x, fun=f, nit=nit, nfev=nfev, success=bool(task[0] == 4),
+                               last=last if x.tolist() == x_eval else None)
 
 
 def _start_points(
@@ -457,12 +462,15 @@ def fit_level(
     a positive init.noise / init.amplitude in the warm start. The jitter stays at
     jitter_rel * amplitude: when no start reaches a Gram that factors there, the
     fit raises IllConditionedError, as it does for residuals whose squares sum
-    beyond the float range. One _Likelihood serves every start. The polish is
-    handed the best start's evaluation where that start stopped, so the point
-    costs no second evaluation, and the level is finished from the evaluation at
-    the polish's end: its amplitude, its NLL as fit_nll and its Cholesky factor,
-    scaled by sqrt(amplitude), with alpha from two triangular solves. The fit
-    builds no Gram and calls no cholesky_with_escalation.
+    beyond the float range. One _Likelihood serves every start. Each run's
+    LbfgsResult keeps the objective's return where the run stopped (last). The
+    polish is handed the best start's, so that point costs no second evaluation,
+    and the level is finished from the polish's own: its amplitude, its NLL as
+    fit_nll and its Cholesky factor, scaled by sqrt(amplitude), with alpha from
+    two triangular solves. A run that stopped away from its last evaluation (see
+    LbfgsResult) has its end evaluated again, by the polish at its start or, for
+    the polish itself, by the finish. The fit builds no Gram and calls no
+    cholesky_with_escalation.
     """
     if opt is None:
         opt = OptimizerConfig()
@@ -498,46 +506,31 @@ def fit_level(
         if learn_noise and init.noise > 0:
             warm[-1] = math.log(init.noise / init.amplitude)
 
-    # the last evaluation: x, (f, grad), nll, amplitude and the unit-amplitude factor
-    latest = None
-
     def objective(x: np.ndarray):
         # the profiled NLL and its gradient over [log w (, log g)] at shift
-        # jitter_rel + g, for the nugget g relative to the amplitude; a Gram that does
-        # not factor gives NOT_PD_NLL with a zero gradient
-        nonlocal latest
+        # jitter_rel + g, for the nugget g relative to the amplitude, then the NLL,
+        # amplitude and unit-amplitude factor the level is built from, and g; a Gram
+        # that does not factor gives NOT_PD_NLL with a zero gradient
         g = math.exp(x[-1]) if learn_noise else noise
         nll, grad, amplitude, chol = core(np.exp(x[:l]), jitter_rel + g, None,
                                           g if learn_noise else None)
-        latest = x, (min(nll, NOT_PD_NLL), grad[1:]), nll, amplitude, chol
-        return latest[1]
+        return min(nll, NOT_PD_NLL), grad[1:], nll, amplitude, chol, g
 
-    def evaluated_at(x: np.ndarray) -> bool:
-        """Whether the last evaluation is at x: a run can stop elsewhere (see LbfgsResult)."""
-        return latest[0].tolist() == x.tolist()
-
-    best = None
-    for x0 in _start_points(opt, unit, centre, warm):
-        run = minimize(objective, x0, ftol=LOOSE_FTOL, gtol=LOOSE_GTOL, maxiter=MAX_ITERS)
-        if best is None or run.fun < best[0].fun:
-            best = run, latest if evaluated_at(run.x) else None
-    run, latest = best
-    if run.fun >= NOT_PD_NLL:  # L-BFGS-B only descends, so no start left that value
+    # the first of the best runs; min lets go of every other run before the next
+    # starts, so its factor does not stay alive
+    best = min((minimize(objective, x0, ftol=LOOSE_FTOL, gtol=LOOSE_GTOL, maxiter=MAX_ITERS)
+                for x0 in _start_points(opt, unit, centre, warm)), key=lambda run: run.fun)
+    if best.fun >= NOT_PD_NLL:  # L-BFGS-B only descends, so no start left that value
         raise IllConditionedError(
             f"no start of the fit reached a positive definite Gram matrix at jitter_rel "
             f"{jitter_rel:.3e}; a design with repeated rows needs jitter_rel above 0"
         )
-    # the polish starts where the best start stopped and takes that start's evaluation
-    # there, unless the start stopped away from it
-    polish = minimize(objective, run.x, ftol=POLISH_FTOL, gtol=POLISH_GTOL, maxiter=MAX_ITERS,
-                      start=None if latest is None else latest[1])
-    if not evaluated_at(polish.x):  # the polish stopped away from its last evaluation
-        objective(polish.x)
-    # the level is that evaluation's: L-BFGS-B only descends from the best start's
-    # finite value, so the Gram at polish.x factored
-    _, _, fit_nll, amplitude, chol = latest
+    polish = minimize(objective, best.x, ftol=POLISH_FTOL, gtol=POLISH_GTOL, maxiter=MAX_ITERS,
+                      start=best.last)
+    # L-BFGS-B only descends from the best start's finite value, so the Gram at
+    # polish.x factored
+    _, _, fit_nll, amplitude, chol, g = polish.last or objective(polish.x)
     chol *= math.sqrt(amplitude)
-    g = math.exp(polish.x[-1]) if learn_noise else noise
     params = KernelHyperparams(amplitude, np.exp(polish.x[:l]), g * amplitude)
     return _finalize_level(params, data.inputs, centered, means, jitter_rel, fit_nll, chol)
 

@@ -2,6 +2,7 @@
 for a single residual level."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -610,7 +611,7 @@ def test_the_fit_objective_is_the_profiled_likelihood_core(monkeypatch, noise, l
     centered = ds.residuals - ds.residuals.mean(axis=0)
     assert len(seen) == 4
     for objective, x0 in seen:
-        f, g = objective(x0.copy())
+        f, g, *_ = objective(x0.copy())
         nll, grad, _, _ = profiled_objective(ds.inputs, centered, x0, noise, learn)
         assert f == nll
         np.testing.assert_array_equal(g, grad, strict=True)
@@ -702,7 +703,8 @@ def test_fit_is_invariant_under_row_permutation(case, perm_seed):
 def fit_against_scipy(monkeypatch, ds, opt=None, **kwargs):
     """fit_level with every L-BFGS-B run checked against scipy's minimize on the same problem.
 
-    A run handed the objective's value at its start is checked to have been handed
+    scipy's minimize is given the objective's (f, grad), objective(x)[:2]. A run
+    handed the objective's value at its start is checked to have been handed
     exactly what the objective returns there. Returns the fitted level and the
     driver's results, one per run.
     """
@@ -711,12 +713,12 @@ def fit_against_scipy(monkeypatch, ds, opt=None, **kwargs):
 
     def recorder(objective, x0, *, ftol, gtol, maxiter, start=None):
         if start is not None:
-            f0, g0 = objective(x0.copy())
+            f0, g0, *_ = objective(x0.copy())
             assert f0 == start[0]
             np.testing.assert_array_equal(g0, start[1], strict=True)
         ours = driver(objective, x0, ftol=ftol, gtol=gtol, maxiter=maxiter, start=start)
         ref = scipy.optimize.minimize(
-            objective,
+            lambda x: objective(x)[:2],
             x0,
             jac=True,
             method="L-BFGS-B",
@@ -765,6 +767,44 @@ def test_lbfgsb_driver_stops_at_the_iteration_cap_like_scipy(monkeypatch):
     _, runs = fit_against_scipy(monkeypatch, benchmark_level("currin", 0, 1))
     assert len(runs) == 14
     assert all(r.nit == 3 and not r.success for r in runs)
+
+
+def recording_objective(f):
+    """f's value and gradient with x itself, as an objective; returns it and its returns."""
+    returns = []
+
+    def objective(x):
+        returns.append((*f(x), x))
+        return returns[-1]
+
+    return objective, returns
+
+
+def test_lbfgsb_driver_keeps_the_objective_return_where_it_stops():
+    objective, returns = recording_objective(lambda x: (float(x @ x), 2.0 * x))
+    run = gp_level.minimize(objective, np.array([1.0, -2.0, 3.0]), ftol=gp_level.POLISH_FTOL,
+                            gtol=gp_level.POLISH_GTOL, maxiter=gp_level.MAX_ITERS)
+    assert run.success and run.nfev == len(returns)
+    # the return at x, the very tuple: the run stopped where it evaluated last
+    assert run.last is returns[-1]
+    np.testing.assert_array_equal(run.last[2], run.x)
+    assert run.fun == run.last[0]
+
+
+def test_lbfgsb_driver_keeps_no_evaluation_after_an_abnormal_line_search_stop():
+    # the value is 10 higher everywhere but at x0 while the gradient points downhill:
+    # no step along it decreases the value, the line search fails and setulb
+    # restores x to x0, which the run evaluated first, not last
+    x0 = np.array([1.0, 2.0])
+    objective, returns = recording_objective(
+        lambda x: (float(x @ x) + (0.0 if np.array_equal(x, x0) else 10.0), 2.0 * x))
+    run = gp_level.minimize(objective, x0, ftol=gp_level.LOOSE_FTOL, gtol=gp_level.LOOSE_GTOL,
+                            maxiter=gp_level.MAX_ITERS)
+    assert not run.success and run.nit < gp_level.MAX_ITERS
+    np.testing.assert_array_equal(run.x, x0)
+    assert run.nfev == len(returns) > 1
+    assert run.fun == returns[-1][0] != returns[0][0]
+    assert run.last is None
 
 
 def ds_centered(ds):
@@ -896,9 +936,9 @@ def test_fit_steps_over_kernel_matrices_that_are_not_positive_definite(monkeypat
         runs.append(values)
 
         def recorded(x):
-            f, g = objective(x)
-            values.append((f, g.copy()))
-            return f, g
+            result = objective(x)
+            values.append((result[0], result[1].copy()))
+            return result
 
         return driver(recorded, x0, **kwargs)
 
@@ -1043,29 +1083,24 @@ def test_a_warm_refit_constructs_no_generator(monkeypatch):
 
 def test_a_run_that_stops_away_from_its_last_evaluation_is_evaluated_again(monkeypatch):
     # after an abnormal line-search stop the driver's x is not the last point it
-    # evaluated (see LbfgsResult); the polish's start and the amplitude are then
-    # evaluated where the runs stopped, and the fit is the same bit for bit
+    # evaluated, and it keeps no evaluation (last None, see LbfgsResult); the
+    # polish's start and the amplitude are then evaluated where the runs stopped,
+    # and the fit is the same bit for bit
     ds = benchmark_level("currin", 0, 1)
     reference = fit_level(ds, OptimizerConfig(seed=0))
     driver = gp_level.minimize
-    strays = []
 
     def stray_driver(objective, x0, **kwargs):
-        result = driver(objective, x0, **kwargs)
-        objective(result.x + 0.5)
-        strays.append(result.x + 0.5)
-        return result
+        return replace(driver(objective, x0, **kwargs), last=None)
 
     monkeypatch.setattr(gp_level, "minimize", stray_driver)
     counts = count_evaluations(monkeypatch)
     level = fit_level(ds, OptimizerConfig(seed=0))
     # the polish is handed no evaluation, since its start is evaluated again and
-    # counted in its nfev; beside each run's stray evaluation, the core evaluates the
-    # polish's end once more after the search, and the level is finished from that
-    # evaluation
-    assert len(strays) == len(counts["runs"]) == 14
-    assert counts["core"] == sum(r.nfev for r in counts["runs"]) + len(strays) + 1
-    assert counts["core"] == counts["objective"] + 1
+    # counted in its nfev; the core evaluates the polish's end once more after the
+    # search, and the level is finished from that evaluation
+    assert len(counts["runs"]) == 14
+    assert counts["core"] == counts["objective"] + 1 == sum(r.nfev for r in counts["runs"]) + 1
     np.testing.assert_array_equal(level.params.weights, reference.params.weights)
     assert (level.params.amplitude, level.fit_nll) == (reference.params.amplitude, reference.fit_nll)
     np.testing.assert_array_equal(level.chol, reference.chol)

@@ -18,6 +18,9 @@ The first line names the numpy and scipy versions; every other line is
   level's params, on its inputs and centered residuals: neg_log_likelihood,
   nll_gradient, and the fit_nll, chol and alpha of build_level(params, ...,
   center=False);
+- lbfgs/<benchmark>/seed<s>: the x, fun, nit, nfev and success of every
+  L-BFGS-B run of that Table-2 case, in call order, taken by wrapping
+  gp_level.minimize;
 - nugget/<benchmark>/seed<s>: each level, and its likelihood at its params as
   above, of train(..., learn_noise=True) on the Table-2 data of seeds 0-2,
   each fidelity's outputs perturbed by seeded noise of 5% of their std;
@@ -58,7 +61,7 @@ import tempfile
 import numpy as np
 import scipy
 
-from resgp import active, benchmarks, cli
+from resgp import active, benchmarks, cli, gp_level
 from resgp.gp_level import (
     OptimizerConfig,
     ResidualDataset,
@@ -113,9 +116,22 @@ def at_params_digest(level) -> str:
 
 
 def table2():
+    driver, runs = gp_level.minimize, []
+
+    def recording_driver(*args, **kwargs):
+        runs.append(driver(*args, **kwargs))
+        return runs[-1]
+
     for name in TABLE2:
         for s in TABLE2_SEEDS:
-            case = benchmarks.run_benchmark_case(name, seed=s)
+            runs.clear()
+            gp_level.minimize = recording_driver
+            try:
+                case = benchmarks.run_benchmark_case(name, seed=s)
+            finally:
+                gp_level.minimize = driver
+            yield f"lbfgs/{name}/seed{s}", digest(
+                *(part for r in runs for part in (r.x, r.fun, r.nit, r.nfev, r.success)))
             for l, level in enumerate(case["model"].levels, start=1):
                 yield f"table2/{name}/seed{s}/level{l}", level_digest(level)
                 yield f"table2/{name}/seed{s}/level{l}/at_params", at_params_digest(level)
