@@ -50,6 +50,9 @@ LBFGS_MEMORY = 10
 LBFGS_MAXLS = 20
 # what a fit's objective hands L-BFGS-B where the Gram does not factor
 NOT_PD_NLL = 1e25
+# query rows per level_predict call in predict and select_next: a block's sq_diffs
+# tensor and cross-covariances are PREDICT_ROWS x N (x l) whatever the query count
+PREDICT_ROWS = 1024
 
 
 class IllConditionedError(RuntimeError):
@@ -540,7 +543,9 @@ def level_predict(level: TrainedLevel, query):
 
     For a (l,) query returns (mean (d,), var float); for (M, l) returns
     (means (M, d), vars (M,)). The variance is the latent-function posterior
-    variance, clamped at zero, identical across output columns.
+    variance, clamped at zero, identical across output columns. The call holds
+    (M, N, l) and (M, N) temporaries; predict and select_next call it on blocks
+    of at most PREDICT_ROWS rows.
     """
     q = np.asarray(query, dtype=float)
     single = q.ndim == 1

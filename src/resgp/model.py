@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gp_level import (
+    PREDICT_ROWS,
     OptimizerConfig,
     ResidualDataset,
     cholesky_with_escalation,
@@ -237,10 +238,14 @@ def _accumulate(model: ResGPModel, query, n_levels: int) -> Posterior:
     u = model.domain.normalize(q)
     mean = np.zeros((q.shape[0], model.output_dim))
     var = np.zeros(q.shape[0])
-    for lvl in model.levels[:n_levels]:
-        m, v = level_predict(lvl, u)
-        mean += m
-        var += v
+    # blocks outside the levels: a block's level means are added into its slice of
+    # mean, so no level makes a full (M, d) temporary
+    for lo in range(0, q.shape[0], PREDICT_ROWS):
+        rows = slice(lo, lo + PREDICT_ROWS)
+        for lvl in model.levels[:n_levels]:
+            m, v = level_predict(lvl, u[rows])
+            mean[rows] += m
+            var[rows] += v
     if single:
         return Posterior(mean=mean[0], var=float(var[0]))
     return Posterior(mean=mean, var=var)
@@ -249,10 +254,12 @@ def _accumulate(model: ResGPModel, query, n_levels: int) -> Posterior:
 def predict(model: ResGPModel, query) -> Posterior:
     """Highest-fidelity posterior: level means and variances summed.
 
-    A row's result can differ in its last bits with the batch it is in: its kernel values are
-    the same, but BLAS sums k @ alpha and the triangular solve in an order that depends on the
-    batch size (by up to 1.7e-14 on a hartmann3 model). select_next scores its candidates as
-    one batch.
+    The query rows go through the levels in blocks of PREDICT_ROWS (1,024), so for M query
+    rows of l inputs, d outputs and at most N training points a level, memory is
+    O(PREDICT_ROWS N l + M (l + d)); a query of at most PREDICT_ROWS rows is one block. A row's result can differ in its
+    last bits with the block it is in: its kernel values are the same, but BLAS sums
+    k @ alpha and the triangular solve in an order that depends on the block's size (by up to
+    1.7e-14 on a hartmann3 model). select_next scores its candidates in the same blocks.
     """
     return _accumulate(model, query, model.n_fidelities)
 

@@ -20,13 +20,14 @@ from resgp import (
     sequential_construct,
     write_audit,
 )
+from resgp.gp_level import PREDICT_ROWS
 
 
-def toy_level(seed=0, n=8, l=2, amplitude=1.5):
+def toy_level(seed=0, n=8, l=2, amplitude=1.5, d=1):
     rng = np.random.default_rng(seed)
     p = KernelHyperparams(amplitude, rng.uniform(0.5, 4.0, size=l))
     x = rng.uniform(size=(n, l))
-    r = rng.normal(size=(n, 1))
+    r = rng.normal(size=(n, d))
     return build_level(p, ResidualDataset(x, r))
 
 
@@ -71,6 +72,18 @@ def test_select_matches_brute_force():
         _, gains = level_predict(level, cands)
         assert idx == int(np.argmax(gains))
         assert gain == gains[idx]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [1, 1023, 1024, 1025, 2051])
+def test_select_scores_candidates_in_blocks(m, d):
+    # an empty pool is refused (test_select_rejects_bad_pools)
+    level = toy_level(seed=m, d=d)
+    cands = np.random.default_rng(m).uniform(size=(m, 2))
+    gains = np.concatenate([level_predict(level, cands[lo : lo + PREDICT_ROWS])[1]
+                            for lo in range(0, m, PREDICT_ROWS)])
+    idx = int(np.argmax(np.where(gains < 10.0 * level.jitter, 0.0, gains)))
+    assert select_next(level, cands) == (idx, float(gains[idx]))
 
 
 def test_select_training_pool_ties_to_first_index():

@@ -3,6 +3,7 @@ model: training, prediction, and serialization."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from resgp import (
     save_model,
     train,
 )
+from resgp.gp_level import PREDICT_ROWS
 from resgp.model import NESTING_ATOL, check_budgets
 
 
@@ -178,14 +180,14 @@ def test_train_rejects_non_nested_inputs():
 # --- prediction -------------------------------------------------------------
 
 
-def fixed_model(seed=45, f=3, l=2, d=2, n=12):
+def fixed_model(seed=45, f=3, l=2, d=2, n=12, weights=(0.5, 4.0)):
     """Hand-assembled model with fixed hyperparameters, no optimization."""
     rng = np.random.default_rng(seed)
     levels = []
     x = rng.uniform(size=(n, l))
     for k in range(f):
         p = KernelHyperparams(
-            float(rng.uniform(0.5, 2.0)), rng.uniform(0.5, 4.0, size=l)
+            float(rng.uniform(0.5, 2.0)), rng.uniform(*weights, size=l)
         )
         r = rng.normal(size=(x.shape[0], d)) + rng.normal(size=(1, d))
         levels.append(build_level(p, ResidualDataset(x, r)))
@@ -257,6 +259,61 @@ def test_predict_fidelity_range_check():
             predict_fidelity(model, np.zeros((1, 2)), fidelity)
     exact = predict_fidelity(model, np.zeros((1, 2)), np.int64(2))
     np.testing.assert_array_equal(exact.mean, predict_fidelity(model, np.zeros((1, 2)), 2).mean)
+
+
+# --- prediction in row blocks ----------------------------------------------
+
+
+def summed_levels(levels, q):
+    """Mean and variance of q under the given levels, each summed from zero in level order."""
+    mean, var = np.zeros((len(q), levels[0].output_dim)), np.zeros(len(q))
+    for lvl in levels:
+        m, v = level_predict(lvl, q)
+        mean += m
+        var += v
+    return mean, var
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [0, 1, 1023, 1024, 1025, 2051])
+@pytest.mark.parametrize("fidelity", [2, 3], ids=["predict_fidelity", "predict"])
+def test_predict_takes_query_rows_in_blocks(fidelity, m, d):
+    # short length scales keep each Gram well conditioned, so k @ alpha has no
+    # cancellation and a summation order moves a mean by a few ulps of itself
+    model = fixed_model(d=d, weights=(20.0, 40.0))
+    q = np.random.default_rng(49).uniform(size=(m, 2))
+    post = predict(model, q) if fidelity == 3 else predict_fidelity(model, q, fidelity)
+    assert post.mean.shape == (m, d) and post.var.shape == (m,)
+    # each block's rows are its levels' level_predict of that block alone, bit for bit
+    for lo in range(0, m, PREDICT_ROWS):
+        mean, var = summed_levels(model.levels[:fidelity], q[lo : lo + PREDICT_ROWS])
+        np.testing.assert_array_equal(post.mean[lo : lo + PREDICT_ROWS], mean)
+        np.testing.assert_array_equal(post.var[lo : lo + PREDICT_ROWS], var)
+    # and the whole result is the one-shot sum but for BLAS's summation order
+    mean, var = summed_levels(model.levels[:fidelity], q)
+    np.testing.assert_allclose(post.mean, mean, rtol=1e-13)
+    np.testing.assert_allclose(post.var, var, rtol=1e-13)
+
+
+def test_predict_memory_does_not_grow_with_the_query_count_beyond_its_rows():
+    rng = np.random.default_rng(50)
+    level = build_level(KernelHyperparams(1.0, np.full(4, 2.0)),
+                        ResidualDataset(rng.uniform(size=(200, 4)), rng.normal(size=(200, 1))))
+    model = ResGPModel([level], DomainBox.unit(4))
+    peaks = {}
+    for m in (20_000, 40_000):
+        q = rng.uniform(size=(m, 4))
+        tracemalloc.start()
+        try:
+            predict(model, q)
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one (M, N, l) tensor would be 128 MB at 20,000 rows
+    assert peaks[20_000] < 32 * 2**20
+    # 20,000 more rows add at most 2 l floats a row for the normalized query and the
+    # temporary of its normalization, and d + 1 for the outputs: nothing that scales with N
+    assert peaks[40_000] - peaks[20_000] <= 20_000 * 8 * (2 * 4 + 1 + 1)
 
 
 def test_far_field_prior_limit():

@@ -30,12 +30,17 @@ The first line names the numpy and scipy versions; every other line is
   final levels of sequential_construct on hartmann3 [40, 15, 5] from a
   1,000-point pool, at seeds 2200-2203, and design/seed2200/random/audit and
   .../levels: the same at seed 2200 with strategy "random";
+- design/seed2200/select-blocks: the index and gain select_next picks with the
+  first level of the seed-2200 construction from a 2,500-point pool, scored in
+  three blocks of PREDICT_ROWS;
 - cli/<command>/<file>: what resgp train, predict and bounds write for currin
   [20, 5] at seed 7, without wall_time_s and output paths,
   cli/predict-checked/predictions.csv: predictions.csv of resgp predict on
   the same query rows written with CRLF line ends, one quoted cell and one
   blank line, which the csv reader reads instead of np.loadtxt and which must
-  equal cli/predict/predictions.csv, and
+  equal cli/predict/predictions.csv,
+  cli/predict-blocks/predictions.csv: predictions.csv of resgp predict on
+  2,500 query rows, three blocks of PREDICT_ROWS, and
   cli/bounds-truth/bounds.json: bounds.json, without wall_time_s, curve_path
   and config_hash (its config names a temporary file), of resgp bounds with a
   truth CSV of currin's top fidelity at 200 held-out points, which scores
@@ -44,7 +49,9 @@ The first line names the numpy and scipy versions; every other line is
   fidelities and pendulum_trajectory;
 - pendulum/seed<s>/level<l> and .../at_params: each level of run_benchmark_case
   on the pendulum at seeds 0-1, whose two outputs (d = 2) take the QR path of
-  the residual factor, and its likelihood at its params as above.
+  the residual factor, and its likelihood at its params as above, and
+  pendulum/seed0/predict-blocks: the posterior of the seed-0 model at 2,500
+  points, three blocks of PREDICT_ROWS.
 
 The script sets no thread variable. Linear algebra results are reproducible
 at a fixed BLAS thread count only, so both runs must use the same settings.
@@ -69,7 +76,7 @@ from resgp.gp_level import (
     neg_log_likelihood,
     nll_gradient,
 )
-from resgp.model import MultiFidelityData, train
+from resgp.model import MultiFidelityData, predict, train
 
 TABLE2 = ("currin", "park", "borehole", "branin3", "hartmann3")
 TABLE2_SEEDS = range(10)
@@ -83,6 +90,8 @@ DESIGN_POOL = 1000
 CLI_SEED = 7
 CLI_QUERIES = 1000
 CLI_TRUTH_POINTS = 200
+# query rows of the artifacts that predict in more than one block of PREDICT_ROWS
+BLOCK_QUERIES = 2500
 PENDULUM_ANGLES = np.linspace(1.25, 1.57, 7)
 PENDULUM_STEPS = (0.1, 0.01, 0.37, 5.0)
 
@@ -168,6 +177,10 @@ def design():
         yield f"{name}/audit", digest("\n".join(json.dumps(r, sort_keys=True)
                                                 for r in result.audit))
         yield f"{name}/levels", digest(*map(level_digest, result.model.levels))
+        if name == f"design/seed{DESIGN_SEEDS[0]}":
+            many = benchmarks.design_uniform(spec.domain, BLOCK_QUERIES, s)
+            idx, gain = active.select_next(result.model.levels[0], spec.domain.normalize(many))
+            yield f"{name}/select-blocks", digest(idx, gain)
 
 
 def _without(path: str, *keys) -> str:
@@ -189,6 +202,7 @@ def cli_artifacts():
         truth_cfg, truth = os.path.join(tmp, "bounds-truth.json"), os.path.join(tmp, "truth.csv")
         queries, out = os.path.join(tmp, "queries.csv"), os.path.join(tmp, "out")
         checked, checked_out = os.path.join(tmp, "checked.csv"), os.path.join(tmp, "out-checked")
+        blocks, blocks_out = os.path.join(tmp, "blocks.csv"), os.path.join(tmp, "out-blocks")
         truth_out = os.path.join(tmp, "out-truth")
         bounds = {"delta": 0.05, "tau": 1e-3, "l_y": 36.0}
         with open(train_cfg, "w") as fh:
@@ -199,6 +213,8 @@ def cli_artifacts():
             json.dump({**bounds, "truth": truth}, fh)
         benchmarks.write_csv(queries, ["x1", "x2"],
                              benchmarks.design_uniform(spec.domain, CLI_QUERIES, CLI_SEED))
+        benchmarks.write_csv(blocks, ["x1", "x2"],
+                             benchmarks.design_uniform(spec.domain, BLOCK_QUERIES, CLI_SEED))
         held_out = benchmarks.design_uniform(spec.domain, CLI_TRUTH_POINTS,
                                              CLI_SEED + benchmarks.TEST_SEED_OFFSET)
         benchmarks.write_dataset_csv(truth, MultiFidelityData(
@@ -212,6 +228,7 @@ def cli_artifacts():
         for argv in (["train", "--config", train_cfg, "--seed", str(CLI_SEED), "--out", out],
                      ["predict", "--model", model, "--queries", queries, "--out", out],
                      ["predict", "--model", model, "--queries", checked, "--out", checked_out],
+                     ["predict", "--model", model, "--queries", blocks, "--out", blocks_out],
                      ["bounds", "--model", model, "--config", bounds_cfg, "--out", out],
                      ["bounds", "--model", model, "--config", truth_cfg, "--out", truth_out]):
             code = cli.main(argv)
@@ -225,6 +242,7 @@ def cli_artifacts():
             "train/dataset_meta.json": _read(os.path.join(out, "dataset_meta.json")),
             "predict/predictions.csv": _read(os.path.join(out, "predictions.csv")),
             "predict-checked/predictions.csv": _read(os.path.join(checked_out, "predictions.csv")),
+            "predict-blocks/predictions.csv": _read(os.path.join(blocks_out, "predictions.csv")),
             "bounds/bounds.json": _without(os.path.join(out, "bounds.json"),
                                            "wall_time_s", "curve_path"),
             "bounds/curve.csv": _read(os.path.join(out, "curve.csv")),
@@ -245,6 +263,10 @@ def pendulum():
         for l, level in enumerate(case["model"].levels, start=1):
             yield f"pendulum/seed{s}/level{l}", level_digest(level)
             yield f"pendulum/seed{s}/level{l}/at_params", at_params_digest(level)
+        if s == 0:
+            spec = benchmarks.get_benchmark("pendulum")
+            post = predict(case["model"], benchmarks.design_uniform(spec.domain, BLOCK_QUERIES, s))
+            yield f"pendulum/seed{s}/predict-blocks", digest(post.mean, post.var)
 
 
 def main() -> int:
