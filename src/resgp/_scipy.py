@@ -34,6 +34,5 @@ def _compiled(package: str, name: str):
 
 _fblas, _flapack = _compiled("linalg", "_fblas"), _compiled("linalg", "_flapack")
 ddot, dgemm, dgemv, dtrmm = _fblas.ddot, _fblas.dgemm, _fblas.dgemv, _fblas.dtrmm
-dgesdd, dgesdd_lwork = _flapack.dgesdd, _flapack.dgesdd_lwork
 dpotrf, dtrtri, dtrtrs = _flapack.dpotrf, _flapack.dtrtri, _flapack.dtrtrs
 setulb = _compiled("optimize", "_lbfgsb").setulb

@@ -16,14 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gp_level import (
-    PREDICT_ROWS,
-    OptimizerConfig,
-    ResidualDataset,
-    TrainedLevel,
-    fit_level,
-    level_predict,
-)
+from .gp_level import OptimizerConfig, ResidualDataset, TrainedLevel, _predict_levels, fit_level
 from .kernel import DEFAULT_JITTER_REL, DomainBox, check_array, check_integer
 from .model import MultiFidelityData, ResGPModel, _atomic_write_text, _infer_domain, check_budgets
 
@@ -54,17 +47,15 @@ def select_next(level: TrainedLevel, candidates) -> tuple[int, float]:
     """Index of the highest-variance candidate and its gain.
 
     A candidate's gain is its level_predict variance, the entropy-reduction
-    score the acquisition maximizes, taken in blocks of PREDICT_ROWS candidates
-    as in predict. Gains indistinguishable from the jitter floor are snapped to
-    zero so a degenerate pool (every candidate already interpolated) resolves
-    to index 0; exact ties break to the lowest index.
+    score the acquisition maximizes, taken by gp_level._predict_levels as in
+    predict. Gains indistinguishable from the jitter floor are snapped to zero
+    so a degenerate pool (every candidate already interpolated) resolves to
+    index 0; exact ties break to the lowest index.
     """
     cands = check_array(candidates, "candidates", 2)
     if cands.shape[0] == 0:
         raise ValueError("candidates must hold at least one point")
-    gains = np.empty(cands.shape[0])
-    for lo in range(0, cands.shape[0], PREDICT_ROWS):
-        gains[lo : lo + PREDICT_ROWS] = level_predict(level, cands[lo : lo + PREDICT_ROWS])[1]
+    gains = _predict_levels([level], cands)[1]
     snapped = np.where(gains < 10.0 * level.jitter, 0.0, gains)
     idx = int(np.argmax(snapped))
     return idx, float(gains[idx])

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import dgesdd, dgesdd_lwork
 from .kernel import DomainBox, KernelHyperparams, check_array, check_real, kernel_lipschitz
 from .model import ResGPModel, predict
 
@@ -77,15 +76,6 @@ def _require_univariate(model: ResGPModel) -> None:
         )
 
 
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of a finite float64 a by scipy.linalg.svdvals's LAPACK calls, bit for bit."""
-    work, _ = dgesdd_lwork(*a.shape, compute_uv=0, full_matrices=1)
-    _, s, _, info = dgesdd(a, compute_uv=0, lwork=int(work.real), full_matrices=1)
-    if info > 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    return s
-
-
 def _level_constants(model: ResGPModel, domain: DomainBox) -> tuple[float, float]:
     """(L_mu, omega coefficient) summed over the levels in one pass, with each level's kernel
     Lipschitz constant L_k computed once in raw coordinates; |K^-1|_2 = 1 / sigma_min(L)^2."""
@@ -95,7 +85,7 @@ def _level_constants(model: ResGPModel, domain: DomainBox) -> tuple[float, float
         raw = KernelHyperparams(p.amplitude, p.weights / model.domain.width**2, p.noise)
         l_k = kernel_lipschitz(raw, domain)
         l_mu += l_k * math.sqrt(lvl.n_points) * float(np.linalg.norm(lvl.alpha))
-        inv_norm = 1.0 / float(np.min(_singular_values(lvl.chol))) ** 2
+        inv_norm = 1.0 / float(np.min(np.linalg.svd(lvl.chol, compute_uv=False))) ** 2
         coeff += 2.0 * l_k * (1.0 + lvl.n_points * p.amplitude * inv_norm)
     return l_mu, coeff
 

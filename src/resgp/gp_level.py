@@ -50,8 +50,9 @@ LBFGS_MEMORY = 10
 LBFGS_MAXLS = 20
 # what a fit's objective hands L-BFGS-B where the Gram does not factor
 NOT_PD_NLL = 1e25
-# query rows per level_predict call in predict and select_next: a block's sq_diffs
-# tensor and cross-covariances are PREDICT_ROWS x N (x l) whatever the query count
+# query rows per level_predict call in _predict_levels, which predict and select_next
+# share: a block's sq_diffs tensor and cross-covariances are PREDICT_ROWS x N (x l)
+# whatever the query count
 PREDICT_ROWS = 1024
 
 
@@ -91,6 +92,8 @@ class ResidualDataset:
             raise ValueError("inputs and residuals disagree on N")
         if self.inputs.shape[0] == 0:
             raise ValueError("dataset must contain at least one row")
+        if self.input_dim == 0 or self.output_dim == 0:
+            raise ValueError("inputs and residuals must each have at least one column")
 
     @property
     def n_points(self) -> int:
@@ -544,8 +547,8 @@ def level_predict(level: TrainedLevel, query):
     For a (l,) query returns (mean (d,), var float); for (M, l) returns
     (means (M, d), vars (M,)). The variance is the latent-function posterior
     variance, clamped at zero, identical across output columns. The call holds
-    (M, N, l) and (M, N) temporaries; predict and select_next call it on blocks
-    of at most PREDICT_ROWS rows.
+    (M, N, l) and (M, N) temporaries; _predict_levels, which predict and
+    select_next share, calls it on blocks of at most PREDICT_ROWS rows.
     """
     q = np.asarray(query, dtype=float)
     single = q.ndim == 1
@@ -558,4 +561,23 @@ def level_predict(level: TrainedLevel, query):
     var = np.maximum(var, 0.0)
     if single:
         return mean[0], float(var[0])
+    return mean, var
+
+
+def _predict_levels(levels, rows: np.ndarray):
+    """Summed posterior mean (M, d) and variance (M,) of levels at the (M, l) rows.
+
+    The rows go through every level in blocks of PREDICT_ROWS, each level's
+    level_predict of a block added into that block's rows, so no level makes a
+    full (M, d) temporary and memory is O(PREDICT_ROWS N l + M d). The variances
+    are clamped at zero, so one level's sum is its level_predict bit for bit.
+    """
+    mean = np.zeros((rows.shape[0], levels[0].output_dim))
+    var = np.zeros(rows.shape[0])
+    for lo in range(0, rows.shape[0], PREDICT_ROWS):
+        block = slice(lo, lo + PREDICT_ROWS)
+        for lvl in levels:
+            m, v = level_predict(lvl, rows[block])
+            mean[block] += m
+            var[block] += v
     return mean, var

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gp_level import (
-    PREDICT_ROWS,
     OptimizerConfig,
     ResidualDataset,
     cholesky_with_escalation,
     fit_level,
-    level_predict,
     _finalize_level,
+    _predict_levels,
 )
 from .kernel import (
     DEFAULT_JITTER_REL,
@@ -81,6 +80,8 @@ class MultiFidelityData:
                     f"fidelity {f}: more points ({x.shape[0]}) than fidelity {f - 1} ({prev_n})"
                 )
             prev_n = x.shape[0]
+        if self.input_dim == 0 or self.output_dim == 0:
+            raise ValueError("inputs and outputs must each have at least one column")
 
     @property
     def n_fidelities(self) -> int:
@@ -235,17 +236,7 @@ def _accumulate(model: ResGPModel, query, n_levels: int) -> Posterior:
     q = check_array(q[None, :] if single else q, "query", 2)
     if q.shape[1] != model.input_dim:
         raise ValueError("query dimension does not match model")
-    u = model.domain.normalize(q)
-    mean = np.zeros((q.shape[0], model.output_dim))
-    var = np.zeros(q.shape[0])
-    # blocks outside the levels: a block's level means are added into its slice of
-    # mean, so no level makes a full (M, d) temporary
-    for lo in range(0, q.shape[0], PREDICT_ROWS):
-        rows = slice(lo, lo + PREDICT_ROWS)
-        for lvl in model.levels[:n_levels]:
-            m, v = level_predict(lvl, u[rows])
-            mean[rows] += m
-            var[rows] += v
+    mean, var = _predict_levels(model.levels[:n_levels], model.domain.normalize(q))
     if single:
         return Posterior(mean=mean[0], var=float(var[0]))
     return Posterior(mean=mean, var=var)
@@ -254,12 +245,13 @@ def _accumulate(model: ResGPModel, query, n_levels: int) -> Posterior:
 def predict(model: ResGPModel, query) -> Posterior:
     """Highest-fidelity posterior: level means and variances summed.
 
-    The query rows go through the levels in blocks of PREDICT_ROWS (1,024), so for M query
-    rows of l inputs, d outputs and at most N training points a level, memory is
-    O(PREDICT_ROWS N l + M (l + d)); a query of at most PREDICT_ROWS rows is one block. A row's result can differ in its
-    last bits with the block it is in: its kernel values are the same, but BLAS sums
-    k @ alpha and the triangular solve in an order that depends on the block's size (by up to
-    1.7e-14 on a hartmann3 model). select_next scores its candidates in the same blocks.
+    The query rows go through the levels in blocks of gp_level.PREDICT_ROWS (1,024) by
+    gp_level._predict_levels, so for M query rows of l inputs, d outputs and at most N
+    training points a level, memory is O(PREDICT_ROWS N l + M (l + d)); a query of at most
+    PREDICT_ROWS rows is one block. A row's result can differ in its last bits with the
+    block it is in: its kernel values are the same, but BLAS sums k @ alpha and the
+    triangular solve in an order that depends on the block's size (by up to 1.7e-14 on a
+    hartmann3 model). select_next scores its candidates through the same routine.
     """
     return _accumulate(model, query, model.n_fidelities)
 

@@ -1231,6 +1231,13 @@ def test_dataset_rejects_shape_mismatch():
         ResidualDataset(np.zeros(3), np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("l, d", [(2, 0), (0, 1)], ids=["no_residual_columns", "no_input_columns"])
+def test_dataset_rejects_zero_width(l, d):
+    # every level function would fail inside BLAS on such a dataset, not with a ValueError
+    with pytest.raises(ValueError, match="at least one column"):
+        ResidualDataset(np.random.default_rng(0).uniform(size=(6, l)), np.zeros((6, d)))
+
+
 def test_dataset_rejects_non_finite():
     x = np.zeros((2, 1))
     with pytest.raises(ValueError):

@@ -19,12 +19,14 @@ from resgp import (
     build_level,
     compute_residuals,
     fit_level,
+    gp_level,
     level_predict,
     load_model,
     nesting_check,
     predict,
     predict_fidelity,
     save_model,
+    select_next,
     train,
 )
 from resgp.gp_level import PREDICT_ROWS
@@ -295,6 +297,37 @@ def test_predict_takes_query_rows_in_blocks(fidelity, m, d):
     np.testing.assert_allclose(post.var, var, rtol=1e-13)
 
 
+def test_one_module_decides_the_block_size(monkeypatch):
+    # predict, predict_fidelity and select_next read PREDICT_ROWS and level_predict
+    # from gp_level when they run, so patching the two there reaches all three
+    model = fixed_model(d=2, weights=(20.0, 40.0))
+    q = np.random.default_rng(51).uniform(size=(20, 2))
+    blocks = [slice(0, 7), slice(7, 14), slice(14, 20)]
+    rows = []
+
+    def recording(level, query):
+        rows.append(len(query))
+        return level_predict(level, query)
+
+    monkeypatch.setattr(gp_level, "PREDICT_ROWS", 7)
+    monkeypatch.setattr(gp_level, "level_predict", recording)
+    for fidelity in (2, 3):
+        rows.clear()
+        post = predict(model, q) if fidelity == 3 else predict_fidelity(model, q, fidelity)
+        assert rows == [7] * fidelity + [7] * fidelity + [6] * fidelity
+        for block in blocks:
+            mean, var = summed_levels(model.levels[:fidelity], q[block])
+            np.testing.assert_array_equal(post.mean[block], mean)
+            np.testing.assert_array_equal(post.var[block], var)
+    rows.clear()
+    level = model.levels[0]
+    result = select_next(level, q)
+    assert rows == [7, 7, 6]
+    gains = np.concatenate([level_predict(level, q[block])[1] for block in blocks])
+    idx = int(np.argmax(np.where(gains < 10.0 * level.jitter, 0.0, gains)))
+    assert result == (idx, float(gains[idx]))
+
+
 def test_predict_memory_does_not_grow_with_the_query_count_beyond_its_rows():
     rng = np.random.default_rng(50)
     level = build_level(KernelHyperparams(1.0, np.full(4, 2.0)),
@@ -458,6 +491,14 @@ def test_data_rejects_ragged_shapes():
                           [np.zeros((3, 1)), np.zeros((2, 1))])
     with pytest.raises(ValueError):
         MultiFidelityData([], [])
+
+
+@pytest.mark.parametrize("l, d", [(2, 0), (0, 1)], ids=["no_output_columns", "no_input_columns"])
+def test_data_rejects_zero_width(l, d):
+    # train would fail inside BLAS on such data, not with a ValueError
+    x = np.random.default_rng(0).uniform(size=(6, l))
+    with pytest.raises(ValueError, match="at least one column"):
+        MultiFidelityData([x, x[:3]], [np.zeros((6, d)), np.zeros((3, d))])
 
 
 # --- check_budgets ----------------------------------------------------------

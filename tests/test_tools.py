@@ -22,10 +22,11 @@ def test_bit_identity_prints_one_named_digest_per_artifact():
         assert re.fullmatch(r"\S+ [0-9a-f]{64}", line), line
     names = [line.split()[0] for line in lines]
     assert len(set(names)) == len(names)
-    # five benchmarks x ten seeds (posteriors and L-BFGS-B runs), five constructions (four variance, one random)
-    # and one pool scored in blocks, ten CLI files
+    # five benchmarks x ten seeds (posteriors, L-BFGS-B runs and bound constants), five
+    # constructions (four variance, one random) and one pool scored in blocks, ten CLI files
     assert sum(n.startswith("table2/") and n.endswith("/posterior") for n in names) == 50
     assert sum(n.startswith("lbfgs/") for n in names) == 50
+    assert sum(n.startswith("bounds/") for n in names) == 50
     assert sum(n.startswith("design/") for n in names) == 11
     assert sum(n.startswith("cli/") for n in names) == 10
     # the artifacts that predict or score in more than one block of PREDICT_ROWS

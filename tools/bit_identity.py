@@ -14,6 +14,9 @@ The first line names the numpy and scipy versions; every other line is
   alpha, and table2/<benchmark>/seed<s>/posterior: the posterior mean and
   variance on the 1,000 held-out points, for run_benchmark_case on the five
   Table-2 benchmarks at seeds 0-9;
+- bounds/<benchmark>/seed<s>: the uniform bound's constants of that Table-2
+  model on its own box, bounds._level_constants (L_mu and the omega
+  coefficient, which reads each level factor's smallest singular value);
 - table2/<benchmark>/seed<s>/level<l>/at_params: the likelihood at that
   level's params, on its inputs and centered residuals: neg_log_likelihood,
   nll_gradient, and the fit_nll, chol and alpha of build_level(params, ...,
@@ -68,7 +71,7 @@ import tempfile
 import numpy as np
 import scipy
 
-from resgp import active, benchmarks, cli, gp_level
+from resgp import active, benchmarks, bounds, cli, gp_level
 from resgp.gp_level import (
     OptimizerConfig,
     ResidualDataset,
@@ -146,6 +149,8 @@ def table2():
                 yield f"table2/{name}/seed{s}/level{l}/at_params", at_params_digest(level)
             post = case["posterior"]
             yield f"table2/{name}/seed{s}/posterior", digest(post.mean, post.var)
+            model = case["model"]
+            yield f"bounds/{name}/seed{s}", digest(*bounds._level_constants(model, model.domain))
 
 
 def nugget():
