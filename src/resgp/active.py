@@ -123,12 +123,16 @@ def sequential_construct(
     levels: list[TrainedLevel] = []
     selected: dict = {}
     for f in range(1, len(budgets) + 1):
-        # the pool indices still to choose from: pool order at fidelity 1, selection order above
-        remaining = list(range(raw.shape[0])) if f == 1 else list(selected[f - 1])
-        k, mode, gain = int(rng.integers(len(remaining))), "seed", None
+        # the pool indices still to choose from, as an index array for the candidate
+        # rows unit[remaining]: pool order at fidelity 1, selection order above
+        remaining = np.arange(raw.shape[0]) if f == 1 else np.array(selected[f - 1])
+        k, mode, gain = int(rng.integers(remaining.size)), "seed", None
         chosen, rows, level = [], [], None
         while True:
-            pick = remaining.pop(k)
+            pick = int(remaining[k])
+            # drop the pick, keeping the order, in the array's own memory
+            remaining[k:-1] = remaining[k + 1 :]
+            remaining = remaining[:-1]
             y = simulate(f, pick)
             rows.append(y if f == 1 else y - outputs[f - 1, pick])
             chosen.append(pick)
@@ -159,7 +163,7 @@ def sequential_construct(
                 k, gain = select_next(level, unit[remaining])
                 mode = "argmax"
             else:
-                k, mode = int(rng.integers(len(remaining))), "random"
+                k, mode = int(rng.integers(remaining.size)), "random"
         levels.append(level)
         selected[f] = chosen
 

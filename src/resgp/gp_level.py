@@ -211,7 +211,7 @@ class _Likelihood:
                  shift_scale: float | None = None):
         """NLL, gradient, amplitude a and factor L for the Gram a (C + shift I).
 
-        C = unit_kernel(sq, weights); shift is jitter_rel plus noise / a. The
+        C = unit_kernel(sq_t, weights); shift is jitter_rel plus noise / a. The
         upper triangle of K = C + shift I, the one factored, is gram's at unit
         amplitude, and L is its lower Cholesky factor (see _cholesky): sqrt(a) L
         factors the Gram. With S = tr(F^T K^-1 F) the NLL is
@@ -227,14 +227,16 @@ class _Likelihood:
         scipy's BLAS.
         """
         n, d, nd = self.n, self.d, self.nd
-        C = unit_kernel(self.sq, weights)
+        C = unit_kernel(self.sq_t, weights)  # flat, row by row
         K = C.copy()
-        K.ravel()[:: n + 1] += shift
-        chol = _cholesky(K, shift)
+        K[:: n + 1] += shift
+        chol = _cholesky(K.reshape(n, n), shift)
         size = weights.size + (1 if shift_scale is None else 2)
         if chol is None:
             return np.inf, np.zeros(size), amplitude, None
-        logdet = 2.0 * float(np.log(chol.diagonal()).sum())
+        # np.add.reduce is the ufunc ndarray.sum() reaches through numpy's Python
+        # wrapper: the same sum, with less dispatch
+        logdet = 2.0 * float(np.add.reduce(np.log(chol.diagonal())))
         linv, _ = dtrtri(chol, lower=1)  # L^-1, in a new array: the fit keeps L
         # K^-1 = L^-T L^-1 as a triangular product; linv's upper triangle is zero, so
         # the full K^-1 comes out
@@ -252,18 +254,17 @@ class _Likelihood:
         alpha *= 1.0 / math.sqrt(amplitude)
         B = dgemm(-1.0, alpha, alpha, beta=float(d), c=kinv, trans_b=1, overwrite_c=1)
         # 0.5 tr(B dK) = 0.5 sum(B^T * dK), dK = -w_i sq[..., i] * C for weight i and I
-        # for the shift; B^T is the C-ordered view of the Fortran-ordered B
-        bc = B.T
-        flat = bc.ravel()
+        # for the shift; B^T flattened is a view of the Fortran-ordered B, row by row
+        # like C
+        flat = B.T.ravel()
         grad = np.empty(size)
         grad[0] = 0.5 * (nd - S / amplitude)
         if shift_scale is not None:
-            grad[-1] = 0.5 * flat[:: n + 1].sum() * shift_scale
-        bc *= C
-        # -0.5 w_i v_i: scaling the product by -0.5 afterwards rounds the same
-        w = grad[1 : weights.size + 1]
-        np.multiply(weights, dgemv(1.0, self.sq_t, flat), out=w)
-        w *= -0.5
+            grad[-1] = 0.5 * np.add.reduce(flat[:: n + 1]) * shift_scale
+        flat *= C
+        # w_i times -0.5 v_i, the -0.5 taken as dgemv's alpha: a power of two, it
+        # rounds as scaling the product afterwards does
+        np.multiply(weights, dgemv(-0.5, self.sq_t, flat), out=grad[1 : weights.size + 1])
         return nll, grad, amplitude, chol
 
 
@@ -557,7 +558,7 @@ def level_predict(level: TrainedLevel, query):
     k = cross_vec(level.params, q, level.inputs)  # (M, N)
     mean = k @ level.alpha + level.column_means
     white, _ = dtrtrs(level.chol, k.T, lower=1, overwrite_b=1)  # (N, M), in k's memory
-    var = level.params.amplitude - np.sum(white * white, axis=0)
+    var = level.params.amplitude - np.add.reduce(white * white, axis=0)
     var = np.maximum(var, 0.0)
     if single:
         return mean[0], float(var[0])

@@ -14,6 +14,7 @@ supremum used by the error-bound module live here.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -34,11 +35,21 @@ DIST_CUT = 230.0
 HYPERCUBE_ATOL = 1e-12
 
 
+@functools.cache
+def _interval(bounds: str) -> tuple[float, float, bool, bool]:
+    """The ends of an interval such as "(0, 5]" and whether each is open.
+
+    Cached: the checks name a handful of literal intervals, and each is parsed once.
+    """
+    low, high = map(float, bounds[1:-1].split(","))
+    return low, high, bounds[0] == "(", bounds[-1] == ")"
+
+
 def _inside(value, bounds: str):
     """Whether value, a float or an array (elementwise), lies in an interval such as "(0, 5]"."""
-    low, high = map(float, bounds[1:-1].split(","))
-    above = low < value if bounds[0] == "(" else low <= value
-    return above & (value < high if bounds[-1] == ")" else value <= high)
+    low, high, open_low, open_high = _interval(bounds)
+    above = low < value if open_low else low <= value
+    return above & (value < high if open_high else value <= high)
 
 
 def _must_be(bounds: str, finite: bool = True) -> str:
@@ -96,7 +107,9 @@ def check_array(x, name: str, ndim: int, bounds: str | None = None) -> np.ndarra
     arr = arr.astype(float, copy=False)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not (np.isfinite(arr).all() and (bounds is None or _inside(arr, bounds).all())):
+    # the ufunc ndarray.all() reaches through numpy's Python wrapper: the same test
+    every = np.logical_and.reduce
+    if not (every(np.isfinite(arr), None) and (bounds is None or every(_inside(arr, bounds), None))):
         raise ValueError(f"{name} must be {_must_be(bounds or '(-inf, inf)')}")
     return arr
 
@@ -166,10 +179,10 @@ class KernelHyperparams:
 def sq_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b), l) tensor of squared per-coordinate differences of row pairs.
 
-    This is the one pairwise routine: every kernel matrix is
-    amplitude * unit_kernel(sq_diffs(a, b), weights). a and
-    b are float arrays of any memory order; the result is a new C-ordered array,
-    equal bit for bit to np.square(a[:, None, :] - b[None, :, :]).
+    This is the one pairwise routine: every kernel matrix is amplitude times
+    unit_kernel of its (l, M N) view. a and b are float arrays of any memory
+    order; the result is a new C-ordered array, equal bit for bit to
+    np.square(a[:, None, :] - b[None, :, :]).
     """
     m, (n, l) = a.shape[0], b.shape
     # each row of a repeated N times, then b's flattened rows subtracted from every
@@ -180,19 +193,20 @@ def sq_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.square(out, out=out).reshape(m, n, l)
 
 
-def unit_kernel(sq: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(M, N) unit-amplitude kernel values exp(-min(sum_i w_i sq[..., i], DIST_CUT)).
+def unit_kernel(sq_t: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(M N,) unit-amplitude kernel values exp(-min(sum_i w_i sq[..., i], DIST_CUT)), row by row.
 
-    sq is a sq_diffs tensor. One dgemv with alpha -1 on the Fortran-ordered
-    (l, M N) view of the C-ordered tensor, which copies nothing, gives the
+    sq_t is sq.reshape(M * N, l).T for a sq_diffs tensor sq: the Fortran-ordered
+    (l, M N) view of the C-ordered tensor, which copies nothing, and which the
+    likelihood core takes once per fit. One dgemv with alpha -1 on it gives the
     negated weighted squared distances, and the cap and the exponential are taken
-    over that array in place. The Gram, the cross-covariances and the likelihood
-    core all round the distances this way.
+    over that array in place; reshaped to (M, N), it is the kernel matrix. The
+    Gram, the cross-covariances and the likelihood core all round the distances
+    this way.
     """
-    m, n, l = sq.shape
-    if m * n == 0:
-        return np.zeros((m, n))
-    k = dgemv(-1.0, sq.reshape(m * n, l).T, weights, trans=1).reshape(m, n)
+    if sq_t.shape[1] == 0:
+        return np.zeros(0)
+    k = dgemv(-1.0, sq_t, weights, trans=1)
     np.maximum(k, -DIST_CUT, out=k)
     return np.exp(k, out=k)
 
@@ -207,7 +221,9 @@ def gram(params: KernelHyperparams, points, jitter: float = 0.0) -> np.ndarray:
     if pts.shape[1] != params.dim:
         raise ValueError("point dimension does not match kernel weights")
     jitter = check_real(jitter, "jitter", "[0, inf)")
-    K = unit_kernel(sq_diffs(pts, pts), params.weights) * params.amplitude
+    n, l = pts.shape
+    K = unit_kernel(sq_diffs(pts, pts).reshape(n * n, l).T, params.weights) * params.amplitude
+    K = K.reshape(n, n)
     # mirror the upper triangle, the one the Cholesky factorization reads, so the
     # matrix is exactly symmetric and equal to the likelihood core's
     lower = np.tril_indices_from(K, -1)
@@ -231,10 +247,12 @@ def cross_vec(params: KernelHyperparams, query, points) -> np.ndarray:
         q = q[None, :]
     if q.shape[1] != params.dim or pts.shape[1] != params.dim:
         raise ValueError("point dimension does not match kernel weights")
+    m, (n, l) = q.shape[0], pts.shape
     # the product is a new array, allocated once the tensor is freed: with the
     # tensor still live below it, glibc trims and refaults the heap on every call
     # at 10,000 x 20 points (1,530 page faults, about 3 ms, per level_predict)
-    out = unit_kernel(sq_diffs(q, pts), params.weights) * params.amplitude
+    out = unit_kernel(sq_diffs(q, pts).reshape(m * n, l).T, params.weights) * params.amplitude
+    out = out.reshape(m, n)
     return out[0] if single else out
 
 

@@ -644,6 +644,13 @@ def test_jsonable_array_matches_the_element_walk(table):
     assert json.dumps(_jsonable({"means": table}), indent=1) == json.dumps({"means": expected}, indent=1)
 
 
+def test_jsonable_turns_numpy_integers_into_ints():
+    value = _jsonable({"n": np.int64(7), "picks": [np.int32(2), np.uint8(3)]})
+    assert value == {"n": 7, "picks": [2, 3]}
+    assert all(type(v) is int for v in (value["n"], *value["picks"]))
+    assert json.dumps(value, sort_keys=True) == '{"n": 7, "picks": [2, 3]}'
+
+
 def test_predict_calls_in_one_process_share_no_parsed_value(trained, tmp_path):
     # the parser is built once per process; each call parses its own arguments
     out, inputs, _ = trained
@@ -830,6 +837,35 @@ def test_active_simulates_each_design_point_once(tmp_path, monkeypatch):
     assert fidelities.count(2) == 4
 
 
+def test_active_oracle_failure_exits_3_and_keeps_the_audit_so_far(tmp_path, monkeypatch, capsys):
+    import resgp.cli as cli_mod
+
+    cfg = write_config(
+        tmp_path,
+        "active.json",
+        {"benchmark": "currin", "budgets": [5, 3], "pool_size": 20, "test_points": 10, "seed": 0},
+    )
+    assert main(["active", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
+    full = read_audit(str(tmp_path / "full" / "audit.jsonl"))
+    real, calls, k = cli_mod.evaluate, [], 7  # the second pick of fidelity 2
+
+    def failing(bench, fidelity, query):
+        calls.append(fidelity)
+        if len(calls) == k:
+            raise RuntimeError("simulator crashed")
+        return real(bench, fidelity, query)
+
+    monkeypatch.setattr(cli_mod, "evaluate", failing)
+    out = tmp_path / "run"
+    assert main(["active", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error: oracle failed at fidelity 2" in err and "simulator crashed" in err
+    audit = read_audit(str(out / "audit.jsonl"))
+    assert len(audit) == k - 1
+    assert audit == full[: k - 1]
+    assert sorted(p.name for p in out.iterdir()) == ["audit.jsonl"]
+
+
 def test_active_requires_benchmark(tmp_path):
     cfg = write_config(tmp_path, "active.json", {"budgets": [5, 2]})
     assert main(["active", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -933,6 +969,20 @@ def test_domain_bounds_must_be_json_numbers(univariate_model, tmp_path, capsys, 
         argv = ["bounds", "--model", str(univariate_model), "--config", cfg]
     assert main(argv + ["--out", str(tmp_path / "run")]) == 1
     assert "domain lower must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "bounds"])
+@pytest.mark.parametrize("domain", [[0.0, 6.0], "unit", {"lower": [0.0]}], ids=["list", "string", "no-upper"])
+def test_domain_must_be_an_object_with_both_lists(univariate_model, tmp_path, capsys, command, domain):
+    if command == "train":
+        write_dataset_csv(str(tmp_path / "data.csv"), sine_dataset())
+        cfg = write_config(tmp_path, "train.json", {"dataset": str(tmp_path / "data.csv"), "domain": domain})
+        argv = ["train", "--config", cfg]
+    else:
+        cfg = write_config(tmp_path, "bounds.json", {"delta": 0.05, "tau": 1e-3, "l_y": 10.0, "domain": domain})
+        argv = ["bounds", "--model", str(univariate_model), "--config", cfg]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+    assert "domain must be an object with lists lower and upper" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tau", [1e-300, 5e-324])

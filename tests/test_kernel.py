@@ -1,6 +1,7 @@
 """Kernel evaluation, Gram assembly, and the Lipschitz constant estimate."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from resgp import (
     predict_fidelity,
     sequential_construct,
     train,
+    uniform_bound,
 )
 from resgp.gp_level import cholesky_with_escalation
 from resgp.kernel import (
@@ -290,7 +292,8 @@ def test_kernel_matrices_come_from_one_pairwise_routine(case):
     K = gram(p, x, jitter)
     np.testing.assert_array_equal(K, K.T)
     # the upper triangle is the one the likelihood core factors at the same shift
-    core = p.amplitude * unit_kernel(sq_diffs(x, x), p.weights)
+    sq_t = sq_diffs(x, x).reshape(n * n, x.shape[1]).T
+    core = p.amplitude * unit_kernel(sq_t, p.weights).reshape(n, n)
     core.flat[:: n + 1] += jitter + p.noise
     np.testing.assert_array_equal(np.triu(K), np.triu(core))
 
@@ -339,8 +342,8 @@ def test_sq_diffs_is_the_broadcast_square_in_c_order(ab):
     a, b = ab
     sq = sq_diffs(a, b)
     np.testing.assert_array_equal(sq, np.square(a[:, None, :] - b[None, :, :]), strict=True)
-    # unit_kernel reads the tensor through a reshape that must not copy; the
-    # broadcast gives a Fortran-ordered tensor for Fortran-ordered inputs
+    # unit_kernel reads the tensor through an (l, M N) view, whose reshape must not
+    # copy; the broadcast gives a Fortran-ordered tensor for Fortran-ordered inputs
     assert sq.flags.c_contiguous and sq.shape == (len(a), len(b), a.shape[1])
 
 
@@ -414,6 +417,39 @@ def test_every_number_field_has_one_check(case, bad):
     bad_type = isinstance(value, (bool, str, type(None))) or (kind is int and isinstance(value, float))
     with pytest.raises(TypeError if bad_type else ValueError, match=f"^{field} must be "):
         call(value)
+
+
+# (call, message) of each check of an input's shape or dimension: call() passes
+# one input that fails it and must raise a ValueError with exactly that message
+SHAPE_CHECKS = {
+    "DomainBox-lengths": (lambda: DomainBox([0.0], [1.0, 2.0]),
+                          "lower and upper must have the same length"),
+    "DomainBox-no-dimension": (lambda: DomainBox([], []), "domain must have at least one dimension"),
+    "KernelHyperparams-no-weights": (lambda: KernelHyperparams(1.0, []), "weights must not be empty"),
+    "gram-dimension": (lambda: gram(P1, [[0.0, 1.0]]),
+                       "point dimension does not match kernel weights"),
+    "kernel_lipschitz-dimension": (lambda: kernel_lipschitz(P1, DomainBox.unit(2)),
+                                   "domain dimension does not match kernel weights"),
+    "MultiFidelityData-fidelity-count": (
+        lambda: MultiFidelityData([[[0.0]]], [[[0.0]], [[0.0]]]),
+        "inputs and outputs must list the same number of fidelities"),
+    "MultiFidelityData-no-rows": (
+        lambda: MultiFidelityData([[[0.0]], np.zeros((0, 1))], [[[0.0]], np.zeros((0, 1))]),
+        "fidelity 2: at least one point required"),
+    "sequential_construct-domain": (
+        lambda: sequential_construct([[0.0], [1.0]], [2], lambda f, x: x, domain=DomainBox.unit(2)),
+        "domain dimension does not match pool"),
+    "uniform_bound-domain": (
+        lambda: uniform_bound(one_level_model(), BoundConfig(0.05, 1e-3, 1.0, DomainBox.unit(2))),
+        "config domain dimension does not match model"),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_CHECKS))
+def test_every_shape_check_names_what_is_wrong(case):
+    call, message = SHAPE_CHECKS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_checks_state_their_bounds_in_one_format():
