@@ -67,7 +67,8 @@ class OptimizerConfig:
     restarts counts the recipe starts of _start_points (unit scales plus
     random restarts around the moment-matched start); seed fixes the random
     restarts. Every L-BFGS-B setting is a module constant (MAX_ITERS,
-    LOOSE_FTOL, LOOSE_GTOL, POLISH_FTOL and POLISH_GTOL; see fit_level).
+    LOOSE_FTOL, LOOSE_GTOL, POLISH_FTOL, POLISH_GTOL, LBFGS_MEMORY and
+    LBFGS_MAXLS; see fit_level and minimize).
     """
 
     restarts: int = 12
@@ -163,6 +164,17 @@ def _cholesky(K: np.ndarray, shift: float) -> np.ndarray | None:
     if info != 0 or (shift <= 2.0 * floor and chol.diagonal().min() ** 2 <= floor):
         return None
     return chol
+
+
+def _column_means(residuals: np.ndarray) -> np.ndarray:
+    """residuals.mean(axis=0) bit for bit: the ufunc sum over N that ndarray.mean
+    reaches through numpy's Python wrapper, divided by N."""
+    return np.add.reduce(residuals, axis=0) / residuals.shape[0]
+
+
+def _clip(x):
+    """x clipped to [-LOG_BOUND, LOG_BOUND] as np.clip does it, without its Python wrapper."""
+    return np.minimum(np.maximum(x, -LOG_BOUND), LOG_BOUND)
 
 
 def _shift(params: KernelHyperparams, jitter_rel: float) -> float:
@@ -343,7 +355,7 @@ def build_level(
     One likelihood evaluation at params gives fit_nll and, scaled by
     sqrt(amplitude), the Cholesky factor cholesky_with_escalation would return.
     """
-    means = data.residuals.mean(axis=0) if center else np.zeros(data.output_dim)
+    means = _column_means(data.residuals) if center else np.zeros(data.output_dim)
     centered = data.residuals - means
     fit_nll, _, chol = _nll_at(params, data.inputs, centered, jitter_rel)
     chol *= math.sqrt(params.amplitude)
@@ -378,19 +390,21 @@ def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: in
     length, factr = ftol / eps and an iteration cap counted on each new
     iteration; the objective is called at x0, unless start holds its return
     there (counted in nfev all the same), and then only where setulb asks for a
-    point other than the last one evaluated. So x, fun, nit, nfev and success
+    point other than the last one evaluated. It is handed the driver's own x,
+    which setulb overwrites after the call returns, so an objective must copy
+    any part of x it keeps. So x, fun, nit, nfev and success
     equal minimize's bit for bit (fun, as there, may not be f(x): see
     LbfgsResult), without its wrapper objects. scipy's 15,000-evaluation cap is
     left out, so maxiter must stay below about 375, where it cannot bind (see
     MAX_ITERS). setulb (scipy.optimize._lbfgsb, loaded by resgp._scipy) is private
     scipy API with this signature since 1.15. bench/layers.py wraps this name.
     """
-    x = np.asarray(x0, dtype=float).clip(-LOG_BOUND, LOG_BOUND)
+    x = _clip(np.asarray(x0, dtype=float))
     n = x.size
     # the last point evaluated, as a list: lists of floats compare elementwise like
     # the arrays do, in a tenth of the time at these sizes
     x_eval = x.tolist()
-    last = objective(x.copy()) if start is None else start
+    last = objective(x) if start is None else start
     f, g = last[:2]
     nfev, nit = 1, 0
     m = LBFGS_MEMORY
@@ -404,19 +418,20 @@ def minimize(objective, x0: np.ndarray, *, ftol: float, gtol: float, maxiter: in
     while True:
         setulb(m, x, lower, upper, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave,
                dsave, LBFGS_MAXLS, ln_task)
-        if task[0] == 3:  # evaluate f and g at x
+        code = task.item(0)
+        if code == 3:  # evaluate f and g at x
             point = x.tolist()
             if point != x_eval:
                 x_eval = point
-                last = objective(x.copy())
+                last = objective(x)
                 f, g = last[:2]
                 nfev += 1
-        elif task[0] == 1:  # new iteration
+        elif code == 1:  # new iteration
             nit += 1
             if nit >= maxiter:
                 task[:] = 5, 504  # stop: iteration limit
         else:
-            return LbfgsResult(x=x, fun=f, nit=nit, nfev=nfev, success=bool(task[0] == 4),
+            return LbfgsResult(x=x, fun=f, nit=nit, nfev=nfev, success=code == 4,
                                last=last if x.tolist() == x_eval else None)
 
 
@@ -433,14 +448,13 @@ def _start_points(
     """
     # a warm refit (restarts 1) makes no draws, so it constructs no generator
     rng = np.random.default_rng(opt.seed) if opt.restarts > 1 else None
-    centre = np.clip(centre, -LOG_BOUND, LOG_BOUND)
+    centre = _clip(centre)
     spread = math.log(START_SPREAD)
-    draws = [
-        np.clip(centre + rng.uniform(-spread, spread, size=centre.size), -LOG_BOUND, LOG_BOUND)
-        for _ in range(opt.restarts - 1)
-    ]
-    starts = [] if warm is None else [np.clip(warm, -LOG_BOUND, LOG_BOUND)]
-    if not np.array_equal(centre, unit):
+    draws = [_clip(centre + rng.uniform(-spread, spread, size=centre.size))
+             for _ in range(opt.restarts - 1)]
+    starts = [] if warm is None else [_clip(warm)]
+    # lists of floats compare elementwise like the arrays do, without np.array_equal
+    if centre.tolist() != unit.tolist():
         starts.append(centre)
     return starts + [unit] + draws
 
@@ -486,7 +500,7 @@ def fit_level(
     n, l = data.inputs.shape
     if init is not None and init.dim != l:
         raise ValueError(f"init has {init.dim} weights, but the data have {l} inputs")
-    means = data.residuals.mean(axis=0)
+    means = _column_means(data.residuals)
     centered = data.residuals - means
     core = _Likelihood(data.inputs, centered)
     # where the sum of the squared residuals, tr(F^T F), overflows, S = tr(F^T K^-1 F)
@@ -500,10 +514,17 @@ def fit_level(
 
     unit = np.zeros(l + 1 if learn_noise else l)
     if learn_noise:
-        unit[-1] = np.clip(math.log(noise if noise > 0 else 1e-3), -LOG_BOUND, LOG_BOUND)
+        unit[-1] = min(max(math.log(noise if noise > 0 else 1e-3), -LOG_BOUND), LOG_BOUND)
     centre = unit.copy()
-    rows = np.arange(n)
-    med = float(np.median(core.sq.sum(axis=2)[rows[:, None] < rows])) if n > 1 else 0.0
+    med = 0.0
+    if n > 1:
+        # the median of the pairwise squared distances as np.median forms it from
+        # np.partition: the middle value, or the sum of the two middle values halved
+        rows = np.arange(n)
+        pairs = np.add.reduce(core.sq, axis=2)[rows[:, None] < rows]
+        mid, odd = divmod(pairs.size, 2)
+        pairs.partition(mid if odd else (mid - 1, mid))
+        med = pairs.item(mid) if odd else (pairs.item(mid - 1) + pairs.item(mid)) / 2.0
     if med > 0:
         centre[:l] = math.log(1.0 / med)
     warm = None

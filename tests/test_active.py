@@ -8,12 +8,15 @@ import pytest
 from resgp import (
     BENCHMARKS,
     KernelHyperparams,
+    MultiFidelityData,
     OptimizerConfig,
     OracleError,
     ResidualDataset,
     build_level,
+    compute_residuals,
     design_uniform,
     level_predict,
+    nesting_check,
     predict,
     read_audit,
     select_next,
@@ -219,6 +222,23 @@ def test_construction_preserves_nesting():
     assert set(res.selected[2]) <= set(res.selected[1])
     assert len(set(res.selected[1])) == 10
     assert len(set(res.selected[2])) == 4
+
+
+@pytest.mark.parametrize("strategy", ["variance", "random"])
+def test_construction_fits_the_data_it_returns(strategy):
+    # each level is the fit of the returned design's own residuals, centered: train
+    # on res.data would regress on the same inputs and residuals, bit for bit
+    domain = BENCHMARKS["currin"].domain
+    res = sequential_construct(small_pool(seed=14), [9, 4], currin_oracle,
+                               OptimizerConfig(seed=0), seed=6, domain=domain,
+                               strategy=strategy)
+    norm = MultiFidelityData([domain.normalize(x) for x in res.data.inputs], res.data.outputs)
+    raws = compute_residuals(norm, nesting_check(norm))
+    for x, lvl, raw in zip(res.data.inputs, res.model.levels, raws, strict=True):
+        means = raw.residuals.mean(axis=0)
+        np.testing.assert_array_equal(lvl.inputs, domain.normalize(x), strict=True)
+        np.testing.assert_array_equal(lvl.column_means, means, strict=True)
+        np.testing.assert_array_equal(lvl.residuals, raw.residuals - means, strict=True)
 
 
 def test_construction_deterministic():

@@ -480,6 +480,42 @@ def test_start_recipe_draws_around_the_clipped_centre(monkeypatch):
     assert np.any(draws[:, 0] < bound)
 
 
+@st.composite
+def start_recipe_designs(draw):
+    """N from 2 to 15 rows, free or on a coarse grid (tied distances), some repeated."""
+    n, l = draw(st.integers(2, 15)), draw(st.integers(1, 3))
+    grid = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    x = draw(arrays(np.float64, (n, l), elements=grid if draw(st.booleans()) else st.floats(0, 1)))
+    return x[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))], draw(st.booleans())
+
+
+# one pair; six pairs, four of them at 0.25 and one at 0 (a repeated row); every row
+# the same (no moment match)
+@example((np.array([[0.1, 0.7], [0.4, 0.2]]), False))
+@example((np.array([[0.0], [0.5], [1.0], [0.5]]), True))
+@example((np.full((5, 2), 0.3), False))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(start_recipe_designs())
+def test_the_centre_start_is_the_inverse_median_pairwise_distance(design):
+    # bit for bit log(1 / np.median(...)) over the N (N - 1) / 2 pairs, odd and even
+    # counts alike; with no positive median the centre is the unit start
+    x, learn = design
+    n = x.shape[0]
+    ds = ResidualDataset(x, np.arange(n, dtype=float)[:, None])
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_start_points(mp)
+        # the starts are recorded before the first run, which no_search stops
+        mp.setattr(gp_level, "minimize", no_search)
+        with pytest.raises(AssertionError, match="the likelihood search ran"):
+            fit_level(ds, OptimizerConfig(restarts=1), learn_noise=learn)
+    [(unit, centre, _, _)] = calls
+    med = np.median(sq_diffs(x, x).sum(axis=2)[np.triu_indices(n, 1)])
+    expected = unit.copy()
+    if med > 0:
+        expected[: x.shape[1]] = math.log(1.0 / med)
+    np.testing.assert_array_equal(centre, expected, strict=True)
+
+
 def test_fit_gradient_small_at_interior_optimum():
     # first-order condition of the objective the optimizer actually minimized,
     # the NLL with the amplitude profiled out, and of the joint NLL there
@@ -705,11 +741,11 @@ def fit_against_scipy(monkeypatch, ds, opt=None, **kwargs):
 
     scipy's minimize is given the objective's (f, grad), objective(x)[:2]. A run
     handed the objective's value at its start is checked to have been handed
-    exactly what the objective returns there. Returns the fitted level and the
-    driver's results, one per run.
+    exactly what the objective returns there. Returns the fitted level, the
+    driver's results, one per run, and whether each run was handed its start's return.
     """
     driver = gp_level.minimize
-    runs = []
+    runs, handed = [], []
 
     def recorder(objective, x0, *, ftol, gtol, maxiter, start=None):
         if start is not None:
@@ -729,14 +765,15 @@ def fit_against_scipy(monkeypatch, ds, opt=None, **kwargs):
         assert ours.fun == ref.fun
         assert (ours.nfev, ours.nit, ours.success) == (ref.nfev, ref.nit, ref.success)
         runs.append(ours)
+        handed.append(start is not None)
         return ours
 
     monkeypatch.setattr(gp_level, "minimize", recorder)
-    return fit_level(ds, opt, **kwargs), runs
+    return fit_level(ds, opt, **kwargs), runs, handed
 
 
 def test_lbfgsb_driver_matches_scipy_on_currin_level(monkeypatch):
-    level, runs = fit_against_scipy(monkeypatch, benchmark_level("currin", 0, 1))
+    level, runs, _ = fit_against_scipy(monkeypatch, benchmark_level("currin", 0, 1))
     # moment-matched start, unit start, 11 random restarts, then the polish run
     assert len(runs) == 14
     assert level.fit_nll == pytest.approx(runs[-1].fun, rel=1e-9)
@@ -745,7 +782,7 @@ def test_lbfgsb_driver_matches_scipy_on_currin_level(monkeypatch):
 def test_lbfgsb_driver_matches_scipy_with_weights_on_the_box(monkeypatch):
     # park seed 0 level 2 switches its first and third inputs off: both weights end
     # on the box's floor
-    level, runs = fit_against_scipy(monkeypatch, benchmark_level("park", 0, 2))
+    level, runs, _ = fit_against_scipy(monkeypatch, benchmark_level("park", 0, 2))
     assert len(runs) == 14
     assert runs[-1].x[0] == runs[-1].x[2] == -gp_level.LOG_BOUND
     np.testing.assert_allclose(np.log(level.params.weights[[0, 2]]), -gp_level.LOG_BOUND)
@@ -756,25 +793,41 @@ def test_lbfgsb_driver_matches_scipy_with_learned_noise(monkeypatch):
     noisy = ResidualDataset(
         ds.inputs, ds.residuals + 0.05 * np.random.default_rng(26).normal(size=ds.residuals.shape)
     )
-    _, runs = fit_against_scipy(monkeypatch, noisy, OptimizerConfig(seed=0), learn_noise=True)
+    _, runs, _ = fit_against_scipy(monkeypatch, noisy, OptimizerConfig(seed=0),
+                                   learn_noise=True)
     assert len(runs) == 14
     # log weight and log nugget; the amplitude is profiled out
     assert all(r.x.size == 2 for r in runs)
 
 
+@pytest.mark.parametrize("name,level", [("currin", 1), ("hartmann3", 2)])
+def test_lbfgsb_driver_matches_scipy_on_a_warm_refit(monkeypatch, name, level):
+    # sequential design's refit: one more row, restarts 1 and the last fit as init
+    ds = benchmark_level(name, 0, level)
+    before = ResidualDataset(ds.inputs[:-1], ds.residuals[:-1])
+    previous = fit_level(before, OptimizerConfig(seed=0))
+    fitted, runs, handed = fit_against_scipy(monkeypatch, ds, OptimizerConfig(restarts=1),
+                                             init=previous.params)
+    # warm, centre and unit starts, then the polish from the best of them
+    assert len(runs) == 4
+    assert handed == [False, False, False, True]
+    assert fitted.fit_nll == pytest.approx(runs[-1].fun, rel=1e-9)
+
+
 def test_lbfgsb_driver_stops_at_the_iteration_cap_like_scipy(monkeypatch):
     monkeypatch.setattr(gp_level, "MAX_ITERS", 3)
-    _, runs = fit_against_scipy(monkeypatch, benchmark_level("currin", 0, 1))
+    _, runs, _ = fit_against_scipy(monkeypatch, benchmark_level("currin", 0, 1))
     assert len(runs) == 14
     assert all(r.nit == 3 and not r.success for r in runs)
 
 
 def recording_objective(f):
-    """f's value and gradient with x itself, as an objective; returns it and its returns."""
+    """f's value and gradient with a copy of x, as an objective; returns it and its returns."""
     returns = []
 
     def objective(x):
-        returns.append((*f(x), x))
+        # a copy: the driver overwrites its x after the call returns
+        returns.append((*f(x), x.copy()))
         return returns[-1]
 
     return objective, returns

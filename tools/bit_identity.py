@@ -24,6 +24,9 @@ The first line names the numpy and scipy versions; every other line is
 - lbfgs/<benchmark>/seed<s>: the x, fun, nit, nfev and success of every
   L-BFGS-B run of that Table-2 case, in call order, taken by wrapping
   gp_level.minimize;
+- starts/<benchmark>/seed<s>: the start list of every fit of that Table-2
+  case, in call order, taken by wrapping gp_level._start_points, so a change to
+  the start recipe shows under its own name;
 - nugget/<benchmark>/seed<s>: each level, and its likelihood at its params as
   above, of train(..., learn_noise=True) on the Table-2 data of seeds 0-2,
   each fidelity's outputs perturbed by seeded noise of 5% of their std;
@@ -128,22 +131,29 @@ def at_params_digest(level) -> str:
 
 
 def table2():
-    driver, runs = gp_level.minimize, []
+    driver, recipe, runs, fits = gp_level.minimize, gp_level._start_points, [], []
 
     def recording_driver(*args, **kwargs):
         runs.append(driver(*args, **kwargs))
         return runs[-1]
 
+    def recording_recipe(*args, **kwargs):
+        fits.append(recipe(*args, **kwargs))
+        return fits[-1]
+
     for name in TABLE2:
         for s in TABLE2_SEEDS:
             runs.clear()
-            gp_level.minimize = recording_driver
+            fits.clear()
+            gp_level.minimize, gp_level._start_points = recording_driver, recording_recipe
             try:
                 case = benchmarks.run_benchmark_case(name, seed=s)
             finally:
-                gp_level.minimize = driver
+                gp_level.minimize, gp_level._start_points = driver, recipe
             yield f"lbfgs/{name}/seed{s}", digest(
                 *(part for r in runs for part in (r.x, r.fun, r.nit, r.nfev, r.success)))
+            yield f"starts/{name}/seed{s}", digest(
+                *(part for starts in fits for part in (str(len(starts)), *starts)))
             for l, level in enumerate(case["model"].levels, start=1):
                 yield f"table2/{name}/seed{s}/level{l}", level_digest(level)
                 yield f"table2/{name}/seed{s}/level{l}/at_params", at_params_digest(level)
